@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from mumbounds.basis import standard_basis
-from mumbounds.cli import SweepSpec, render_csv, run_sweep
+from mumbounds.engine import SweepSpec, render_csv, run_sweep
 from mumbounds.mums import build_f_blocks, t_interval
 
 

@@ -9,7 +9,7 @@ Run:  python scripts/reproduce_thresholds.py
 
 import numpy as np
 
-from mumbounds.cli import ThresholdQuery, run_threshold
+from mumbounds.engine import ThresholdQuery, run_threshold
 from mumbounds.criteria import build_correlation_matrix
 from mumbounds.states import horodecki_state
 

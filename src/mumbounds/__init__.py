@@ -11,7 +11,6 @@ from .criteria import (
     CorrelationMatrix,
     build_correlation_matrix,
     concurrence_lower_bound,
-    nm_povm_threshold,
     pure_concurrence,
     pure_trace_norm_closed_form,
     schmidt_number_lower_bound,
@@ -19,8 +18,6 @@ from .criteria import (
 )
 from .linalg import (
     SchmidtData,
-    hermitian_eig,
-    kron,
     partial_trace,
     partial_transpose,
     schmidt_decompose,
@@ -85,14 +82,11 @@ __all__ = [
     "CorrelationMatrix",
     "build_correlation_matrix",
     "concurrence_lower_bound",
-    "nm_povm_threshold",
     "pure_concurrence",
     "pure_trace_norm_closed_form",
     "schmidt_number_lower_bound",
     "separability_test",
     "SchmidtData",
-    "hermitian_eig",
-    "kron",
     "partial_trace",
     "partial_transpose",
     "schmidt_decompose",

@@ -3,24 +3,35 @@
 Subcommands: verify, kappa, t-range, bound, sweep, threshold, gen-state,
 verify-state.  Exit codes: 0 success (including an undetected verdict
 from a valid run), 1 usage error, 2 numerical failure or invalid data.
+Sweeps and threshold searches run in ``mumbounds.engine``; this module
+parses arguments and prints results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .basis import standard_basis
 from .config import TOL
-from .criteria import build_correlation_matrix, concurrence_lower_bound
+from .criteria import concurrence_lower_bound
+from .engine import (
+    SweepSpec,
+    ThresholdQuery,
+    UsageError,
+    _family_for,
+    _fmt,
+    _infer_d,
+    _make_state,
+    render_csv,
+    run_sweep,
+    run_threshold,
+)
 from .mums import (
-    MumFamily,
     build_f_blocks,
     build_mums,
     kappa_of_t,
@@ -29,238 +40,12 @@ from .mums import (
     two_design_residual,
     verify_mum_relations,
 )
-from .states import (
-    StateFileError,
-    horodecki_noisy,
-    load_state,
-    max_entangled,
-    mix_with_white_noise,
-    random_density,
-    save_state,
-    tiles_noisy,
-)
-from .threshold import find_threshold
-
-CSV_HEADER = "var,traceNormP,traceNormF,kappa,threshold,bound_literal,bound_derived,verdict"
-
-_SWEEP_VARS = {
-    "tiles": ("t", "p"),
-    "horodecki": ("t", "q", "upsilon"),
-    "file": ("t", "p", "q"),
-}
-
-
-class UsageError(Exception):
-    pass
+from .states import StateFileError, load_state, max_entangled, random_density, save_state
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
-def _infer_d(dim: int) -> int:
-    d = math.isqrt(dim)
-    if d * d != dim or d < 2:
-        raise UsageError(
-            f"state dimension {dim} is not d*d for a bipartite d x d system"
-        )
-    return d
-
-
-def _family_for(d: int, t: float) -> MumFamily:
-    try:
-        return build_mums(standard_basis(d), t)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _make_state(
-    family: str,
-    file: str | None = None,
-    p: float | None = None,
-    q: float | None = None,
-    upsilon: float | None = None,
-) -> np.ndarray:
-    if family == "tiles":
-        return tiles_noisy(1.0 if p is None else p)
-    if family == "horodecki":
-        if upsilon is None:
-            raise UsageError("--upsilon is required for the horodecki family")
-        return horodecki_noisy(upsilon, 1.0 if q is None else q)
-    if family == "file":
-        if file is None:
-            raise UsageError("--file is required when --state file is selected")
-        rho = load_state(file)
-        if p is not None and q is not None:
-            raise UsageError("give at most one of --p/--q as the mixing weight")
-        weight = p if p is not None else q
-        if weight is not None:
-            rho = mix_with_white_noise(rho, weight)
-        return rho
-    raise UsageError(f"unknown state family {family!r}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-dimensional parameter sweep over a state family."""
-
-    variable: str                   # t | p | q | upsilon
-    start: float
-    stop: float
-    steps: int
-    state_family: str               # tiles | horodecki | file
-    fixed: dict = field(default_factory=dict)
-    variant: str = "derived"
-    file: str | None = None
-
-    def validate(self) -> None:
-        if self.state_family not in _SWEEP_VARS:
-            raise UsageError(f"unknown state family {self.state_family!r}")
-        if self.variable not in _SWEEP_VARS[self.state_family]:
-            raise UsageError(
-                f"variable {self.variable!r} is not sweepable for the "
-                f"{self.state_family} family (allowed: "
-                f"{', '.join(_SWEEP_VARS[self.state_family])})"
-            )
-        if not self.start < self.stop:
-            raise UsageError("sweep requires start < stop")
-        if self.steps < 2:
-            raise UsageError("sweep requires at least 2 steps")
-        if self.variable != "t" and self.fixed.get("t") is None:
-            raise UsageError("--t is required when sweeping a mixing parameter")
-        if self.variant not in ("literal", "derived"):
-            raise UsageError("variant must be 'literal' or 'derived'")
-
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """Bisection query for the detection boundary of a mixing parameter."""
-
-    state_family: str
-    t: float
-    search_variable: str            # p | q
-    criterion: str = "separability"  # separability | bound-positive
-    tolerance: float = 1e-6
-    fixed: dict = field(default_factory=dict)
-    variant: str = "derived"
-    file: str | None = None
-
-    def validate(self) -> None:
-        if self.tolerance <= 0:
-            raise UsageError("threshold tolerance must be positive")
-        if self.search_variable not in ("p", "q"):
-            raise UsageError("search variable must be 'p' or 'q'")
-        if self.criterion not in ("separability", "bound-positive"):
-            raise UsageError("criterion must be 'separability' or 'bound-positive'")
-
-
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the sweep grid; one result dict per grid point, ascending."""
-    spec.validate()
-    grid = np.linspace(spec.start, spec.stop, spec.steps)
-    fixed = dict(spec.fixed)
-
-    def state_at(params: dict) -> np.ndarray:
-        return _make_state(
-            spec.state_family,
-            file=spec.file,
-            p=params.get("p"),
-            q=params.get("q"),
-            upsilon=params.get("upsilon"),
-        )
-
-    if spec.variable == "t":
-        rho = state_at(fixed)
-        d = _infer_d(rho.shape[0])
-        rng = t_interval(build_f_blocks(standard_basis(d)), d)
-        bad = [
-            t
-            for t in grid
-            if kappa_of_t(d, float(t)) * d <= 1.0 or not rng.contains(float(t))
-        ]
-        if bad:
-            raise UsageError(
-                f"sweep contains inadmissible t values (first: {bad[0]:.6g}); "
-                f"the valid interval is [{rng.lower:.6f}, {rng.upper:.6f}], t nonzero"
-            )
-        points = [(float(t), _family_for(d, float(t)), rho) for t in grid]
-    else:
-        probe = state_at({**fixed, spec.variable: float(grid[0])})
-        fam = _family_for(_infer_d(probe.shape[0]), fixed["t"])
-        points = [
-            (float(v), fam, state_at({**fixed, spec.variable: float(v)}))
-            for v in grid
-        ]
-
-    rows = []
-    for value, fam, rho in points:
-        report = concurrence_lower_bound(rho, fam, variant=spec.variant)
-        rows.append(
-            {
-                "var": value,
-                "traceNormP": report.trace_norm_p,
-                "traceNormF": report.trace_norm_f,
-                "kappa": report.kappa,
-                "threshold": report.separability_threshold,
-                "bound_literal": report.bound_literal,
-                "bound_derived": report.bound_derived,
-                "verdict": report.verdict,
-            }
-        )
-    return rows
-
-
-def render_csv(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_fmt(row[key]) for key in CSV_HEADER.split(",")))
-    return "\n".join(lines) + "\n"
-
-
-def run_threshold(query: ThresholdQuery):
-    """Locate the detection boundary; returns (result, family)."""
-    query.validate()
-    if query.t == 0.0:
-        raise UsageError("t must be admissible and nonzero")
-    fixed = dict(query.fixed)
-    probe = _make_state(
-        query.state_family,
-        file=query.file,
-        p=fixed.get("p"),
-        q=fixed.get("q"),
-        upsilon=fixed.get("upsilon"),
-    )
-    d = _infer_d(probe.shape[0])
-    fam = _family_for(d, query.t)
-    threshold = 1.0 + fam.kappa
-
-    def margin(w: float) -> float:
-        rho = _make_state(
-            query.state_family,
-            file=query.file,
-            p=w if query.search_variable == "p" else fixed.get("p"),
-            q=w if query.search_variable == "q" else fixed.get("q"),
-            upsilon=fixed.get("upsilon"),
-        )
-        excess = (
-            build_correlation_matrix(rho, fam, convention="P").trace_norm - threshold
-        )
-        if query.criterion == "separability":
-            return excess
-        if query.variant == "literal":
-            coeff = np.sqrt(2.0 * (d - 1.0) / (d * (fam.kappa * d - 1.0)))
-        else:
-            coeff = np.sqrt(2.0 * (d - 1.0) / d) / (fam.kappa * d - 1.0)
-        return float(coeff * excess)
-
-    return find_threshold(margin, tol=query.tolerance), fam
 
 
 def cmd_verify(args) -> int:
@@ -312,9 +97,7 @@ def cmd_t_range(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    rho = _make_state(
-        args.state, file=args.file, p=args.p, q=args.q, upsilon=args.upsilon
-    )
+    rho = _make_state(args.state, args.file, vars(args))
     d = _infer_d(rho.shape[0])
     fam = _family_for(d, args.t)
     report = concurrence_lower_bound(rho, fam, variant=args.variant, tol=args.tol)
@@ -371,21 +154,16 @@ def cmd_threshold(args) -> int:
         state_family=args.state,
         t=args.t,
         search_variable=search,
-        criterion=args.criterion,
         tolerance=args.tol,
         fixed=fixed,
-        variant=args.variant,
         file=args.file,
     )
     result, fam = run_threshold(query)
-    print(f"criterion={query.criterion}")
+    print("criterion=separability")
     print(f"search_variable={search}")
     print(f"kappa={_fmt(fam.kappa)}")
     if not result.found:
-        if result.all_positive:
-            print("detected on all of [0, 1]")
-        else:
-            print("undetected on [0, 1]")
+        print("undetected on [0, 1]")
         return 0
     lo, hi = result.bracket
     mlo, mhi = result.margins
@@ -398,12 +176,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_gen_state(args) -> int:
-    if args.state == "tiles":
-        rho = tiles_noisy(1.0 if args.p is None else args.p)
-    elif args.state == "horodecki":
-        if args.upsilon is None:
-            raise UsageError("--upsilon is required for the horodecki family")
-        rho = horodecki_noisy(args.upsilon, 1.0 if args.q is None else args.q)
+    if args.state in ("tiles", "horodecki"):
+        rho = _make_state(args.state, None, vars(args))
     elif args.state == "max-entangled":
         if args.d is None:
             raise UsageError("--d is required for the max-entangled family")
@@ -490,10 +264,6 @@ def build_parser() -> _Parser:
     add_state_flags(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--search-var", choices=("p", "q"), dest="search_var")
-    p.add_argument(
-        "--criterion", choices=("separability", "bound-positive"), default="separability"
-    )
-    p.add_argument("--variant", choices=("literal", "derived"), default="derived")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_threshold)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    hermiticity: float = 1e-10          # input gate for eigendecompositions
     basis_orthonormality: float = 1e-12
     state_normalization: float = 1e-8   # pure-state inputs rejected beyond this
     density_hermiticity: float = 1e-12
@@ -20,14 +19,11 @@ class Tolerances:
     density_psd: float = 1e-10          # min eigenvalue >= -density_psd
     correlation_input: float = 1e-9     # density checks at the correlation front door
     schmidt_rank: float = 1e-9          # singular values above this count toward rank
-    reconstruction: float = 1e-10
-    eig_residual: float = 1e-9
     mum_relations: float = 1e-9
     completeness: float = 1e-10
     kappa_match: float = 1e-12
     verdict: float = 1e-9               # margin on trace norm vs 1 + kappa
     t_endpoint_slack: float = 1e-12     # relative slack admitting interval endpoints
-    max_kron_dim: int = 4096
 
 
 TOL = Tolerances()

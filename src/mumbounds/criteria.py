@@ -140,22 +140,6 @@ def schmidt_number_lower_bound(trace_norm: float, d: int, kappa: float) -> float
     return max(1.0, bound)
 
 
-def nm_povm_threshold(d: int, m: int, x: float) -> float:
-    """Separability threshold (d-1)(x M^2 + d^2) / (d M (M-1)).
-
-    Scalar threshold for correlation matrices built from informationally
-    complete POVM designs with M outcomes and free parameter x; only the
-    positivity of the expression is validated here.
-    """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if m < 2:
-        raise ValueError("the number of outcomes M must be at least 2")
-    if x * m * m + d * d <= 0.0:
-        raise ValueError(f"free parameter x = {x!r} makes the threshold non-positive")
-    return (d - 1.0) * (x * m * m + d * d) / (d * m * (m - 1.0))
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated criteria for one state and one measurement family pair.

@@ -1,8 +1,8 @@
 """Dense complex linear algebra primitives.
 
-Kronecker products, partial traces and transposes, trace norms,
-Hermitian eigendecomposition, and Schmidt decomposition of bipartite
-pure states.  All functions are pure and operate on plain numpy arrays.
+Partial traces and transposes, trace norms, and Schmidt decomposition
+of bipartite pure states.  All functions are pure and operate on plain
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -12,22 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a size guard; dimensions multiply."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two 2-d arrays")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > TOL.max_kron_dim:
-        raise ValueError(
-            f"kron result {rows}x{cols} exceeds the configured maximum "
-            f"dimension {TOL.max_kron_dim}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
@@ -76,19 +60,6 @@ def trace_norm(m: np.ndarray) -> float:
             f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix: {exc}"
         ) from exc
     return float(np.sum(s))
-
-
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises ValueError when the input deviates from Hermiticity by more
-    than the configured tolerance.
-    """
-    m = np.asarray(m)
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > TOL.hermiticity:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigh(m)
 
 
 @dataclass(frozen=True)

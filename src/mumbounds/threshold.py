@@ -1,29 +1,25 @@
-"""Detection-threshold location by coarse sign scan plus bisection."""
+"""Detection-threshold location by bracketed bisection."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ThresholdResult:
     """Outcome of a threshold search over a mixing parameter.
 
-    ``found`` is False when the margin never changes sign on the scan
-    grid; ``all_positive`` then distinguishes detection everywhere from
-    detection nowhere.  When found, ``bracket`` holds the final interval
-    of width <= tol around the sign change and ``margins`` the criterion
-    margins at its two ends.
+    ``found`` is False when the margin is not positive at the upper end,
+    i.e. nothing on the interval is detected.  When found, ``bracket``
+    holds the final interval of width <= tol around the sign change and
+    ``margins`` the criterion margins at its two ends.
     """
 
     found: bool
     threshold: float | None = None
     bracket: tuple[float, float] | None = None
     margins: tuple[float, float] | None = None
-    all_positive: bool = False
     evaluations: int = 0
 
 
@@ -32,36 +28,25 @@ def find_threshold(
     lo: float = 0.0,
     hi: float = 1.0,
     tol: float = 1e-6,
-    prescan: int = 64,
 ) -> ThresholdResult:
     """Locate where ``margin`` crosses zero on [lo, hi].
 
-    A uniform scan of ``prescan`` points guards against non-monotone
-    margins; the bracket enclosing the last negative-to-positive
-    crossing (so that [threshold, hi] is the detected side) is then
-    bisected until its width is at most ``tol``.
+    The margin must be non-positive at ``lo``.  If it is positive at
+    ``hi``, the bracket is halved, keeping a non-positive margin at its
+    lower end and a positive one at its upper end, until its width is at
+    most ``tol``; that takes 2 + ceil(log2((hi - lo) / tol)) evaluations.
+    For a margin that crosses zero at most once, such as a convex one,
+    the bracket encloses that crossing.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if prescan < 2:
-        raise ValueError("prescan needs at least 2 points")
-    grid = np.linspace(lo, hi, prescan)
-    values = [float(margin(w)) for w in grid]
-    evaluations = prescan
-
-    bracket = None
-    for i in range(prescan - 1, 0, -1):
-        if values[i] > 0.0 >= values[i - 1]:
-            bracket = (float(grid[i - 1]), float(grid[i]), values[i - 1], values[i])
-            break
-    if bracket is None:
-        return ThresholdResult(
-            found=False,
-            all_positive=all(v > 0.0 for v in values),
-            evaluations=evaluations,
-        )
-
-    a, b, fa, fb = bracket
+    a, b = lo, hi
+    fa, fb = float(margin(a)), float(margin(b))
+    evaluations = 2
+    if fa > 0.0:
+        raise ValueError(f"margin at lo = {lo!r} is positive ({fa:.3e}); no crossing to bracket")
+    if fb <= 0.0:
+        return ThresholdResult(found=False, evaluations=evaluations)
     while b - a > tol:
         mid = 0.5 * (a + b)
         fm = float(margin(mid))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mumbounds.basis import standard_basis
-from mumbounds.cli import SweepSpec, ThresholdQuery, render_csv, run_sweep, run_threshold
+from mumbounds.engine import SweepSpec, ThresholdQuery, render_csv, run_sweep, run_threshold
 from mumbounds.criteria import (
     build_correlation_matrix,
     concurrence_lower_bound,

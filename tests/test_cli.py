@@ -232,13 +232,14 @@ class TestThreshold:
         assert float(values["margin_at_lower"]) <= 0.0
         assert float(values["margin_at_upper"]) > 0.0
 
-    def test_bound_positive_criterion_matches(self, capsys):
-        code, out, _ = run(
-            capsys, "threshold", "--state", "horodecki", "--upsilon", "0.2",
-            "--t", "0.01", "--tol", "1e-4", "--criterion", "bound-positive",
-        )
-        assert code == 0
-        assert float(parse_kv(out)["threshold"]) == pytest.approx(0.994054, abs=5e-3)
+    def test_weight_the_state_ignores_is_rejected(self, capsys):
+        for state_args in (
+            ("--state", "tiles", "--search-var", "q"),
+            ("--state", "horodecki", "--upsilon", "0.2", "--search-var", "p"),
+        ):
+            code, _, err = run(capsys, "threshold", *state_args, "--t", "0.01")
+            assert code == 1
+            assert "not a white-noise weight" in err
 
     def test_separable_file_state_is_undetected(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"

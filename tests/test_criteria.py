@@ -7,7 +7,6 @@ from mumbounds.basis import gellmann_generators, partition_basis
 from mumbounds.criteria import (
     build_correlation_matrix,
     concurrence_lower_bound,
-    nm_povm_threshold,
     pure_concurrence,
     pure_trace_norm_closed_form,
     schmidt_number_lower_bound,
@@ -282,28 +281,3 @@ class TestSchmidtNumberBound:
     def test_requires_sharp_kappa(self):
         with pytest.raises(ValueError, match="exceed"):
             schmidt_number_lower_bound(2.0, 3, 1.0 / 3.0)
-
-
-class TestNmPovmThreshold:
-    def test_reference_point(self):
-        assert nm_povm_threshold(3, 3, 1.0) == pytest.approx(2.0, abs=1e-14)
-
-    def test_small_case_positive(self):
-        assert nm_povm_threshold(2, 2, 1.0) > 0.0
-
-    @given(
-        x1=st.floats(0.1, 5.0),
-        x2=st.floats(0.1, 5.0),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_monotone_in_x(self, x1, x2):
-        lo, hi = sorted((x1, x2))
-        assert nm_povm_threshold(3, 4, lo) <= nm_povm_threshold(3, 4, hi) + 1e-15
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="outcomes"):
-            nm_povm_threshold(3, 1, 1.0)
-        with pytest.raises(ValueError, match="at least 2"):
-            nm_povm_threshold(1, 3, 1.0)
-        with pytest.raises(ValueError, match="non-positive"):
-            nm_povm_threshold(2, 3, -1.0)

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mumbounds.linalg import (
-    hermitian_eig,
-    kron,
     partial_trace,
     partial_transpose,
     schmidt_decompose,
@@ -26,39 +24,6 @@ def _random_density(rng, dim):
 def _random_unitary(rng, dim):
     q, r = np.linalg.qr(_complex_normal(rng, (dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_index_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        a = _complex_normal(rng, (3, 3))
-        b = _complex_normal(rng, (3, 3))
-        out = kron(a, b)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for m in range(3):
-                        product = a[i, j] * b[k, m]
-                        assert abs(out[3 * i + k, 3 * j + m] - product) <= 1e-14 * max(
-                            1.0, abs(product)
-                        )
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError, match="maximum"):
-            kron(np.zeros((2049, 1)), np.zeros((2, 1)))
-
-    def test_rejects_vectors(self):
-        with pytest.raises(ValueError):
-            kron(np.zeros(3), np.zeros((3, 3)))
 
 
 class TestPartialTrace:
@@ -168,32 +133,6 @@ class TestTraceNorm:
         bad = np.full((4, 4), np.nan)
         with pytest.raises(np.linalg.LinAlgError):
             trace_norm(bad)
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, _ = hermitian_eig(np.eye(3))
-        assert np.allclose(w, [1.0, 1.0, 1.0])
-
-    def test_z_like(self):
-        w, _ = hermitian_eig(np.diag([1.0, -1.0]))
-        assert np.allclose(w, [-1.0, 1.0])  # ascending
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_residuals(self, seed):
-        rng = np.random.default_rng(seed)
-        g = _complex_normal(rng, (9, 9))
-        m = (g + g.conj().T) / 2
-        w, v = hermitian_eig(m)
-        assert np.all(np.diff(w) >= -1e-12)
-        for k in range(9):
-            assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) < 1e-9
-
-    def test_non_hermitian_rejected(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(m)
 
 
 class TestSchmidt:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,25 +30,34 @@ def test_picks_last_crossing_of_non_monotone_margin():
 
 
 def test_all_negative_reports_not_found():
-    result = find_threshold(lambda w: -1.0, tol=1e-6)
-    assert not result.found
-    assert not result.all_positive
+    # a margin of exactly zero at hi is not a detection either
+    for margin in (lambda w: -1.0, lambda w: w - 1.0):
+        result = find_threshold(margin, tol=1e-6)
+        assert not result.found
+        assert result.bracket is None
+        assert result.evaluations == 2
 
 
-def test_all_positive_flagged():
-    result = find_threshold(lambda w: 1.0, tol=1e-6)
-    assert not result.found
-    assert result.all_positive
+def test_positive_margin_at_lo_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        find_threshold(lambda w: 1.0, tol=1e-6)
+    with pytest.raises(ValueError, match="positive"):
+        find_threshold(lambda w: w - 0.3, lo=0.5, hi=1.0)
 
 
 def test_evaluation_count_is_bounded():
-    result = find_threshold(lambda w: w - 0.5, tol=1e-6, prescan=64)
-    assert result.found
-    assert result.evaluations <= 64 + 30
+    brackets = ((0.0, 1.0, 1e-6), (0.0, 1.0, 1e-7), (0.0, 1.0, 2.0**-10), (-1.0, 3.0, 1e-3))
+    for lo, hi, tol in brackets:
+        root = lo + 0.3 * (hi - lo)
+        result = find_threshold(lambda w, root=root: w - root, lo, hi, tol)
+        assert result.found
+        assert result.evaluations == 2 + math.ceil(math.log2((hi - lo) / tol))
+        a, b = result.bracket
+        assert b - a <= tol
+        assert a <= root <= b
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError, match="positive"):
-        find_threshold(lambda w: w, tol=0.0)
-    with pytest.raises(ValueError, match="prescan"):
-        find_threshold(lambda w: w, prescan=1)
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            find_threshold(lambda w: w, tol=tol)
