@@ -11,6 +11,7 @@ from .criteria import (
     CorrelationMatrix,
     build_correlation_matrix,
     concurrence_lower_bound,
+    concurrence_lower_bounds,
     pure_concurrence,
     pure_trace_norm_closed_form,
     schmidt_number_lower_bound,
@@ -82,6 +83,7 @@ __all__ = [
     "CorrelationMatrix",
     "build_correlation_matrix",
     "concurrence_lower_bound",
+    "concurrence_lower_bounds",
     "pure_concurrence",
     "pure_trace_norm_closed_form",
     "schmidt_number_lower_bound",

@@ -73,7 +73,8 @@ def partition_basis(generators: list[np.ndarray], d: int) -> OperatorBasis:
 
     herm_dev = float(np.abs(arr - arr.conj().transpose(0, 2, 1)).max())
     trace_dev = float(np.abs(np.einsum("kii->k", arr)).max())
-    gram = np.einsum("kij,lji->kl", arr, arr)
+    flat = arr.reshape(d * d - 1, d * d)
+    gram = flat @ flat.conj().T
     gram_dev = float(np.abs(gram - np.eye(d * d - 1)).max())
     worst = max(herm_dev, trace_dev, gram_dev)
     if worst > TOL.basis_orthonormality:

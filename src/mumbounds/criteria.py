@@ -8,11 +8,20 @@ Tr(rho (F x F)) of the raw building blocks.  The probability convention
 is the one whose trace norm obeys the separability threshold 1 + kappa
 and the pure-state closed form, so every bound and verdict here is
 computed from it; the block convention is kept as a diagnostic.
+
+Every matrix is one contraction A @ R @ B^T: A and B are the operator
+stacks of the two families reshaped to (d(d+1), d^2), and R is the
+validated state realigned to d^2 x d^2,
+``rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d*d, d*d)``,
+so that entry (r, c) is Tr(rho (X_r x Y_c)).  A state is validated and
+realigned once however many matrices are contracted from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +45,27 @@ def _check_density(rho: np.ndarray, dim: int) -> None:
         raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
 
 
+def _check_pair(fam_a: MumFamily, fam_b: MumFamily) -> None:
+    if fam_a.d != fam_b.d:
+        raise ValueError(f"family dimensions differ: {fam_a.d} vs {fam_b.d}")
+    if abs(fam_a.kappa - fam_b.kappa) > TOL.kappa_match:
+        raise ValueError(
+            f"families must share kappa: {fam_a.kappa!r} vs {fam_b.kappa!r}"
+        )
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
+
+
+def _realigned(rho: np.ndarray, d: int) -> np.ndarray:
+    """Validate a d^2 x d^2 state and realign it for the contraction."""
+    rho = np.asarray(rho, dtype=complex)
+    _check_density(rho, d * d)
+    return rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Real correlation matrix of a state under two measurement families.
@@ -49,6 +79,26 @@ class CorrelationMatrix:
     matrix: np.ndarray
     singular_values: np.ndarray
     trace_norm: float
+
+
+def _correlation(
+    realigned: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray, convention: str
+) -> CorrelationMatrix:
+    """Contract a realigned state with two (d(d+1), d, d) operator stacks."""
+    n, d, _ = ops_a.shape
+    entries = ops_a.reshape(n, d * d) @ realigned @ ops_b.reshape(n, d * d).T
+    imag = float(np.abs(entries.imag).max())
+    if imag > 1e-10:
+        raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
+    matrix = np.ascontiguousarray(entries.real)
+    singular_values = np.linalg.svd(matrix, compute_uv=False)
+    return CorrelationMatrix(
+        d=d,
+        convention=convention,
+        matrix=matrix,
+        singular_values=singular_values,
+        trace_norm=float(singular_values.sum()),
+    )
 
 
 def build_correlation_matrix(
@@ -67,37 +117,14 @@ def build_correlation_matrix(
     """
     if fam_b is None:
         fam_b = fam_a
-    if fam_a.d != fam_b.d:
-        raise ValueError(f"family dimensions differ: {fam_a.d} vs {fam_b.d}")
-    if abs(fam_a.kappa - fam_b.kappa) > TOL.kappa_match:
-        raise ValueError(
-            f"families must share kappa: {fam_a.kappa!r} vs {fam_b.kappa!r}"
-        )
+    _check_pair(fam_a, fam_b)
     if convention not in ("P", "F"):
         raise ValueError("convention must be 'P' or 'F'")
-    d = fam_a.d
-    rho = np.asarray(rho, dtype=complex)
-    _check_density(rho, d * d)
-
     if convention == "P":
         ops_a, ops_b = fam_a.effect_stack(), fam_b.effect_stack()
     else:
         ops_a, ops_b = fam_a.block_stack(), fam_b.block_stack()
-
-    rho4 = rho.reshape(d, d, d, d)
-    entries = np.einsum("ikjl,rji,clk->rc", rho4, ops_a, ops_b, optimize=True)
-    imag = float(np.abs(entries.imag).max())
-    if imag > 1e-10:
-        raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
-    matrix = np.ascontiguousarray(entries.real)
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
-    return CorrelationMatrix(
-        d=d,
-        convention=convention,
-        matrix=matrix,
-        singular_values=singular_values,
-        trace_norm=float(singular_values.sum()),
-    )
+    return _correlation(_realigned(rho, fam_a.d), ops_a, ops_b, convention)
 
 
 def pure_trace_norm_closed_form(schmidt: SchmidtData, d: int, kappa: float) -> float:
@@ -184,6 +211,77 @@ class BoundReport:
         }
 
 
+def _verdict(excess: float, tol: float) -> str:
+    return "entangled" if excess > tol else "undetected"
+
+
+def _report(
+    fam: MumFamily, trace_norm_p: float, trace_norm_f: float, variant: str, tol: float
+) -> BoundReport:
+    """Both bound variants, the Schmidt bound and the verdict from two trace norms."""
+    d = fam.d
+    kappa = fam.kappa
+    threshold = 1.0 + kappa
+    excess = trace_norm_p - threshold
+    derived = max(0.0, np.sqrt(2.0 * (d - 1.0) / d) * excess / (kappa * d - 1.0))
+    literal = max(0.0, np.sqrt(2.0 * (d - 1.0) / (d * (kappa * d - 1.0))) * excess)
+    return BoundReport(
+        d=d,
+        t=fam.t,
+        kappa=kappa,
+        trace_norm_p=trace_norm_p,
+        trace_norm_f=trace_norm_f,
+        separability_threshold=threshold,
+        bound_literal=float(literal),
+        bound_derived=float(derived),
+        schmidt_number_lb=schmidt_number_lower_bound(trace_norm_p, d, kappa),
+        verdict=_verdict(excess, tol),
+        variant=variant,
+    )
+
+
+def concurrence_lower_bounds(
+    rho: np.ndarray,
+    families: Sequence[MumFamily | tuple[MumFamily, MumFamily]],
+    variant: str = "derived",
+    tol: float = TOL.verdict,
+) -> list[BoundReport]:
+    """Evaluate ``concurrence_lower_bound`` of one state at several families.
+
+    Each entry of ``families`` is a family, paired with itself, or a
+    (fam_a, fam_b) pair.  The state is validated and realigned once.
+    The block-convention trace norm does not depend on t, so it is
+    contracted again only when the building blocks change.
+    """
+    if variant not in ("literal", "derived"):
+        raise ValueError("variant must be 'literal' or 'derived'")
+    _check_tol(tol)
+    pairs = [fam if isinstance(fam, tuple) else (fam, fam) for fam in families]
+    if not pairs:
+        raise ValueError("at least one family is required")
+    d = pairs[0][0].d
+    for fam_a, fam_b in pairs:
+        _check_pair(fam_a, fam_b)
+        if fam_a.d != d:
+            raise ValueError(f"family dimensions differ: {fam_a.d} vs {d}")
+    realigned = _realigned(rho, d)
+
+    reports = []
+    blocks = None
+    for fam_a, fam_b in pairs:
+        if blocks is None or not (
+            np.array_equal(fam_a.f_blocks, blocks[0])
+            and np.array_equal(fam_b.f_blocks, blocks[1])
+        ):
+            blocks = (fam_a.f_blocks, fam_b.f_blocks)
+            trace_norm_f = _correlation(
+                realigned, fam_a.block_stack(), fam_b.block_stack(), "F"
+            ).trace_norm
+        corr_p = _correlation(realigned, fam_a.effect_stack(), fam_b.effect_stack(), "P")
+        reports.append(_report(fam_a, corr_p.trace_norm, trace_norm_f, variant, tol))
+    return reports
+
+
 def concurrence_lower_bound(
     rho: np.ndarray,
     fam_a: MumFamily,
@@ -194,33 +292,10 @@ def concurrence_lower_bound(
     """Evaluate both concurrence bound variants and the separability verdict.
 
     ``variant`` only selects which number the report headlines; both are
-    always computed.
+    always computed.  ``tol`` must be finite and non-negative.
     """
-    if variant not in ("literal", "derived"):
-        raise ValueError("variant must be 'literal' or 'derived'")
-    if fam_b is None:
-        fam_b = fam_a
-    corr_p = build_correlation_matrix(rho, fam_a, fam_b, convention="P")
-    corr_f = build_correlation_matrix(rho, fam_a, fam_b, convention="F")
-    d = fam_a.d
-    kappa = fam_a.kappa
-    threshold = 1.0 + kappa
-    excess = corr_p.trace_norm - threshold
-    derived = max(0.0, np.sqrt(2.0 * (d - 1.0) / d) * excess / (kappa * d - 1.0))
-    literal = max(0.0, np.sqrt(2.0 * (d - 1.0) / (d * (kappa * d - 1.0))) * excess)
-    return BoundReport(
-        d=d,
-        t=fam_a.t,
-        kappa=kappa,
-        trace_norm_p=corr_p.trace_norm,
-        trace_norm_f=corr_f.trace_norm,
-        separability_threshold=threshold,
-        bound_literal=float(literal),
-        bound_derived=float(derived),
-        schmidt_number_lb=schmidt_number_lower_bound(corr_p.trace_norm, d, kappa),
-        verdict="entangled" if excess > tol else "undetected",
-        variant=variant,
-    )
+    pair = (fam_a, fam_a if fam_b is None else fam_b)
+    return concurrence_lower_bounds(rho, [pair], variant=variant, tol=tol)[0]
 
 
 def separability_test(
@@ -232,8 +307,9 @@ def separability_test(
     """Verdict "entangled" or "undetected" from the trace-norm criterion.
 
     Every separable state stays below 1 + kappa, so "entangled" is
-    conclusive while "undetected" is not.
+    conclusive while "undetected" is not.  ``tol`` must be finite and
+    non-negative.
     """
+    _check_tol(tol)
     corr = build_correlation_matrix(rho, fam_a, fam_b, convention="P")
-    excess = corr.trace_norm - (1.0 + fam_a.kappa)
-    return "entangled" if excess > tol else "undetected"
+    return _verdict(corr.trace_norm - (1.0 + fam_a.kappa), tol)

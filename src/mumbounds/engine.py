@@ -4,6 +4,16 @@ A sweep evaluates the concurrence bounds on a one-dimensional grid and
 renders them as CSV; a threshold query bisects the white-noise weight at
 which the separability criterion starts detecting.  Invalid requests
 raise ``UsageError``.
+
+Each query touches its state once.  Correlation matrices are one GEMM
+contraction A @ R @ B^T of the realigned state R with the family's
+operator stacks (see ``mumbounds.criteria``).  A t-sweep validates and
+realigns the state once and contracts one probability matrix per grid
+point; the block matrix does not depend on t and is contracted once.  A
+threshold query builds the state at weight 1, contracts its probability
+matrix C once, and evaluates every bisection step as one SVD of
+w*C + (1 - w)*J/d^2, the exact matrix of the mixture with white noise,
+since every effect has unit trace.
 """
 
 from __future__ import annotations
@@ -14,7 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import standard_basis
-from .criteria import build_correlation_matrix, concurrence_lower_bound
+from .criteria import (
+    build_correlation_matrix,
+    concurrence_lower_bound,
+    concurrence_lower_bounds,
+)
+from .linalg import trace_norm
 from .mums import MumFamily, build_mums
 from .states import horodecki_noisy, load_state, mix_with_white_noise, tiles_noisy
 from .threshold import ThresholdResult, find_threshold
@@ -126,8 +141,8 @@ class ThresholdQuery:
     file: str | None = None
 
     def validate(self) -> None:
-        if self.tolerance <= 0:
-            raise UsageError("threshold tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise UsageError("threshold tolerance must be finite and positive")
         if self.state_family not in _SEARCH_VARS:
             raise UsageError(f"unknown state family {self.state_family!r}")
         if self.search_variable not in _SEARCH_VARS[self.state_family]:
@@ -150,26 +165,37 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     if spec.variable == "t":
         rho = state_at(fixed)
         basis = standard_basis(_infer_d(rho.shape[0]))
-        points = []
+        fams = []
         for t in grid:
             try:
-                points.append((float(t), build_mums(basis, float(t)), rho))
+                fams.append(build_mums(basis, float(t)))
             except ValueError as exc:
                 raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
+        reports = concurrence_lower_bounds(rho, fams, variant=spec.variant)
     else:
-        probe = state_at({**fixed, spec.variable: float(grid[0])})
+        if spec.variable == "upsilon":
+            probe = state_at({**fixed, "upsilon": float(grid[0])})
+
+            def state(v: float) -> np.ndarray:
+                return state_at({**fixed, "upsilon": v})
+        else:
+            # a white-noise weight: every point mixes the state at weight 1
+            probe = state_at({**fixed, spec.variable: 1.0})
+
+            def state(v: float) -> np.ndarray:
+                return mix_with_white_noise(probe, v)
+
         fam = _family_for(_infer_d(probe.shape[0]), fixed["t"])
-        points = [
-            (float(v), fam, state_at({**fixed, spec.variable: float(v)}))
+        reports = [
+            concurrence_lower_bound(state(float(v)), fam, variant=spec.variant)
             for v in grid
         ]
 
     rows = []
-    for value, fam, rho in points:
-        report = concurrence_lower_bound(rho, fam, variant=spec.variant)
+    for value, report in zip(grid, reports):
         rows.append(
             {
-                "var": value,
+                "var": float(value),
                 "traceNormP": report.trace_norm_p,
                 "traceNormF": report.trace_norm_f,
                 "kappa": report.kappa,
@@ -195,17 +221,21 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     The margin is the trace norm of the probability correlation matrix
     minus 1 + kappa.  It is convex in the white-noise weight w and equals
     1/d - kappa < 0 at w = 0, so it crosses zero at most once on [0, 1].
+    The state at weight w has the probability matrix w*C + (1 - w)*J/d^2,
+    where C is the matrix at weight 1, so C is built once per query.
     """
     query.validate()
     if query.t == 0.0:
         raise UsageError("t must be admissible and nonzero")
-    probe = _make_state(query.state_family, query.file, query.fixed)
-    fam = _family_for(_infer_d(probe.shape[0]), query.t)
+    rho = _make_state(
+        query.state_family, query.file, {**query.fixed, query.search_variable: 1.0}
+    )
+    fam = _family_for(_infer_d(rho.shape[0]), query.t)
+    corr = build_correlation_matrix(rho, fam).matrix
+    dim = rho.shape[0]
     threshold = 1.0 + fam.kappa
 
     def margin(w: float) -> float:
-        params = {**query.fixed, query.search_variable: w}
-        rho = _make_state(query.state_family, query.file, params)
-        return build_correlation_matrix(rho, fam, convention="P").trace_norm - threshold
+        return trace_norm(w * corr + (1.0 - w) / dim) - threshold
 
     return find_threshold(margin, tol=query.tolerance), fam

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,10 +37,11 @@ def find_threshold(
     lower end and a positive one at its upper end, until its width is at
     most ``tol``; that takes 2 + ceil(log2((hi - lo) / tol)) evaluations.
     For a margin that crosses zero at most once, such as a convex one,
-    the bracket encloses that crossing.
+    the bracket encloses that crossing.  ``tol`` must be finite and
+    positive.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     a, b = lo, hi
     fa, fb = float(margin(a)), float(margin(b))
     evaluations = 2

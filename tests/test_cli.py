@@ -99,6 +99,19 @@ class TestBound:
         assert payload["verdict"] == "entangled"
         assert payload["traceNormP"] == pytest.approx(1.3350415782, abs=1e-9)
 
+    def test_invalid_tolerance_rejected(self, capsys):
+        # a negative tolerance would certify the separable I/9, a NaN one
+        # would report "undetected" next to a positive bound
+        for state_args, tol in (
+            (("--state", "tiles", "--p", "0"), "-1"),
+            (("--state", "horodecki", "--upsilon", "0.2", "--q", "1"), "nan"),
+            (("--state", "tiles", "--p", "1"), "inf"),
+        ):
+            code, out, err = run(capsys, "bound", *state_args, "--t", "0.05", f"--tol={tol}")
+            assert code == 1
+            assert "verdict" not in out
+            assert "tolerance" in err
+
     def test_missing_upsilon_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "--state", "horodecki", "--t", "0.01")
         assert code == 1
@@ -249,6 +262,16 @@ class TestThreshold:
         )
         assert code == 0
         assert "undetected on [0, 1]" in out
+
+    def test_invalid_tolerance_rejected(self, capsys):
+        for tol in ("nan", "inf", "0", "-1e-6"):
+            code, out, err = run(
+                capsys, "threshold", "--state", "horodecki", "--upsilon", "0.2",
+                "--t", "0.01", f"--tol={tol}",
+            )
+            assert code == 1
+            assert "threshold=" not in out
+            assert "tolerance" in err
 
     def test_t_zero_rejected(self, capsys):
         code, _, err = run(

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mumbounds.basis import gellmann_generators, partition_basis
+from mumbounds.basis import gellmann_generators, partition_basis, standard_basis
 from mumbounds.criteria import (
     build_correlation_matrix,
     concurrence_lower_bound,
+    concurrence_lower_bounds,
     pure_concurrence,
     pure_trace_norm_closed_form,
     schmidt_number_lower_bound,
@@ -28,6 +29,19 @@ def _product_pure(d, seed):
     a = random_pure(d, 1, seed)
     b = random_pure(d, 1, seed + 1)
     return np.kron(a, b)
+
+
+def _permuted_family(d, t, seed=5):
+    """MUMs from a permuted Gell-Mann partition; kappa depends on t only."""
+    gens = gellmann_generators(d)
+    order = np.random.default_rng(seed).permutation(len(gens))
+    return build_mums(partition_basis([gens[k] for k in order], d), t)
+
+
+def _einsum_reference(rho, ops_a, ops_b):
+    """Tr(rho (X_r x Y_c)) by the plain index contraction of the definition."""
+    d = ops_a.shape[-1]
+    return np.einsum("ikjl,rji,clk->rc", rho.reshape(d, d, d, d), ops_a, ops_b, optimize=True)
 
 
 class TestCorrelationMatrix:
@@ -52,6 +66,29 @@ class TestCorrelationMatrix:
                 for c in range(6):
                     expect = np.trace(rho @ np.kron(stack[r], stack[c])).real
                     assert abs(corr.matrix[r, c] - expect) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])
+    def test_contraction_matches_einsum_reference(self, d, family, t_range_of):
+        fam = family(d, 0.9 * t_range_of(d).upper)
+        rho = random_density(d * d, seed=d)
+        for convention, stack in (("P", fam.effect_stack()), ("F", fam.block_stack())):
+            corr = build_correlation_matrix(rho, fam, convention=convention)
+            expect = _einsum_reference(rho, stack, stack)
+            assert np.abs(corr.matrix - expect.real).max() < 1e-12
+            assert np.abs(expect.imag).max() < 1e-12
+
+    def test_contraction_matches_einsum_reference_for_distinct_families(self, family):
+        # a permuted basis at -t shares kappa with the standard one at t
+        fam_a = family(3, 0.05)
+        fam_b = _permuted_family(3, -0.05)
+        assert fam_b.kappa == fam_a.kappa
+        rho = random_density(9, seed=4)
+        for convention, stacks in (
+            ("P", (fam_a.effect_stack(), fam_b.effect_stack())),
+            ("F", (fam_a.block_stack(), fam_b.block_stack())),
+        ):
+            corr = build_correlation_matrix(rho, fam_a, fam_b, convention=convention)
+            assert np.abs(corr.matrix - _einsum_reference(rho, *stacks).real).max() < 1e-12
 
     def test_affine_relation_between_conventions(self, family):
         # Tr(rho P x P) = 1/d^2 + (t/d) Tr(rho_A F) + (t/d) Tr(rho_B F') + t^2 Tr(rho F x F')
@@ -126,10 +163,8 @@ class TestClosedForm:
 
     def test_two_distinct_bases_with_equal_kappa(self, family):
         # the closed form only needs both families to share kappa
-        gens = gellmann_generators(3)
-        order = np.random.default_rng(5).permutation(len(gens))
         fam_a = family(3, 0.05)
-        fam_b = build_mums(partition_basis([gens[k] for k in order], 3), 0.05)
+        fam_b = _permuted_family(3, 0.05)
         for seed in range(10):
             psi = random_pure(3, 3, seed=seed)
             corr = build_correlation_matrix(_pure_density(psi), fam_a, fam_b)
@@ -220,6 +255,48 @@ class TestConcurrenceBound:
         assert literal.bound == literal.bound_literal
         with pytest.raises(ValueError, match="variant"):
             concurrence_lower_bound(rho, fam, variant="best")
+
+
+    def test_tolerance_must_be_finite_and_non_negative(self, family):
+        fam = family(3, 0.05)
+        rho = np.eye(9) / 9.0
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                concurrence_lower_bound(rho, fam, tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                concurrence_lower_bounds(rho, [fam], tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                separability_test(rho, fam, tol=tol)
+        assert concurrence_lower_bound(rho, fam, tol=0.0).verdict == "undetected"
+
+
+class TestBatchedBounds:
+    def test_tiles_t_grid_equals_one_call_per_family(self, t_range_of):
+        basis = standard_basis(3)
+        rng = t_range_of(3)
+        fams = [build_mums(basis, t) for t in np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81)]
+        rho = tiles_noisy(0.99)
+        assert concurrence_lower_bounds(rho, fams) == [
+            concurrence_lower_bound(rho, fam) for fam in fams
+        ]
+
+    def test_seeded_state_with_changing_blocks(self, family, t_range_of):
+        # the block norm is reused across t and recomputed when the blocks change
+        rng = t_range_of(4)
+        fams = [family(4, t) for t in (0.8 * rng.lower, 0.3 * rng.upper, 0.9 * rng.upper)]
+        fam_b = _permuted_family(4, -fams[1].t)
+        entries = [*fams, (fams[1], fam_b), fam_b, fams[0]]
+        pairs = [entry if isinstance(entry, tuple) else (entry, entry) for entry in entries]
+        rho = random_density(16, seed=12)
+        expect = [concurrence_lower_bound(rho, a, b, variant="literal") for a, b in pairs]
+        assert concurrence_lower_bounds(rho, entries, variant="literal") == expect
+        assert expect[3].trace_norm_f != expect[1].trace_norm_f
+
+    def test_rejects_mixed_dimensions_and_no_families(self, family):
+        with pytest.raises(ValueError, match="dimensions"):
+            concurrence_lower_bounds(np.eye(9) / 9.0, [family(3, 0.05), family(2, 0.05)])
+        with pytest.raises(ValueError, match="at least one"):
+            concurrence_lower_bounds(np.eye(9) / 9.0, [])
 
 
 class TestSeparability:

@@ -3,13 +3,17 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mumbounds import criteria, engine, states
 from mumbounds.criteria import build_correlation_matrix
-from mumbounds.states import mix_with_white_noise, random_density
+from mumbounds.engine import SweepSpec, ThresholdQuery, run_sweep, run_threshold
+from mumbounds.linalg import trace_norm
+from mumbounds.states import mix_with_white_noise, random_density, random_pure, save_state
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE_THRESHOLDS = {0.2: 0.994054, 0.4: 0.99461, 0.6: 0.99626, 0.8: 0.998123, 0.9: 0.999067}
@@ -39,6 +43,104 @@ def test_margin_is_midpoint_convex_in_weight(family, t_range_of):
     rho = random_density(d * d, seed=11)
     m = np.array([_margin(rho, fam, w) for w in np.linspace(0.0, 1.0, 21)])
     assert np.all(m[1:-1] <= 0.5 * (m[:-2] + m[2:]) + 1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_affine_margin_matches_mixed_state_definition(d, family, t_range_of, tmp_path):
+    # the probability matrix of w*rho + (1-w)*I/d^2 is w*C + (1-w)*J/d^2
+    t = 0.9 * t_range_of(d).upper
+    fam = family(d, t)
+    psi = random_pure(d, d, seed=d)
+    rho = np.outer(psi, psi.conj())
+    corr = build_correlation_matrix(rho, fam).matrix
+    for w in np.linspace(0.0, 1.0, 11):
+        affine = trace_norm(w * corr + (1.0 - w) / (d * d)) - 1.0 - fam.kappa
+        assert affine == pytest.approx(_margin(rho, fam, w), abs=1e-12)
+
+    path = tmp_path / "pure.json"
+    save_state(rho, path)
+    result, _ = run_threshold(
+        ThresholdQuery(state_family="file", t=t, search_variable="p", file=str(path))
+    )
+    assert result.found and result.evaluations == 22
+    for w, margin in zip(result.bracket, result.margins):
+        assert margin == pytest.approx(_margin(rho, fam, w), abs=1e-12)
+
+
+class _Counts:
+    """Counts calls of module attributes, and density eigen-checks of one size."""
+
+    def __init__(self, monkeypatch, dim):
+        self.calls = Counter()
+        self.monkeypatch = monkeypatch
+        for module, name in (
+            (engine, "load_state"),
+            (states, "validate_density"),
+            (criteria, "_check_density"),
+            (engine, "build_correlation_matrix"),
+        ):
+            self._count(module, name, lambda *args, name=name: name)
+        self._count(criteria, "_correlation", lambda *args: f"contract.{args[3]}")
+        self._count(
+            np.linalg,
+            "eigvalsh",
+            lambda a, *args: "density_eigvalsh" if np.shape(a) == (dim, dim) else None,
+        )
+
+    def _count(self, module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            label = key(*args)
+            if label is not None:
+                self.calls[label] += 1
+            return original(*args, **kwargs)
+
+        self.monkeypatch.setattr(module, name, counted)
+
+
+def _state_file(tmp_path, d=3):
+    path = tmp_path / "state.json"
+    save_state(random_density(d * d, seed=3), path)
+    return str(path)
+
+
+def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
+    path = _state_file(tmp_path)
+    counts = _Counts(monkeypatch, 9)
+    result, _ = run_threshold(
+        ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
+    )
+    assert result.found and result.evaluations == 22
+    # one load and its file check, one check at the correlation front door,
+    # one probability contraction; every bisection step reuses it
+    assert counts.calls == {
+        "load_state": 1,
+        "validate_density": 1,
+        "_check_density": 1,
+        "density_eigvalsh": 2,
+        "build_correlation_matrix": 1,
+        "contract.P": 1,
+    }
+
+
+def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
+    path = _state_file(tmp_path)
+    counts = _Counts(monkeypatch, 9)
+    run_sweep(SweepSpec("t", 0.01, 0.1, 5, "file", file=path))
+    # one block contraction for the whole t grid, one probability contraction per point
+    assert counts.calls == {
+        "load_state": 1,
+        "validate_density": 1,
+        "_check_density": 1,
+        "density_eigvalsh": 2,
+        "contract.F": 1,
+        "contract.P": 5,
+    }
+    counts.calls.clear()
+    run_sweep(SweepSpec("p", 0.0, 1.0, 5, "file", fixed={"t": 0.1}, file=path))
+    assert counts.calls["load_state"] == 1
+    assert counts.calls["validate_density"] == 1
 
 
 def _python(*args):

@@ -58,6 +58,6 @@ def test_evaluation_count_is_bounded():
 
 
 def test_parameter_validation():
-    for tol in (0.0, -1e-3):
+    for tol in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             find_threshold(lambda w: w, tol=tol)
