@@ -1,6 +1,6 @@
 """Detection thresholds of the noisy Horodecki family at t = 0.01.
 
-For each state parameter upsilon, bisect the white-noise weight q at
+For each state parameter upsilon, locate the white-noise weight q at
 which the trace-norm criterion starts flagging entanglement, and print
 the resulting table together with the criterion margin at q = 1.
 

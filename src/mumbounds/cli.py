@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,17 @@ from .states import StateFileError, load_state, max_entangled, random_density, s
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
+
+
+def _finite(text: str) -> float:
+    """Argument type of every parameter value: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def cmd_verify(args) -> int:
@@ -164,6 +176,7 @@ def cmd_threshold(args) -> int:
     print(f"kappa={_fmt(fam.kappa)}")
     if not result.found:
         print("undetected on [0, 1]")
+        print(f"evaluations={result.evaluations}")
         return 0
     lo, hi = result.bracket
     mlo, mhi = result.margins
@@ -172,6 +185,7 @@ def cmd_threshold(args) -> int:
     print(f"margin_at_lower={mlo:.6e}")
     print(f"bracket_upper={_fmt(hi)}")
     print(f"margin_at_upper={mhi:.6e}")
+    print(f"evaluations={result.evaluations}")
     return 0
 
 
@@ -223,18 +237,18 @@ def build_parser() -> _Parser:
     def add_state_flags(p, families=("tiles", "horodecki", "file")):
         p.add_argument("--state", choices=families, required=True)
         p.add_argument("--file", help="density-matrix file for --state file")
-        p.add_argument("--p", type=float, help="white-noise mixing weight (tiles)")
-        p.add_argument("--q", type=float, help="white-noise mixing weight (horodecki)")
-        p.add_argument("--upsilon", type=float, help="Horodecki state parameter")
+        p.add_argument("--p", type=_finite, help="white-noise mixing weight (tiles)")
+        p.add_argument("--q", type=_finite, help="white-noise mixing weight (horodecki)")
+        p.add_argument("--upsilon", type=_finite, help="Horodecki state parameter")
 
     p = sub.add_parser("verify", help="check the MUM defining relations at (d, t)")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kappa", help="sharpness parameter at (d, t)")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("t-range", help="admissible t interval for dimension d")
@@ -243,7 +257,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bound", help="concurrence bounds and verdict for one state")
     add_state_flags(p)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--variant", choices=("literal", "derived"), default="derived")
     p.add_argument("--tol", type=float, default=TOL.verdict)
     p.add_argument("--out", help="optional JSON report path")
@@ -252,17 +266,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="sweep one parameter and write CSV")
     add_state_flags(p)
     p.add_argument("--var", choices=("t", "p", "q", "upsilon"), required=True)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
+    p.add_argument("--start", type=_finite, required=True)
+    p.add_argument("--stop", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--t", type=float, help="fixed t when sweeping a mixing parameter")
+    p.add_argument("--t", type=_finite, help="fixed t when sweeping a mixing parameter")
     p.add_argument("--variant", choices=("literal", "derived"), default="derived")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("threshold", help="bisect the detection boundary in p or q")
+    p = sub.add_parser("threshold", help="locate the detection boundary in p or q")
     add_state_flags(p)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--search-var", choices=("p", "q"), dest="search_var")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_threshold)
@@ -273,9 +287,9 @@ def build_parser() -> _Parser:
         choices=("tiles", "horodecki", "max-entangled", "random"),
         required=True,
     )
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--upsilon", type=float)
+    p.add_argument("--p", type=_finite)
+    p.add_argument("--q", type=_finite)
+    p.add_argument("--upsilon", type=_finite)
     p.add_argument("--d", type=int, help="subsystem dimension for max-entangled/random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -18,6 +18,7 @@ class Tolerances:
     density_trace: float = 1e-12
     density_psd: float = 1e-10          # min eigenvalue >= -density_psd
     correlation_input: float = 1e-9     # density checks at the correlation front door
+    correlation_imaginary: float = 1e-10  # largest imaginary part of a correlation entry
     schmidt_rank: float = 1e-9          # singular values above this count toward rank
     mum_relations: float = 1e-9
     completeness: float = 1e-10

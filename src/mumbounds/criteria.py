@@ -88,7 +88,7 @@ def _correlation(
     n, d, _ = ops_a.shape
     entries = ops_a.reshape(n, d * d) @ realigned @ ops_b.reshape(n, d * d).T
     imag = float(np.abs(entries.imag).max())
-    if imag > 1e-10:
+    if imag > TOL.correlation_imaginary:
         raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
     matrix = np.ascontiguousarray(entries.real)
     singular_values = np.linalg.svd(matrix, compute_uv=False)

@@ -1,7 +1,7 @@
 """Sweeps and threshold searches over the built-in state families.
 
 A sweep evaluates the concurrence bounds on a one-dimensional grid and
-renders them as CSV; a threshold query bisects the white-noise weight at
+renders them as CSV; a threshold query locates the white-noise weight at
 which the separability criterion starts detecting.  Invalid requests
 raise ``UsageError``.
 
@@ -11,9 +11,9 @@ operator stacks (see ``mumbounds.criteria``).  A t-sweep validates and
 realigns the state once and contracts one probability matrix per grid
 point; the block matrix does not depend on t and is contracted once.  A
 threshold query builds the state at weight 1, contracts its probability
-matrix C once, and evaluates every bisection step as one SVD of
-w*C + (1 - w)*J/d^2, the exact matrix of the mixture with white noise,
-since every effect has unit trace.
+matrix C once, and evaluates every other weight of the search as one SVD
+of w*C + (1 - w)*J/d^2, the exact matrix of the mixture with white
+noise, since every effect has unit trace.
 """
 
 from __future__ import annotations
@@ -119,6 +119,8 @@ class SweepSpec:
                 f"{self.state_family} family (allowed: "
                 f"{', '.join(_SWEEP_VARS[self.state_family])})"
             )
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise UsageError("sweep start and stop must be finite")
         if not self.start < self.stop:
             raise UsageError("sweep requires start < stop")
         if self.steps < 2:
@@ -131,7 +133,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ThresholdQuery:
-    """Bisection query for the detection boundary of a white-noise weight."""
+    """Search query for the detection boundary of a white-noise weight."""
 
     state_family: str
     t: float
@@ -222,7 +224,8 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     minus 1 + kappa.  It is convex in the white-noise weight w and equals
     1/d - kappa < 0 at w = 0, so it crosses zero at most once on [0, 1].
     The state at weight w has the probability matrix w*C + (1 - w)*J/d^2,
-    where C is the matrix at weight 1, so C is built once per query.
+    where C is the matrix at weight 1, so C is built once per query and
+    its trace norm, already computed with it, is the margin at w = 1.
     """
     query.validate()
     if query.t == 0.0:
@@ -231,11 +234,13 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
         query.state_family, query.file, {**query.fixed, query.search_variable: 1.0}
     )
     fam = _family_for(_infer_d(rho.shape[0]), query.t)
-    corr = build_correlation_matrix(rho, fam).matrix
+    corr = build_correlation_matrix(rho, fam)
     dim = rho.shape[0]
     threshold = 1.0 + fam.kappa
 
     def margin(w: float) -> float:
-        return trace_norm(w * corr + (1.0 - w) / dim) - threshold
+        if w == 1.0:
+            return corr.trace_norm - threshold
+        return trace_norm(w * corr.matrix + (1.0 - w) / dim) - threshold
 
     return find_threshold(margin, tol=query.tolerance), fam

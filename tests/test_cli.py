@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mumbounds.cli import main
+from mumbounds.engine import ThresholdQuery, run_threshold
 from mumbounds.states import save_state
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -254,6 +262,37 @@ class TestThreshold:
             assert code == 1
             assert "not a white-noise weight" in err
 
+    def test_prints_evaluation_count(self, capsys):
+        code, out, _ = run(
+            capsys, "threshold", "--state", "horodecki", "--upsilon", "0.2", "--t", "0.01",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-2].startswith("margin_at_upper=")
+        assert lines[-1].startswith("evaluations=")
+        result, _ = run_threshold(
+            ThresholdQuery(
+                state_family="horodecki", t=0.01, search_variable="q", fixed={"upsilon": 0.2}
+            )
+        )
+        assert int(parse_kv(out)["evaluations"]) == result.evaluations
+
+    def test_tolerance_below_float_resolution_terminates(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mumbounds.cli", "threshold", "--state", "horodecki",
+                "--upsilon", "0.2", "--t", "0.01", "--tol", "1e-30",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        values = parse_kv(proc.stdout)
+        assert float(values["threshold"]) == pytest.approx(0.994054, abs=5e-3)
+        assert float(values["margin_at_lower"]) <= 0.0 < float(values["margin_at_upper"])
+
     def test_separable_file_state_is_undetected(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
         save_state(np.eye(9) / 9.0, path)
@@ -262,6 +301,7 @@ class TestThreshold:
         )
         assert code == 0
         assert "undetected on [0, 1]" in out
+        assert parse_kv(out)["evaluations"] == "2"
 
     def test_invalid_tolerance_rejected(self, capsys):
         for tol in ("nan", "inf", "0", "-1e-6"):
@@ -285,6 +325,39 @@ class TestThreshold:
             capsys, "threshold", "--state", "horodecki", "--upsilon", "0.2", "--t", "0.5",
         )
         assert code == 1
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kappa", "--d", "3", "--t={}"),
+            ("verify", "--d", "3", "--t={}"),
+            ("bound", "--state", "tiles", "--p", "1", "--t={}"),
+            ("threshold", "--state", "tiles", "--t={}"),
+            ("bound", "--state", "tiles", "--p={}", "--t", "0.01"),
+            ("bound", "--state", "horodecki", "--upsilon", "0.2", "--q={}", "--t", "0.01"),
+            ("bound", "--state", "horodecki", "--upsilon={}", "--t", "0.01"),
+            ("threshold", "--state", "horodecki", "--upsilon={}", "--t", "0.01"),
+            ("sweep", "--state", "tiles", "--var", "p", "--start={}", "--stop", "1",
+             "--steps", "3", "--t", "0.01"),
+            ("sweep", "--state", "tiles", "--var", "p", "--start", "0", "--stop={}",
+             "--steps", "3", "--t", "0.01"),
+        ],
+        ids=lambda argv: " ".join(argv) if isinstance(argv, tuple) else argv,
+    )
+    def test_rejected_as_usage_error(self, capsys, tmp_path, argv, value):
+        argv = [arg.format(value) for arg in argv]
+        if argv[0] == "sweep":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestStateFiles:

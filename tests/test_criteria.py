@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mumbounds import criteria
 from mumbounds.basis import gellmann_generators, partition_basis, standard_basis
+from mumbounds.config import TOL
 from mumbounds.criteria import (
     build_correlation_matrix,
     concurrence_lower_bound,
@@ -132,6 +136,16 @@ class TestCorrelationMatrix:
         bad[0, 0] = -bad[0, 0]
         with pytest.raises(ValueError, match="eigenvalue|Hermitian|trace"):
             build_correlation_matrix(bad, fam)
+
+    def test_imaginary_cutoff_is_a_named_tolerance(self, family, monkeypatch):
+        ops = family(3, 0.05).effect_stack()
+        # every entry of I/9 is 1/9; a phase of 1e-6 adds an imaginary part of ~1.1e-7
+        realigned = criteria._realigned(np.eye(9) / 9.0, 3) * (1.0 + 1e-6j)
+        with pytest.raises(ValueError, match="imaginary part"):
+            criteria._correlation(realigned, ops, ops, "P")
+        monkeypatch.setattr(criteria, "TOL", replace(TOL, correlation_imaginary=1e-6))
+        corr = criteria._correlation(realigned, ops, ops, "P")
+        assert corr.trace_norm == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
 
 
 class TestClosedForm:

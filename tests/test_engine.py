@@ -1,5 +1,6 @@
 """The engine's threshold contract and the scripts built on the engine."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import pytest
 
 from mumbounds import criteria, engine, states
 from mumbounds.criteria import build_correlation_matrix
-from mumbounds.engine import SweepSpec, ThresholdQuery, run_sweep, run_threshold
+from mumbounds.engine import SweepSpec, ThresholdQuery, UsageError, run_sweep, run_threshold
 from mumbounds.linalg import trace_norm
 from mumbounds.states import mix_with_white_noise, random_density, random_pure, save_state
+from mumbounds.threshold import find_threshold
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE_THRESHOLDS = {0.2: 0.994054, 0.4: 0.99461, 0.6: 0.99626, 0.8: 0.998123, 0.9: 0.999067}
@@ -62,9 +64,87 @@ def test_affine_margin_matches_mixed_state_definition(d, family, t_range_of, tmp
     result, _ = run_threshold(
         ThresholdQuery(state_family="file", t=t, search_variable="p", file=str(path))
     )
-    assert result.found and result.evaluations == 22
+    assert result.found and result.evaluations == 4
     for w, margin in zip(result.bracket, result.margins):
         assert margin == pytest.approx(_margin(rho, fam, w), abs=1e-12)
+
+
+def _plain_halving(margin, tol):
+    """Reference search: halve [0, 1] down to width tol."""
+    a, b = 0.0, 1.0
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if margin(mid) > 0.0:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
+def _threshold_queries(tmp_path, t_range_of):
+    for d in range(2, 9):
+        rng = t_range_of(d)
+        t = 0.5 * rng.lower if d % 2 else 0.9 * rng.upper
+        psi = random_pure(d, d, seed=30 + d)
+        for kind, rho in (
+            ("mixed", random_density(d * d, seed=20 + d)),
+            ("pure", np.outer(psi, psi.conj())),
+        ):
+            path = tmp_path / f"{kind}-{d}.json"
+            save_state(rho, path)
+            yield ThresholdQuery(state_family="file", t=t, search_variable="p", file=str(path))
+    yield ThresholdQuery(state_family="tiles", t=0.01, search_variable="p")
+    for upsilon in TABLE_THRESHOLDS:
+        yield ThresholdQuery(
+            state_family="horodecki", t=0.01, search_variable="q",
+            tolerance=1e-7, fixed={"upsilon": upsilon},
+        )
+
+
+def test_threshold_search_matches_plain_halving(monkeypatch, tmp_path, t_range_of):
+    margins = []
+
+    def recording(margin, *args, **kwargs):
+        margins.append(margin)
+        return find_threshold(margin, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "find_threshold", recording)
+    found = 0
+    for query in _threshold_queries(tmp_path, t_range_of):
+        result, _ = run_threshold(query)
+        margin = margins.pop()
+        assert result.evaluations <= 15
+        if not result.found:
+            continue
+        found += 1
+        a, b = result.bracket
+        assert b - a <= query.tolerance
+        assert result.margins[0] <= 0.0 < result.margins[1]
+        assert abs(result.threshold - _plain_halving(margin, query.tolerance)) <= query.tolerance
+    assert found >= 10
+
+
+def test_weight_one_reuses_the_contracted_trace_norm(monkeypatch, tmp_path):
+    path = _state_file(tmp_path)
+    svds = []
+
+    def counted(m):
+        svds.append(m.shape)
+        return trace_norm(m)
+
+    monkeypatch.setattr(engine, "trace_norm", counted)
+    result, _ = run_threshold(
+        ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
+    )
+    assert result.found
+    assert len(svds) == result.evaluations - 1
+
+
+def test_sweep_rejects_non_finite_ends():
+    for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        spec = SweepSpec("p", start, stop, 3, "tiles", fixed={"t": 0.01})
+        with pytest.raises(UsageError, match="finite"):
+            run_sweep(spec)
 
 
 class _Counts:
@@ -111,9 +191,9 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
     result, _ = run_threshold(
         ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
     )
-    assert result.found and result.evaluations == 22
+    assert result.found and result.evaluations == 6
     # one load and its file check, one check at the correlation front door,
-    # one probability contraction; every bisection step reuses it
+    # one probability contraction; every evaluation of the search reuses it
     assert counts.calls == {
         "load_state": 1,
         "validate_density": 1,
