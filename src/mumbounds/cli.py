@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .engine import (
     run_threshold,
 )
 from .mums import (
+    InadmissibleTError,
     build_f_blocks,
     build_mums,
     kappa_of_t,
@@ -44,7 +46,23 @@ from .mums import (
 from .states import StateFileError, load_state, max_entangled, random_density, save_state
 
 
+# A negative float token such as -1e-3, -.5 or -inf.
+_NEGATIVE_FLOAT = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf(inity)?|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that starts with "-" as an option unless its
+        # private _negative_number_matcher (r"^-\d+$|^-\d*\.\d+$" in CPython
+        # 3.11) matches it, so -1e-3 and -inf read as missing values.  This
+        # relies on argparse internals, checked on CPython 3.11 only;
+        # TestNegativeFloatValues in tests/test_cli.py fails if another
+        # argparse ignores the attribute.
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
 
@@ -61,16 +79,18 @@ def _finite(text: str) -> float:
 
 
 def cmd_verify(args) -> int:
-    basis = standard_basis(args.d)
-    rng = t_interval(build_f_blocks(basis), args.d)
-    if args.t == 0.0 or not rng.contains(args.t):
+    try:
+        fam = build_mums(standard_basis(args.d), args.t)
+    except InadmissibleTError as exc:
+        rng = exc.t_range
+        if args.t != 0.0 and rng.contains(args.t):
+            raise  # a nonzero t below float resolution, where kappa = 1/d
         print(
             f"t = {_fmt(args.t)} is not admissible; the valid interval is "
             f"[{rng.lower:.6f}, {rng.upper:.6f}] with t nonzero",
             file=sys.stderr,
         )
         return 1
-    fam = build_mums(basis, args.t)
     report = verify_mum_relations(fam)
     residual = two_design_residual(fam)
     print(f"d={fam.d}")

@@ -15,13 +15,21 @@ validated state realigned to d^2 x d^2,
 ``rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d*d, d*d)``,
 so that entry (r, c) is Tr(rho (X_r x Y_c)).  A state is validated and
 realigned once however many matrices are contracted from it.
+
+Sweeps are evaluated in stacks: ``concurrence_lower_bounds`` takes one
+state at many families, ``concurrence_lower_bounds_of_states`` many
+states at one family.  Each chunk of grid points is one density check,
+one broadcast matmul contraction, one imaginary-part check and one
+batched SVD, and gives the same doubles as one point at a time.  Every
+other entry point takes exactly one state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,19 +38,36 @@ from .linalg import SchmidtData, partial_trace
 from .mums import MumFamily
 
 
-def _check_density(rho: np.ndarray, dim: int) -> None:
+# Largest working set of one stacked evaluation: a 101-point sweep at
+# d = 3 is one chunk, while at d = 16 a chunk holds one point.
+_CHUNK_BYTES = 2 << 20
+
+
+def _point_bytes(d: int) -> int:
+    """Bytes one grid point adds to a stacked evaluation: its realigned
+    state, its operator stack, the half product and the complex and real
+    correlation matrices."""
+    n, dim = d * (d + 1), d * d
+    return 16 * (dim * dim + 2 * n * dim + n * n) + 8 * n * n
+
+
+def _check_density(states: np.ndarray, dim: int) -> None:
+    """Front-door check of a stack (k, dim, dim) of states.
+
+    Reports the first state that is not Hermitian or not of unit trace,
+    and otherwise the first with a negative eigenvalue.
+    """
     tol = TOL.correlation_input
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state must be {dim}x{dim}, got {rho.shape}")
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > tol:
-        raise ValueError(f"state is not Hermitian (max deviation {herm:.3e})")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"state trace {tr!r} is not 1")
-    min_eig = float(np.linalg.eigvalsh(rho).min())
-    if min_eig < -tol:
-        raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
+    herms = np.abs(states - states.conj().transpose(0, 2, 1)).max(axis=(1, 2)).tolist()
+    traces = np.trace(states, axis1=1, axis2=2).tolist()
+    for herm, tr in zip(herms, traces):
+        if herm > tol:
+            raise ValueError(f"state is not Hermitian (max deviation {herm:.3e})")
+        if abs(tr - 1.0) > tol:
+            raise ValueError(f"state trace {tr!r} is not 1")
+    for min_eig in np.linalg.eigvalsh(states).min(axis=1).tolist():
+        if min_eig < -tol:
+            raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
 
 
 def _check_pair(fam_a: MumFamily, fam_b: MumFamily) -> None:
@@ -59,11 +84,30 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
 
 
-def _realigned(rho: np.ndarray, d: int) -> np.ndarray:
-    """Validate a d^2 x d^2 state and realign it for the contraction."""
+def _check_options(variant: str, tol: float) -> None:
+    if variant not in ("literal", "derived"):
+        raise ValueError("variant must be 'literal' or 'derived'")
+    _check_tol(tol)
+
+
+def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
+    """One state as a complex (dim, dim) array; any other shape is rejected."""
     rho = np.asarray(rho, dtype=complex)
-    _check_density(rho, d * d)
-    return rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"state must be {dim}x{dim}, got {rho.shape}")
+    return rho
+
+
+def _realigned_stack(states: np.ndarray, d: int) -> np.ndarray:
+    """Validate a stack (k, d^2, d^2) of states and realign each one."""
+    _check_density(states, d * d)
+    realigned = states.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2)
+    return realigned.reshape(states.shape)
+
+
+def _realigned(rho: np.ndarray, d: int) -> np.ndarray:
+    """Validate one d^2 x d^2 state and realign it."""
+    return _realigned_stack(_as_state(rho, d * d)[None], d)[0]
 
 
 @dataclass(frozen=True)
@@ -83,22 +127,24 @@ class CorrelationMatrix:
 
 def _correlation(
     realigned: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray, convention: str
-) -> CorrelationMatrix:
-    """Contract a realigned state with two (d(d+1), d, d) operator stacks."""
-    n, d, _ = ops_a.shape
-    entries = ops_a.reshape(n, d * d) @ realigned @ ops_b.reshape(n, d * d).T
-    imag = float(np.abs(entries.imag).max())
-    if imag > TOL.correlation_imaginary:
-        raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
-    matrix = np.ascontiguousarray(entries.real)
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
-    return CorrelationMatrix(
-        d=d,
-        convention=convention,
-        matrix=matrix,
-        singular_values=singular_values,
-        trace_norm=float(singular_values.sum()),
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contract realigned states with operator stacks; (matrices, singular values).
+
+    ``realigned`` is (d^2, d^2) or a stack (k, d^2, d^2); ``ops_a`` and
+    ``ops_b`` are (d(d+1), d, d) or stacks (k, d(d+1), d, d).  Leading
+    axes broadcast as in ``np.matmul``, and each point's matrix and
+    singular values are the same doubles as its own unstacked call.
+    """
+    d = ops_a.shape[-1]
+    a = ops_a.reshape(*ops_a.shape[:-2], d * d)
+    b = ops_b.reshape(*ops_b.shape[:-2], d * d)
+    entries = np.matmul(np.matmul(a, realigned), b.swapaxes(-1, -2))
+    n = entries.shape[-1]
+    for imag in np.abs(entries.imag).reshape(-1, n * n).max(axis=1).tolist():
+        if imag > TOL.correlation_imaginary:
+            raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
+    matrices = np.ascontiguousarray(entries.real)
+    return matrices, np.linalg.svd(matrices, compute_uv=False)
 
 
 def build_correlation_matrix(
@@ -124,7 +170,16 @@ def build_correlation_matrix(
         ops_a, ops_b = fam_a.effect_stack(), fam_b.effect_stack()
     else:
         ops_a, ops_b = fam_a.block_stack(), fam_b.block_stack()
-    return _correlation(_realigned(rho, fam_a.d), ops_a, ops_b, convention)
+    matrix, singular_values = _correlation(
+        _realigned(rho, fam_a.d), ops_a, ops_b, convention
+    )
+    return CorrelationMatrix(
+        d=fam_a.d,
+        convention=convention,
+        matrix=matrix,
+        singular_values=singular_values,
+        trace_norm=float(singular_values.sum()),
+    )
 
 
 def pure_trace_norm_closed_form(schmidt: SchmidtData, d: int, kappa: float) -> float:
@@ -240,22 +295,27 @@ def _report(
     )
 
 
+def _chunk_points(d: int) -> int:
+    return max(1, _CHUNK_BYTES // _point_bytes(d))
+
+
 def concurrence_lower_bounds(
     rho: np.ndarray,
     families: Sequence[MumFamily | tuple[MumFamily, MumFamily]],
     variant: str = "derived",
     tol: float = TOL.verdict,
 ) -> list[BoundReport]:
-    """Evaluate ``concurrence_lower_bound`` of one state at several families.
+    """Evaluate ``concurrence_lower_bound`` for one state at many families.
 
     Each entry of ``families`` is a family, paired with itself, or a
-    (fam_a, fam_b) pair.  The state is validated and realigned once.
-    The block-convention trace norm does not depend on t, so it is
-    contracted again only when the building blocks change.
+    (fam_a, fam_b) pair.  The reports equal one ``concurrence_lower_bound``
+    call per entry, in order.  The state is validated and realigned once;
+    its block-convention trace norm, which does not depend on t, is
+    contracted again only when the building blocks change; the entries
+    are evaluated in chunks of bounded memory, each one probability
+    contraction and one batched SVD.
     """
-    if variant not in ("literal", "derived"):
-        raise ValueError("variant must be 'literal' or 'derived'")
-    _check_tol(tol)
+    _check_options(variant, tol)
     pairs = [fam if isinstance(fam, tuple) else (fam, fam) for fam in families]
     if not pairs:
         raise ValueError("at least one family is required")
@@ -265,20 +325,73 @@ def concurrence_lower_bounds(
         if fam_a.d != d:
             raise ValueError(f"family dimensions differ: {fam_a.d} vs {d}")
     realigned = _realigned(rho, d)
-
-    reports = []
+    norms_f = []
     blocks = None
     for fam_a, fam_b in pairs:
         if blocks is None or not (
-            np.array_equal(fam_a.f_blocks, blocks[0])
-            and np.array_equal(fam_b.f_blocks, blocks[1])
+            _same_array(fam_a.f_blocks, blocks[0]) and _same_array(fam_b.f_blocks, blocks[1])
         ):
             blocks = (fam_a.f_blocks, fam_b.f_blocks)
-            trace_norm_f = _correlation(
-                realigned, fam_a.block_stack(), fam_b.block_stack(), "F"
-            ).trace_norm
-        corr_p = _correlation(realigned, fam_a.effect_stack(), fam_b.effect_stack(), "P")
-        reports.append(_report(fam_a, corr_p.trace_norm, trace_norm_f, variant, tol))
+            sv_f = _correlation(realigned, fam_a.block_stack(), fam_b.block_stack(), "F")[1]
+            norm_f = float(sv_f.sum())
+        norms_f.append(norm_f)
+    step = _chunk_points(d)
+    reports = []
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start : start + step]
+        ops_a = _stacked([fam_a.effect_stack() for fam_a, _ in chunk])
+        if all(fam_a is fam_b for fam_a, fam_b in chunk):
+            ops_b = ops_a
+        else:
+            ops_b = _stacked([fam_b.effect_stack() for _, fam_b in chunk])
+        sv_p = _correlation(realigned, ops_a, ops_b, "P")[1]
+        reports += [
+            _report(fam_a, float(p.sum()), norm_f, variant, tol)
+            for (fam_a, _), p, norm_f in zip(chunk, sv_p, norms_f[start : start + step])
+        ]
+    return reports
+
+
+def _same_array(x: np.ndarray, y: np.ndarray) -> bool:
+    return x is y or np.array_equal(x, y)
+
+
+def _stacked(ops: list[np.ndarray]) -> np.ndarray:
+    """One (k, n, d, d) array of k operator stacks; a single one is not copied."""
+    return ops[0][None] if len(ops) == 1 else np.stack(ops)
+
+
+def concurrence_lower_bounds_of_states(
+    states: Iterable[np.ndarray],
+    fam_a: MumFamily,
+    fam_b: MumFamily | None = None,
+    variant: str = "derived",
+    tol: float = TOL.verdict,
+) -> list[BoundReport]:
+    """Evaluate ``concurrence_lower_bound`` for many states at one family pair.
+
+    ``states`` is any iterable of d^2 x d^2 states, such as a list, an
+    (n, d^2, d^2) array or a generator.  The reports equal one
+    ``concurrence_lower_bound`` call per state, in order.  The states are
+    taken a chunk of bounded memory at a time, so a generator never has
+    more than one chunk built; each chunk is one density check, one block
+    and one probability contraction and two batched SVDs.
+    """
+    fam_b = fam_a if fam_b is None else fam_b
+    _check_options(variant, tol)
+    _check_pair(fam_a, fam_b)
+    d, dim = fam_a.d, fam_a.d * fam_a.d
+    step = _chunk_points(d)
+    states = iter(states)
+    reports = []
+    while chunk := [_as_state(rho, dim) for rho in itertools.islice(states, step)]:
+        realigned = _realigned_stack(np.stack(chunk), d)
+        sv_f = _correlation(realigned, fam_a.block_stack(), fam_b.block_stack(), "F")[1]
+        sv_p = _correlation(realigned, fam_a.effect_stack(), fam_b.effect_stack(), "P")[1]
+        reports += [
+            _report(fam_a, float(p.sum()), float(f.sum()), variant, tol)
+            for p, f in zip(sv_p, sv_f)
+        ]
     return reports
 
 

@@ -7,13 +7,17 @@ raise ``UsageError``.
 
 Each query touches its state once.  Correlation matrices are one GEMM
 contraction A @ R @ B^T of the realigned state R with the family's
-operator stacks (see ``mumbounds.criteria``).  A t-sweep validates and
-realigns the state once and contracts one probability matrix per grid
-point; the block matrix does not depend on t and is contracted once.  A
-threshold query builds the state at weight 1, contracts its probability
-matrix C once, and evaluates every other weight of the search as one SVD
-of w*C + (1 - w)*J/d^2, the exact matrix of the mixture with white
-noise, since every effect has unit trace.
+operator stacks (see ``mumbounds.criteria``).  A sweep is one batched
+call.  A t-sweep builds the blocks and the t-interval once for the whole
+grid, validates and realigns the state once, contracts the
+t-independent block matrix once, and the probability matrices of its
+points in stacked chunks (``concurrence_lower_bounds``).  A p, q or
+upsilon sweep builds its per-point states one by one, as each chunk of
+them is evaluated at one family (``concurrence_lower_bounds_of_states``).
+A threshold query builds the state at weight 1, contracts its
+probability matrix C once, and evaluates every other weight of the
+search as one SVD of w*C + (1 - w)*J/d^2, the exact matrix of the
+mixture with white noise, since every effect has unit trace.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ import numpy as np
 from .basis import standard_basis
 from .criteria import (
     build_correlation_matrix,
-    concurrence_lower_bound,
     concurrence_lower_bounds,
+    concurrence_lower_bounds_of_states,
 )
 from .linalg import trace_norm
-from .mums import MumFamily, build_mums
+from .mums import MumFamily, build_mums, build_mums_grid
 from .states import horodecki_noisy, load_state, mix_with_white_noise, tiles_noisy
 from .threshold import ThresholdResult, find_threshold
 
@@ -166,13 +170,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     if spec.variable == "t":
         rho = state_at(fixed)
-        basis = standard_basis(_infer_d(rho.shape[0]))
-        fams = []
-        for t in grid:
-            try:
-                fams.append(build_mums(basis, float(t)))
-            except ValueError as exc:
-                raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
+        try:
+            fams = build_mums_grid(standard_basis(_infer_d(rho.shape[0])), grid)
+        except ValueError as exc:
+            raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
         reports = concurrence_lower_bounds(rho, fams, variant=spec.variant)
     else:
         if spec.variable == "upsilon":
@@ -188,10 +189,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 return mix_with_white_noise(probe, v)
 
         fam = _family_for(_infer_d(probe.shape[0]), fixed["t"])
-        reports = [
-            concurrence_lower_bound(state(float(v)), fam, variant=spec.variant)
-            for v in grid
-        ]
+        states = (state(float(v)) for v in grid)  # built as each chunk is evaluated
+        reports = concurrence_lower_bounds_of_states(states, fam, variant=spec.variant)
 
     rows = []
     for value, report in zip(grid, reports):

@@ -2,8 +2,10 @@
 
 From a partitioned operator basis, build the d(d+1) traceless building
 blocks, the admissible sharpness interval for the parameter t, and the
-d+1 POVMs with effects I/d + t*F.  The defining trace relations and the
-2-design property of the effects are verifiable numerically.
+d+1 POVMs with effects I/d + t*F.  A grid of t values shares one block
+array and one interval, built once per basis.  The defining trace
+relations and the 2-design property of the effects are verifiable
+numerically.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -101,35 +104,59 @@ class MumFamily:
         return self.effects.reshape(-1, self.d, self.d)
 
 
-def build_mums(basis: OperatorBasis, t: float) -> MumFamily:
-    """Construct the d+1 MUMs of a basis at sharpness parameter t.
+class InadmissibleTError(ValueError):
+    """A t value outside the admissible interval ``t_range``, or degenerate."""
 
-    Raises ValueError when t is zero (kappa would equal 1/d) or falls
-    outside the admissible interval of this basis.
+    def __init__(self, message: str, t_range: TInterval):
+        super().__init__(message)
+        self.t_range = t_range
+
+
+def build_mums_grid(basis: OperatorBasis, ts: Sequence[float]) -> list[MumFamily]:
+    """Construct the d+1 MUMs of a basis at every t of a grid, in order.
+
+    The blocks and the admissible interval are built once; every family
+    shares that one read-only block array and that one interval, and its
+    effects are a read-only view of one array for the whole grid.
+    Raises InadmissibleTError, a ValueError, for the first t that is
+    zero (kappa would equal 1/d) or outside the interval.
     """
     d = basis.d
     blocks = build_f_blocks(basis)
     rng = t_interval(blocks, d)
-    kappa = float(kappa_of_t(d, t))
-    if kappa * d <= 1.0:  # t = 0 or below float resolution
-        raise ValueError(
-            f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement"
-        )
-    if not rng.contains(t):
-        raise ValueError(
-            f"t = {t} is outside the admissible interval "
-            f"[{rng.lower:.6f}, {rng.upper:.6f}] for this basis"
-        )
-    effects = np.eye(d, dtype=complex) / d + t * blocks
+    ts = [float(t) for t in ts]
+    kappas = []
+    for t in ts:
+        kappa = float(kappa_of_t(d, t))
+        if kappa * d <= 1.0:  # t = 0 or below float resolution
+            raise InadmissibleTError(
+                f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement",
+                rng,
+            )
+        if not rng.contains(t):
+            raise InadmissibleTError(
+                f"t = {t} is outside the admissible interval "
+                f"[{rng.lower:.6f}, {rng.upper:.6f}] for this basis",
+                rng,
+            )
+        kappas.append(kappa)
+    # elementwise t*F + I/d, the same doubles as one family at a time
+    effects = np.array(ts).reshape(-1, 1, 1, 1, 1) * blocks
+    effects += np.eye(d, dtype=complex) / d
     effects.setflags(write=False)
-    return MumFamily(
-        d=d,
-        t=float(t),
-        kappa=kappa,
-        f_blocks=blocks,
-        effects=effects,
-        t_range=rng,
-    )
+    return [
+        MumFamily(d=d, t=t, kappa=kappa, f_blocks=blocks, effects=fx, t_range=rng)
+        for t, kappa, fx in zip(ts, kappas, effects)
+    ]
+
+
+def build_mums(basis: OperatorBasis, t: float) -> MumFamily:
+    """Construct the d+1 MUMs of a basis at sharpness parameter t.
+
+    The one-point grid of ``build_mums_grid``; raises its
+    InadmissibleTError when t is zero or outside the interval.
+    """
+    return build_mums_grid(basis, [t])[0]
 
 
 def standard_family(d: int, t: float) -> MumFamily:

@@ -43,7 +43,7 @@ def find_threshold(
     a and a positive one at b, until its width is at most ``tol`` or no
     double lies strictly inside it, so the final width is at most
     max(tol, the double spacing at the crossing).  ``tol`` must be
-    finite and positive.
+    finite and positive, and a NaN margin raises ValueError naming its w.
 
     The steps rely on a convex margin, such as the trace-norm margin of
     a white-noise mixture, but every point is assigned to an end by the
@@ -74,9 +74,18 @@ def find_threshold(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    evaluations = 0
+
+    def evaluate(w: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        value = float(margin(w))
+        if math.isnan(value):
+            raise ValueError(f"margin at w = {w!r} is NaN")
+        return value
+
     a, b = lo, hi
-    fa, fb = float(margin(a)), float(margin(b))
-    evaluations = 2
+    fa, fb = evaluate(a), evaluate(b)
     if fa > 0.0:
         raise ValueError(f"margin at lo = {lo!r} is positive ({fa:.3e}); no crossing to bracket")
     if fb <= 0.0:
@@ -118,8 +127,7 @@ def find_threshold(
             s = secant_zero()
             if s < b and b - inside(s) > x - a:
                 x, detected = inside(s), True
-            fx = float(margin(x))
-            evaluations += 1
+            fx = evaluate(x)
             # on the wrong side, x replaces the other end and ``kept`` stays
             kept = b if detected else a
             y = x + 0.5 * tol if detected else x - 0.5 * tol
@@ -127,8 +135,7 @@ def find_threshold(
             if (fx > 0.0) == detected or not checkable:
                 assign(x, fx)
                 continue
-            fy = float(margin(y))
-            evaluations += 1
+            fy = evaluate(y)
             if (fy > 0.0) == detected:
                 assign(x, fx)
                 assign(y, fy)
@@ -137,8 +144,7 @@ def find_threshold(
             break
         if is_open() and (not interpolate or b - a > 0.5 * width):
             mid = inside(0.5 * (a + b))
-            assign(mid, float(margin(mid)))
-            evaluations += 1
+            assign(mid, evaluate(mid))
 
     return ThresholdResult(
         found=True,

@@ -360,6 +360,39 @@ class TestNonFiniteParameters:
         assert not (tmp_path / "x.csv").exists()
 
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+    def test_space_separated_negative_value(self, capsys, value):
+        code, _, err = run(capsys, "kappa", "--d", "3", "--t", value)
+        assert code == 1
+        assert "must be a finite number" in err
+        assert "expected one argument" not in err
+
+
+class TestNegativeFloatValues:
+    """A float-like token after an option is its value, however it is spelled."""
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.001", "-0.001"])
+    def test_t_in_exponent_form(self, capsys, value):
+        spaced = run(capsys, "kappa", "--d", "3", "--t", value)
+        joined = run(capsys, "kappa", "--d", "3", f"--t={value}")
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert parse_kv(spaced[1])["t_admissible"] == "yes"
+
+    def test_sweep_start(self, capsys, tmp_path):
+        outputs = []
+        for name, argv in (("spaced", ["--start", "-4e-2"]), ("joined", ["--start=-4e-2"])):
+            path = tmp_path / f"{name}.csv"
+            code, _, err = run(
+                capsys, "sweep", "--state", "tiles", "--var", "t", *argv,
+                "--stop", "0.1", "--steps", "4", "--p", "0.99", "--out", str(path),
+            )
+            assert code == 0, err
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].startswith(b"-0.04,")
+
+
 class TestStateFiles:
     def test_gen_and_verify_roundtrip(self, capsys, tmp_path):
         for args in (

@@ -144,8 +144,8 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError, match="imaginary part"):
             criteria._correlation(realigned, ops, ops, "P")
         monkeypatch.setattr(criteria, "TOL", replace(TOL, correlation_imaginary=1e-6))
-        corr = criteria._correlation(realigned, ops, ops, "P")
-        assert corr.trace_norm == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
+        _, singular_values = criteria._correlation(realigned, ops, ops, "P")
+        assert singular_values.sum() == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
 
 
 class TestClosedForm:

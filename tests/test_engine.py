@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mumbounds import criteria, engine, states
+from mumbounds import criteria, engine, mums, states
 from mumbounds.criteria import build_correlation_matrix
 from mumbounds.engine import SweepSpec, ThresholdQuery, UsageError, run_sweep, run_threshold
 from mumbounds.linalg import trace_norm
@@ -148,7 +148,10 @@ def test_sweep_rejects_non_finite_ends():
 
 
 class _Counts:
-    """Counts calls of module attributes, and density eigen-checks of one size."""
+    """Counts calls of module attributes, and density eigen-checks of one size.
+
+    An eigen-check of a stack of states counts once, like one of a single state.
+    """
 
     def __init__(self, monkeypatch, dim):
         self.calls = Counter()
@@ -158,13 +161,15 @@ class _Counts:
             (states, "validate_density"),
             (criteria, "_check_density"),
             (engine, "build_correlation_matrix"),
+            (mums, "build_f_blocks"),
+            (mums, "t_interval"),
         ):
             self._count(module, name, lambda *args, name=name: name)
         self._count(criteria, "_correlation", lambda *args: f"contract.{args[3]}")
         self._count(
             np.linalg,
             "eigvalsh",
-            lambda a, *args: "density_eigvalsh" if np.shape(a) == (dim, dim) else None,
+            lambda a, *args: "density_eigvalsh" if np.shape(a)[-2:] == (dim, dim) else None,
         )
 
     def _count(self, module, name, key):
@@ -192,11 +197,13 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
         ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
     )
     assert result.found and result.evaluations == 6
-    # one load and its file check, one check at the correlation front door,
-    # one probability contraction; every evaluation of the search reuses it
+    # one load and its file check, one family, one check at the correlation
+    # front door, one probability contraction; every evaluation reuses it
     assert counts.calls == {
         "load_state": 1,
         "validate_density": 1,
+        "build_f_blocks": 1,
+        "t_interval": 1,
         "_check_density": 1,
         "density_eigvalsh": 2,
         "build_correlation_matrix": 1,
@@ -207,20 +214,27 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
 def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
     path = _state_file(tmp_path)
     counts = _Counts(monkeypatch, 9)
-    run_sweep(SweepSpec("t", 0.01, 0.1, 5, "file", file=path))
-    # one block contraction for the whole t grid, one probability contraction per point
-    assert counts.calls == {
+    # blocks and t-interval once per grid; at d = 3 the whole grid is one
+    # chunk: one density check, one block and one probability contraction,
+    # and a stack of mixed states is checked and contracted once
+    expected = {
         "load_state": 1,
         "validate_density": 1,
+        "build_f_blocks": 1,
+        "t_interval": 1,
         "_check_density": 1,
         "density_eigvalsh": 2,
         "contract.F": 1,
-        "contract.P": 5,
+        "contract.P": 1,
     }
-    counts.calls.clear()
-    run_sweep(SweepSpec("p", 0.0, 1.0, 5, "file", fixed={"t": 0.1}, file=path))
-    assert counts.calls["load_state"] == 1
-    assert counts.calls["validate_density"] == 1
+    for steps in (2, 5, 81):
+        for spec in (
+            SweepSpec("t", 0.01, 0.1, steps, "file", file=path),
+            SweepSpec("p", 0.0, 1.0, steps, "file", fixed={"t": 0.1}, file=path),
+        ):
+            counts.calls.clear()
+            run_sweep(spec)
+            assert counts.calls == expected, spec
 
 
 def _python(*args):

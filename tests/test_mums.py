@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from mumbounds.basis import standard_basis
 from mumbounds.mums import (
+    InadmissibleTError,
     build_f_blocks,
     build_mums,
+    build_mums_grid,
     kappa_of_t,
     load_family,
     optimal_kappa,
@@ -129,6 +131,34 @@ class TestKappa:
         assert kappa_of_t(d, t_star) == pytest.approx(optimal_kappa(d), abs=1e-14)
 
 
+class TestBuildMumsGrid:
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_families_share_blocks_and_interval(self, d, t_range_of):
+        basis = standard_basis(d)
+        rng = t_range_of(d)
+        ts = np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 6)
+        fams = build_mums_grid(basis, ts)
+        blocks = build_f_blocks(basis)
+        assert [fam.t for fam in fams] == [float(t) for t in ts]
+        for fam in fams:
+            assert fam.f_blocks is fams[0].f_blocks and fam.t_range is fams[0].t_range
+            assert not fam.f_blocks.flags.writeable and not fam.effects.flags.writeable
+            assert fam.t_range == rng
+            assert fam.kappa == kappa_of_t(d, fam.t)
+            # equal to the plain definition I/d + t*F, not merely close
+            plain = np.eye(d, dtype=complex) / d + fam.t * blocks
+            assert np.array_equal(fam.effects, plain)
+            assert np.array_equal(fam.f_blocks, blocks)
+
+    def test_first_inadmissible_t_is_reported(self):
+        basis = standard_basis(3)
+        with pytest.raises(ValueError, match=r"t = 0\.2 is outside"):
+            build_mums_grid(basis, [0.01, 0.2, 0.0, 0.3])
+        with pytest.raises(ValueError, match=r"t = 0\.0 gives kappa"):
+            build_mums_grid(basis, [0.01, 0.0, 0.2])
+        assert build_mums_grid(basis, []) == []
+
+
 class TestBuildMums:
     def test_relations_hold(self, family):
         fam = family(3, 0.01)
@@ -151,6 +181,12 @@ class TestBuildMums:
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError, match="1/d"):
             build_mums(standard_basis(3), 0.0)
+
+    def test_inadmissible_t_carries_the_interval(self, t_range_of):
+        for t in (0.0, 0.2, -0.2):
+            with pytest.raises(InadmissibleTError) as info:
+                build_mums(standard_basis(3), t)
+            assert info.value.t_range == t_range_of(3)
 
     def test_d2_endpoint_gives_projectors(self, family, t_range_of):
         fam = family(2, t_range_of(2).upper)

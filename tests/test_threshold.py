@@ -135,3 +135,17 @@ def test_parameter_validation():
     for tol in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             find_threshold(lambda w: w, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "margin, w",
+    [
+        (lambda w: math.nan if 0.0 < w < 1.0 else w - 0.5, "0.5"),  # inside the bracket
+        (lambda w: math.nan if w == 0.0 else w - 0.5, "0.0"),       # at lo
+        (lambda w: math.nan if w == 1.0 else w - 0.5, "1.0"),       # at hi
+    ],
+    ids=["inside", "lo", "hi"],
+)
+def test_nan_margin_raises_naming_w(margin, w):
+    with pytest.raises(ValueError, match=rf"margin at w = {w} is NaN"):
+        find_threshold(margin)
