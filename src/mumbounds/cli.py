@@ -25,10 +25,10 @@ from .engine import (
     SweepSpec,
     ThresholdQuery,
     UsageError,
-    _family_for,
-    _fmt,
-    _infer_d,
-    _make_state,
+    family_for,
+    format_value,
+    infer_d,
+    make_state,
     render_csv,
     run_sweep,
     run_threshold,
@@ -49,6 +49,13 @@ from .states import StateFileError, load_state, max_entangled, random_density, s
 # A negative float token such as -1e-3, -.5 or -inf.
 _NEGATIVE_FLOAT = re.compile(
     r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf(inity)?|nan)$", re.IGNORECASE
+)
+
+
+# the BoundReport.as_dict() keys that `bound` prints, in order
+_BOUND_KEYS = (
+    "d", "t", "kappa", "threshold", "traceNormP", "traceNormF",
+    "bound_literal", "bound_derived", "bound", "schmidt_number_lb", "verdict",
 )
 
 
@@ -86,7 +93,7 @@ def cmd_verify(args) -> int:
         if args.t != 0.0 and rng.contains(args.t):
             raise  # a nonzero t below float resolution, where kappa = 1/d
         print(
-            f"t = {_fmt(args.t)} is not admissible; the valid interval is "
+            f"t = {format_value(args.t)} is not admissible; the valid interval is "
             f"[{rng.lower:.6f}, {rng.upper:.6f}] with t nonzero",
             file=sys.stderr,
         )
@@ -94,8 +101,8 @@ def cmd_verify(args) -> int:
     report = verify_mum_relations(fam)
     residual = two_design_residual(fam)
     print(f"d={fam.d}")
-    print(f"t={_fmt(fam.t)}")
-    print(f"kappa={_fmt(fam.kappa)}")
+    print(f"t={format_value(fam.t)}")
+    print(f"kappa={format_value(fam.kappa)}")
     print(f"trace_one_dev={report.trace_one:.3e}")
     print(f"cross_basis_dev={report.cross_basis:.3e}")
     print(f"within_basis_dev={report.within_basis:.3e}")
@@ -109,47 +116,39 @@ def cmd_verify(args) -> int:
 def cmd_kappa(args) -> int:
     rng = t_interval(build_f_blocks(standard_basis(args.d)), args.d)
     print(f"d={args.d}")
-    print(f"t={_fmt(args.t)}")
-    print(f"kappa={_fmt(kappa_of_t(args.d, args.t))}")
-    print(f"kappa_optimal={_fmt(optimal_kappa(args.d))}")
+    print(f"t={format_value(args.t)}")
+    print(f"kappa={format_value(kappa_of_t(args.d, args.t))}")
+    print(f"kappa_optimal={format_value(optimal_kappa(args.d))}")
     admissible = args.t != 0.0 and rng.contains(args.t)
     print(f"t_admissible={'yes' if admissible else 'no'}")
-    print(f"t_interval=[{_fmt(rng.lower)}, {_fmt(rng.upper)}]")
+    print(f"t_interval=[{format_value(rng.lower)}, {format_value(rng.upper)}]")
     return 0
 
 
 def cmd_t_range(args) -> int:
     rng = t_interval(build_f_blocks(standard_basis(args.d)), args.d)
     print(f"d={args.d}")
-    print(f"t_lower={_fmt(rng.lower)}")
-    print(f"t_upper={_fmt(rng.upper)}")
-    print(f"kappa_at_lower={_fmt(kappa_of_t(args.d, rng.lower))}")
-    print(f"kappa_at_upper={_fmt(kappa_of_t(args.d, rng.upper))}")
+    print(f"t_lower={format_value(rng.lower)}")
+    print(f"t_upper={format_value(rng.upper)}")
+    print(f"kappa_at_lower={format_value(kappa_of_t(args.d, rng.lower))}")
+    print(f"kappa_at_upper={format_value(kappa_of_t(args.d, rng.upper))}")
     return 0
 
 
 def cmd_bound(args) -> int:
-    rho = _make_state(args.state, args.file, vars(args))
-    d = _infer_d(rho.shape[0])
-    fam = _family_for(d, args.t)
+    rho = make_state(args.state, args.file, vars(args))
+    d = infer_d(rho.shape[0])
+    fam = family_for(d, args.t)
     report = concurrence_lower_bound(rho, fam, variant=args.variant, tol=args.tol)
     print(f"state={args.state}")
     for name, value in (("p", args.p), ("q", args.q), ("upsilon", args.upsilon)):
         if value is not None:
-            print(f"{name}={_fmt(value)}")
-    print(f"d={report.d}")
-    print(f"t={_fmt(report.t)}")
-    print(f"kappa={_fmt(report.kappa)}")
-    print(f"threshold={_fmt(report.separability_threshold)}")
-    print(f"traceNormP={_fmt(report.trace_norm_p)}")
-    print(f"traceNormF={_fmt(report.trace_norm_f)}")
-    print(f"bound_literal={_fmt(report.bound_literal)}")
-    print(f"bound_derived={_fmt(report.bound_derived)}")
-    print(f"bound={_fmt(report.bound)}")
-    print(f"schmidt_number_lb={_fmt(report.schmidt_number_lb)}")
-    print(f"verdict={report.verdict}")
+            print(f"{name}={format_value(value)}")
+    fields = report.as_dict()
+    for key in _BOUND_KEYS:
+        print(f"{key}={format_value(fields[key])}")
     if args.out:
-        Path(args.out).write_text(json.dumps(report.as_dict(), indent=1) + "\n")
+        Path(args.out).write_text(json.dumps(fields, indent=1) + "\n")
     return 0
 
 
@@ -193,17 +192,17 @@ def cmd_threshold(args) -> int:
     result, fam = run_threshold(query)
     print("criterion=separability")
     print(f"search_variable={search}")
-    print(f"kappa={_fmt(fam.kappa)}")
+    print(f"kappa={format_value(fam.kappa)}")
     if not result.found:
         print("undetected on [0, 1]")
         print(f"evaluations={result.evaluations}")
         return 0
     lo, hi = result.bracket
     mlo, mhi = result.margins
-    print(f"threshold={_fmt(result.threshold)}")
-    print(f"bracket_lower={_fmt(lo)}")
+    print(f"threshold={format_value(result.threshold)}")
+    print(f"bracket_lower={format_value(lo)}")
     print(f"margin_at_lower={mlo:.6e}")
-    print(f"bracket_upper={_fmt(hi)}")
+    print(f"bracket_upper={format_value(hi)}")
     print(f"margin_at_upper={mhi:.6e}")
     print(f"evaluations={result.evaluations}")
     return 0
@@ -211,7 +210,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_gen_state(args) -> int:
     if args.state in ("tiles", "horodecki"):
-        rho = _make_state(args.state, None, vars(args))
+        rho = make_state(args.state, None, vars(args))
     elif args.state == "max-entangled":
         if args.d is None:
             raise UsageError("--d is required for the max-entangled family")

@@ -14,15 +14,13 @@ from dataclasses import dataclass
 class Tolerances:
     basis_orthonormality: float = 1e-12
     state_normalization: float = 1e-8   # pure-state inputs rejected beyond this
-    density_hermiticity: float = 1e-12
+    density_hermiticity: float = 1e-12  # every density check: files and the criteria
     density_trace: float = 1e-12
     density_psd: float = 1e-10          # min eigenvalue >= -density_psd
-    correlation_input: float = 1e-9     # density checks at the correlation front door
     correlation_imaginary: float = 1e-10  # largest imaginary part of a correlation entry
     schmidt_rank: float = 1e-9          # singular values above this count toward rank
     mum_relations: float = 1e-9
-    completeness: float = 1e-10
-    kappa_match: float = 1e-12
+    kappa_match: float = 1e-12          # kappa of paired families; stored kappa and effects
     verdict: float = 1e-9               # margin on trace norm vs 1 + kappa
     t_endpoint_slack: float = 1e-12     # relative slack admitting interval endpoints
 

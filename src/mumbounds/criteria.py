@@ -13,15 +13,20 @@ Every matrix is one contraction A @ R @ B^T: A and B are the operator
 stacks of the two families reshaped to (d(d+1), d^2), and R is the
 validated state realigned to d^2 x d^2,
 ``rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d*d, d*d)``,
-so that entry (r, c) is Tr(rho (X_r x Y_c)).  A state is validated and
+so that entry (r, c) is Tr(rho (X_r x Y_c)).  Every state passes one
+front door, ``states.validate_density`` with the ``density_*``
+tolerances, and a failure raises ValueError.  A state is validated and
 realigned once however many matrices are contracted from it.
 
 Sweeps are evaluated in stacks: ``concurrence_lower_bounds`` takes one
-state at many families, ``concurrence_lower_bounds_of_states`` many
-states at one family.  Each chunk of grid points is one density check,
-one broadcast matmul contraction, one imaginary-part check and one
-batched SVD, and gives the same doubles as one point at a time.  Every
-other entry point takes exactly one state.
+state at the families of one t grid, which share one block array
+(``build_mums_grid``), so the block matrix is contracted once;
+``concurrence_lower_bounds_of_states`` takes many states at one family
+pair, and ``concurrence_lower_bound`` is its one-state case.  Each chunk
+of points is one broadcast matmul contraction, one imaginary-part check
+and one batched SVD per convention, and gives the same doubles as one
+point at a time.  ``build_correlation_matrix`` and ``separability_test``
+take exactly one state.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import TOL
-from .linalg import SchmidtData, partial_trace
+from .linalg import SchmidtData, partial_trace, pure_amplitudes
 from .mums import MumFamily
+from .states import validate_density
 
 
 # Largest working set of one stacked evaluation: a 101-point sweep at
@@ -49,25 +55,6 @@ def _point_bytes(d: int) -> int:
     correlation matrices."""
     n, dim = d * (d + 1), d * d
     return 16 * (dim * dim + 2 * n * dim + n * n) + 8 * n * n
-
-
-def _check_density(states: np.ndarray, dim: int) -> None:
-    """Front-door check of a stack (k, dim, dim) of states.
-
-    Reports the first state that is not Hermitian or not of unit trace,
-    and otherwise the first with a negative eigenvalue.
-    """
-    tol = TOL.correlation_input
-    herms = np.abs(states - states.conj().transpose(0, 2, 1)).max(axis=(1, 2)).tolist()
-    traces = np.trace(states, axis1=1, axis2=2).tolist()
-    for herm, tr in zip(herms, traces):
-        if herm > tol:
-            raise ValueError(f"state is not Hermitian (max deviation {herm:.3e})")
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"state trace {tr!r} is not 1")
-    for min_eig in np.linalg.eigvalsh(states).min(axis=1).tolist():
-        if min_eig < -tol:
-            raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
 
 
 def _check_pair(fam_a: MumFamily, fam_b: MumFamily) -> None:
@@ -98,16 +85,20 @@ def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _realigned_stack(states: np.ndarray, d: int) -> np.ndarray:
-    """Validate a stack (k, d^2, d^2) of states and realign each one."""
-    _check_density(states, d * d)
+def _stacks(fam_a: MumFamily, fam_b: MumFamily, convention: str) -> tuple[np.ndarray, ...]:
+    """Operator stacks of a family pair: effects ("P") or blocks ("F")."""
+    stack = MumFamily.effect_stack if convention == "P" else MumFamily.block_stack
+    ops_a = stack(fam_a)
+    return ops_a, ops_a if fam_b is fam_a else stack(fam_b)
+
+
+def _realigned(states: np.ndarray, d: int) -> np.ndarray:
+    """Validate one d^2 x d^2 state, or a stack (k, d^2, d^2), and realign each."""
+    problems = validate_density(states)
+    if problems:
+        raise ValueError("state is not a density matrix: " + "; ".join(problems))
     realigned = states.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2)
     return realigned.reshape(states.shape)
-
-
-def _realigned(rho: np.ndarray, d: int) -> np.ndarray:
-    """Validate one d^2 x d^2 state and realign it."""
-    return _realigned_stack(_as_state(rho, d * d)[None], d)[0]
 
 
 @dataclass(frozen=True)
@@ -139,10 +130,9 @@ def _correlation(
     a = ops_a.reshape(*ops_a.shape[:-2], d * d)
     b = ops_b.reshape(*ops_b.shape[:-2], d * d)
     entries = np.matmul(np.matmul(a, realigned), b.swapaxes(-1, -2))
-    n = entries.shape[-1]
-    for imag in np.abs(entries.imag).reshape(-1, n * n).max(axis=1).tolist():
-        if imag > TOL.correlation_imaginary:
-            raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
+    imag = float(np.abs(entries.imag).max())
+    if imag > TOL.correlation_imaginary:
+        raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
     matrices = np.ascontiguousarray(entries.real)
     return matrices, np.linalg.svd(matrices, compute_uv=False)
 
@@ -166,15 +156,12 @@ def build_correlation_matrix(
     _check_pair(fam_a, fam_b)
     if convention not in ("P", "F"):
         raise ValueError("convention must be 'P' or 'F'")
-    if convention == "P":
-        ops_a, ops_b = fam_a.effect_stack(), fam_b.effect_stack()
-    else:
-        ops_a, ops_b = fam_a.block_stack(), fam_b.block_stack()
+    d = fam_a.d
     matrix, singular_values = _correlation(
-        _realigned(rho, fam_a.d), ops_a, ops_b, convention
+        _realigned(_as_state(rho, d * d), d), *_stacks(fam_a, fam_b, convention), convention
     )
     return CorrelationMatrix(
-        d=fam_a.d,
+        d=d,
         convention=convention,
         matrix=matrix,
         singular_values=singular_values,
@@ -195,14 +182,7 @@ def pure_trace_norm_closed_form(schmidt: SchmidtData, d: int, kappa: float) -> f
 
 def pure_concurrence(psi: np.ndarray, dim_a: int, dim_b: int) -> float:
     """Concurrence sqrt(2 (1 - Tr(rho_A^2))) of a normalized pure state."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != dim_a * dim_b:
-        raise ValueError(
-            f"amplitude vector of length {psi.size} does not match {dim_a}x{dim_b}"
-        )
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > TOL.state_normalization:
-        raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance")
+    psi = pure_amplitudes(psi, dim_a, dim_b)
     rho_a = partial_trace(np.outer(psi, psi.conj()), dim_a, dim_b, keep="A")
     purity = float((np.abs(rho_a) ** 2).sum())
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
@@ -301,64 +281,41 @@ def _chunk_points(d: int) -> int:
 
 def concurrence_lower_bounds(
     rho: np.ndarray,
-    families: Sequence[MumFamily | tuple[MumFamily, MumFamily]],
+    families: Sequence[MumFamily],
     variant: str = "derived",
     tol: float = TOL.verdict,
 ) -> list[BoundReport]:
-    """Evaluate ``concurrence_lower_bound`` for one state at many families.
+    """Evaluate ``concurrence_lower_bound`` for one state at a grid of families.
 
-    Each entry of ``families`` is a family, paired with itself, or a
-    (fam_a, fam_b) pair.  The reports equal one ``concurrence_lower_bound``
-    call per entry, in order.  The state is validated and realigned once;
-    its block-convention trace norm, which does not depend on t, is
-    contracted again only when the building blocks change; the entries
-    are evaluated in chunks of bounded memory, each one probability
-    contraction and one batched SVD.
+    The families must share one block array, as those of one
+    ``build_mums_grid`` call do; any other input raises ValueError.  The
+    reports equal one ``concurrence_lower_bound`` call per family, in
+    order.  The state is validated and realigned once and its block
+    matrix, which does not depend on t, is contracted once; the
+    probability matrices are contracted in chunks of bounded memory, each
+    one broadcast contraction and one batched SVD.
     """
     _check_options(variant, tol)
-    pairs = [fam if isinstance(fam, tuple) else (fam, fam) for fam in families]
-    if not pairs:
+    families = list(families)
+    if not families:
         raise ValueError("at least one family is required")
-    d = pairs[0][0].d
-    for fam_a, fam_b in pairs:
-        _check_pair(fam_a, fam_b)
-        if fam_a.d != d:
-            raise ValueError(f"family dimensions differ: {fam_a.d} vs {d}")
-    realigned = _realigned(rho, d)
-    norms_f = []
-    blocks = None
-    for fam_a, fam_b in pairs:
-        if blocks is None or not (
-            _same_array(fam_a.f_blocks, blocks[0]) and _same_array(fam_b.f_blocks, blocks[1])
-        ):
-            blocks = (fam_a.f_blocks, fam_b.f_blocks)
-            sv_f = _correlation(realigned, fam_a.block_stack(), fam_b.block_stack(), "F")[1]
-            norm_f = float(sv_f.sum())
-        norms_f.append(norm_f)
+    blocks = getattr(families[0], "f_blocks", None)
+    if not all(isinstance(fam, MumFamily) and fam.f_blocks is blocks for fam in families):
+        raise ValueError("families must share one block array; build them with build_mums_grid")
+    d = families[0].d
+    realigned = _realigned(_as_state(rho, d * d), d)
+    ops_f = families[0].block_stack()
+    norm_f = float(_correlation(realigned, ops_f, ops_f, "F")[1].sum())
     step = _chunk_points(d)
     reports = []
-    for start in range(0, len(pairs), step):
-        chunk = pairs[start : start + step]
-        ops_a = _stacked([fam_a.effect_stack() for fam_a, _ in chunk])
-        if all(fam_a is fam_b for fam_a, fam_b in chunk):
-            ops_b = ops_a
-        else:
-            ops_b = _stacked([fam_b.effect_stack() for _, fam_b in chunk])
-        sv_p = _correlation(realigned, ops_a, ops_b, "P")[1]
+    for start in range(0, len(families), step):
+        chunk = families[start : start + step]
+        ops_p = np.stack([fam.effect_stack() for fam in chunk])
+        sv_p = _correlation(realigned, ops_p, ops_p, "P")[1]
         reports += [
-            _report(fam_a, float(p.sum()), norm_f, variant, tol)
-            for (fam_a, _), p, norm_f in zip(chunk, sv_p, norms_f[start : start + step])
+            _report(fam, float(p.sum()), norm_f, variant, tol) for fam, p in zip(chunk, sv_p)
         ]
     return reports
-
-
-def _same_array(x: np.ndarray, y: np.ndarray) -> bool:
-    return x is y or np.array_equal(x, y)
-
-
-def _stacked(ops: list[np.ndarray]) -> np.ndarray:
-    """One (k, n, d, d) array of k operator stacks; a single one is not copied."""
-    return ops[0][None] if len(ops) == 1 else np.stack(ops)
 
 
 def concurrence_lower_bounds_of_states(
@@ -380,14 +337,15 @@ def concurrence_lower_bounds_of_states(
     fam_b = fam_a if fam_b is None else fam_b
     _check_options(variant, tol)
     _check_pair(fam_a, fam_b)
-    d, dim = fam_a.d, fam_a.d * fam_a.d
+    d = fam_a.d
+    ops_f, ops_p = _stacks(fam_a, fam_b, "F"), _stacks(fam_a, fam_b, "P")
     step = _chunk_points(d)
     states = iter(states)
     reports = []
-    while chunk := [_as_state(rho, dim) for rho in itertools.islice(states, step)]:
-        realigned = _realigned_stack(np.stack(chunk), d)
-        sv_f = _correlation(realigned, fam_a.block_stack(), fam_b.block_stack(), "F")[1]
-        sv_p = _correlation(realigned, fam_a.effect_stack(), fam_b.effect_stack(), "P")[1]
+    while chunk := [_as_state(rho, d * d) for rho in itertools.islice(states, step)]:
+        realigned = _realigned(np.stack(chunk), d)
+        sv_f = _correlation(realigned, *ops_f, "F")[1]
+        sv_p = _correlation(realigned, *ops_p, "P")[1]
         reports += [
             _report(fam_a, float(p.sum()), float(f.sum()), variant, tol)
             for p, f in zip(sv_p, sv_f)
@@ -405,10 +363,10 @@ def concurrence_lower_bound(
     """Evaluate both concurrence bound variants and the separability verdict.
 
     ``variant`` only selects which number the report headlines; both are
-    always computed.  ``tol`` must be finite and non-negative.
+    always computed.  ``tol`` must be finite and non-negative.  The
+    one-state case of ``concurrence_lower_bounds_of_states``.
     """
-    pair = (fam_a, fam_a if fam_b is None else fam_b)
-    return concurrence_lower_bounds(rho, [pair], variant=variant, tol=tol)[0]
+    return concurrence_lower_bounds_of_states([rho], fam_a, fam_b, variant=variant, tol=tol)[0]
 
 
 def separability_test(

@@ -9,11 +9,12 @@ Each query touches its state once.  Correlation matrices are one GEMM
 contraction A @ R @ B^T of the realigned state R with the family's
 operator stacks (see ``mumbounds.criteria``).  A sweep is one batched
 call.  A t-sweep builds the blocks and the t-interval once for the whole
-grid, validates and realigns the state once, contracts the
-t-independent block matrix once, and the probability matrices of its
-points in stacked chunks (``concurrence_lower_bounds``).  A p, q or
-upsilon sweep builds its per-point states one by one, as each chunk of
-them is evaluated at one family (``concurrence_lower_bounds_of_states``).
+grid, whose families share that one block array, validates and
+realigns the state once, contracts the t-independent block matrix once,
+and the probability matrices of its points in stacked chunks
+(``concurrence_lower_bounds``).  A p, q or upsilon sweep builds its
+per-point states one by one, as each chunk of them is evaluated at one
+family (``concurrence_lower_bounds_of_states``).
 A threshold query builds the state at weight 1, contracts its
 probability matrix C once, and evaluates every other weight of the
 search as one SVD of w*C + (1 - w)*J/d^2, the exact matrix of the
@@ -57,13 +58,15 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x) -> str:
+def format_value(x) -> str:
+    """A float to 12 significant digits, anything else by ``str``: CSV and CLI output."""
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
 
 
-def _infer_d(dim: int) -> int:
+def infer_d(dim: int) -> int:
+    """The subsystem dimension d of a dim x dim state on C^d x C^d."""
     d = math.isqrt(dim)
     if d * d != dim or d < 2:
         raise UsageError(
@@ -72,14 +75,15 @@ def _infer_d(dim: int) -> int:
     return d
 
 
-def _family_for(d: int, t: float) -> MumFamily:
+def family_for(d: int, t: float) -> MumFamily:
+    """The Gell-Mann family at (d, t); an inadmissible t is a UsageError."""
     try:
         return build_mums(standard_basis(d), t)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _make_state(family: str, file: str | None, params: dict) -> np.ndarray:
+def make_state(family: str, file: str | None, params: dict) -> np.ndarray:
     """Build a state of a family; ``params`` may hold p, q and upsilon."""
     p, q, upsilon = params.get("p"), params.get("q"), params.get("upsilon")
     if family == "tiles":
@@ -160,18 +164,18 @@ class ThresholdQuery:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the sweep grid; one result dict per grid point, ascending."""
+    """Evaluate the sweep grid, ascending: per point, var and ``BoundReport.as_dict()``."""
     spec.validate()
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     fixed = dict(spec.fixed)
 
     def state_at(params: dict) -> np.ndarray:
-        return _make_state(spec.state_family, spec.file, params)
+        return make_state(spec.state_family, spec.file, params)
 
     if spec.variable == "t":
         rho = state_at(fixed)
         try:
-            fams = build_mums_grid(standard_basis(_infer_d(rho.shape[0])), grid)
+            fams = build_mums_grid(standard_basis(infer_d(rho.shape[0])), grid)
         except ValueError as exc:
             raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
         reports = concurrence_lower_bounds(rho, fams, variant=spec.variant)
@@ -188,31 +192,17 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             def state(v: float) -> np.ndarray:
                 return mix_with_white_noise(probe, v)
 
-        fam = _family_for(_infer_d(probe.shape[0]), fixed["t"])
+        fam = family_for(infer_d(probe.shape[0]), fixed["t"])
         states = (state(float(v)) for v in grid)  # built as each chunk is evaluated
         reports = concurrence_lower_bounds_of_states(states, fam, variant=spec.variant)
 
-    rows = []
-    for value, report in zip(grid, reports):
-        rows.append(
-            {
-                "var": float(value),
-                "traceNormP": report.trace_norm_p,
-                "traceNormF": report.trace_norm_f,
-                "kappa": report.kappa,
-                "threshold": report.separability_threshold,
-                "bound_literal": report.bound_literal,
-                "bound_derived": report.bound_derived,
-                "verdict": report.verdict,
-            }
-        )
-    return rows
+    return [{"var": float(value), **report.as_dict()} for value, report in zip(grid, reports)]
 
 
 def render_csv(rows: list[dict]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_fmt(row[key]) for key in CSV_HEADER.split(",")))
+        lines.append(",".join(format_value(row[key]) for key in CSV_HEADER.split(",")))
     return "\n".join(lines) + "\n"
 
 
@@ -229,10 +219,10 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     query.validate()
     if query.t == 0.0:
         raise UsageError("t must be admissible and nonzero")
-    rho = _make_state(
+    rho = make_state(
         query.state_family, query.file, {**query.fixed, query.search_variable: 1.0}
     )
-    fam = _family_for(_infer_d(rho.shape[0]), query.t)
+    fam = family_for(infer_d(rho.shape[0]), query.t)
     corr = build_correlation_matrix(rho, fam)
     dim = rho.shape[0]
     threshold = 1.0 + fam.kappa

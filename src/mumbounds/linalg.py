@@ -83,8 +83,8 @@ class SchmidtData:
         return amp.reshape(-1)
 
 
-def schmidt_decompose(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtData:
-    """Schmidt decomposition of a normalized bipartite amplitude vector."""
+def pure_amplitudes(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """A flat amplitude vector of dim_a*dim_b entries and unit norm, else ValueError."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != dim_a * dim_b:
         raise ValueError(
@@ -93,6 +93,12 @@ def schmidt_decompose(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtData:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > TOL.state_normalization:
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance")
+    return psi
+
+
+def schmidt_decompose(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtData:
+    """Schmidt decomposition of a normalized bipartite amplitude vector."""
+    psi = pure_amplitudes(psi, dim_a, dim_b)
     u, s, vh = np.linalg.svd(psi.reshape(dim_a, dim_b), full_matrices=False)
     rank = int(np.count_nonzero(s > TOL.schmidt_rank))
     return SchmidtData(coefficients=s, left=u, right=vh.T, rank=rank)

@@ -2,15 +2,17 @@
 
 From a partitioned operator basis, build the d(d+1) traceless building
 blocks, the admissible sharpness interval for the parameter t, and the
-d+1 POVMs with effects I/d + t*F.  A grid of t values shares one block
-array and one interval, built once per basis.  The defining trace
-relations and the 2-design property of the effects are verifiable
-numerically.
+d+1 POVMs with effects I/d + t*F.  A family is the triple (t, blocks,
+interval): d, kappa(t) and the effects are derived from it, never
+stored.  A grid of t values shares one block array and one interval,
+built once per basis.  The defining trace relations and the 2-design
+property of the effects are verifiable numerically.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -78,22 +80,36 @@ def t_interval(blocks: np.ndarray, d: int) -> TInterval:
     return TInterval(lower=-1.0 / (d * lam_max), upper=1.0 / (d * abs(lam_min)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MumFamily:
-    """d+1 MUMs on C^d built from one operator basis at sharpness t.
+    """d+1 MUMs on C^d at sharpness t, fixed by t and the building blocks.
 
-    ``f_blocks`` and ``effects`` have shape (d+1, d, d, d), indexed by
-    (measurement, outcome); ``kappa`` is stored at construction and
-    reused verbatim downstream.  Instances are immutable and safe to
-    share across threads.
+    ``f_blocks`` has shape (d+1, d, d, d), indexed by (measurement,
+    outcome), and ``t_range`` is the admissible interval of those
+    blocks; ``d``, ``kappa`` and the effects I/d + t*F follow from them
+    and are read-only properties.  Instances are immutable, safe to
+    share across threads, and compare and hash by identity.
     """
 
-    d: int
     t: float
-    kappa: float
     f_blocks: np.ndarray
-    effects: np.ndarray
     t_range: TInterval
+
+    @property
+    def d(self) -> int:
+        return self.f_blocks.shape[-1]
+
+    @property
+    def kappa(self) -> float:
+        return float(kappa_of_t(self.d, self.t))
+
+    @property
+    def effects(self) -> np.ndarray:
+        """The effects I/d + t*F, shape (d+1, d, d, d), a new read-only array."""
+        effects = self.t * self.f_blocks
+        effects += np.eye(self.d, dtype=complex) / self.d
+        effects.setflags(write=False)
+        return effects
 
     def block_stack(self) -> np.ndarray:
         """Blocks flattened to (d*(d+1), d, d), measurement-major."""
@@ -112,42 +128,34 @@ class InadmissibleTError(ValueError):
         self.t_range = t_range
 
 
+def _family(t: float, blocks: np.ndarray, rng: TInterval) -> MumFamily:
+    """The family of blocks at t; InadmissibleTError unless kappa*d > 1 and t is in rng."""
+    d = blocks.shape[-1]
+    if kappa_of_t(d, t) * d <= 1.0:  # t = 0 or below float resolution
+        raise InadmissibleTError(
+            f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement",
+            rng,
+        )
+    if not rng.contains(t):
+        raise InadmissibleTError(
+            f"t = {t} is outside the admissible interval "
+            f"[{rng.lower:.6f}, {rng.upper:.6f}] for this basis",
+            rng,
+        )
+    return MumFamily(t=t, f_blocks=blocks, t_range=rng)
+
+
 def build_mums_grid(basis: OperatorBasis, ts: Sequence[float]) -> list[MumFamily]:
     """Construct the d+1 MUMs of a basis at every t of a grid, in order.
 
-    The blocks and the admissible interval are built once; every family
-    shares that one read-only block array and that one interval, and its
-    effects are a read-only view of one array for the whole grid.
+    The blocks and the admissible interval are built once, and every
+    family shares that one read-only block array and that one interval.
     Raises InadmissibleTError, a ValueError, for the first t that is
     zero (kappa would equal 1/d) or outside the interval.
     """
-    d = basis.d
     blocks = build_f_blocks(basis)
-    rng = t_interval(blocks, d)
-    ts = [float(t) for t in ts]
-    kappas = []
-    for t in ts:
-        kappa = float(kappa_of_t(d, t))
-        if kappa * d <= 1.0:  # t = 0 or below float resolution
-            raise InadmissibleTError(
-                f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement",
-                rng,
-            )
-        if not rng.contains(t):
-            raise InadmissibleTError(
-                f"t = {t} is outside the admissible interval "
-                f"[{rng.lower:.6f}, {rng.upper:.6f}] for this basis",
-                rng,
-            )
-        kappas.append(kappa)
-    # elementwise t*F + I/d, the same doubles as one family at a time
-    effects = np.array(ts).reshape(-1, 1, 1, 1, 1) * blocks
-    effects += np.eye(d, dtype=complex) / d
-    effects.setflags(write=False)
-    return [
-        MumFamily(d=d, t=t, kappa=kappa, f_blocks=blocks, effects=fx, t_range=rng)
-        for t, kappa, fx in zip(ts, kappas, effects)
-    ]
+    rng = t_interval(blocks, basis.d)
+    return [_family(float(t), blocks, rng) for t in ts]
 
 
 def build_mums(basis: OperatorBasis, t: float) -> MumFamily:
@@ -166,7 +174,11 @@ def standard_family(d: int, t: float) -> MumFamily:
 
 @dataclass(frozen=True)
 class MumRelationReport:
-    """Maximum absolute deviations from the MUM defining relations."""
+    """Maximum absolute deviations from the MUM defining relations.
+
+    ``passed`` tests the trace and Gram relations only: those force each
+    measurement to sum to I, so ``completeness`` is a diagnostic.
+    """
 
     trace_one: float
     cross_basis: float
@@ -200,9 +212,7 @@ def verify_mum_relations(fam: MumFamily) -> MumRelationReport:
     cross_basis = float(dev[~same].max())
     within_basis = float(dev[same].max())
 
-    completeness = float(
-        np.abs(fam.effects.sum(axis=1) - np.eye(d)).max()
-    )
+    completeness = float(np.abs(stack.reshape(d + 1, d, d, d).sum(axis=1) - np.eye(d)).max())
     min_eig = float(np.linalg.eigvalsh(stack).min())
     return MumRelationReport(
         trace_one=trace_one,
@@ -249,7 +259,8 @@ def save_family(fam: MumFamily, path: str | Path) -> None:
     """Write a family to a JSON file for inspection or reuse.
 
     Layout: d, t, kappa, t_range, and f_blocks/effects as nested
-    [measurement][outcome] real/imag arrays.
+    [measurement][outcome] real/imag arrays.  Everything but t and the
+    blocks is derived and is checked again by ``load_family``.
     """
     payload = {
         "format": "mum-family",
@@ -265,7 +276,13 @@ def save_family(fam: MumFamily, path: str | Path) -> None:
 
 
 def load_family(path: str | Path) -> MumFamily:
-    """Read a family back from the JSON layout written by save_family."""
+    """Read a family back from the JSON layout written by save_family.
+
+    The family is rebuilt from t and the blocks through the checks of
+    ``build_mums_grid`` and must pass ``verify_mum_relations``.  Stored
+    ``kappa`` and effects must match it within ``TOL.kappa_match``, and
+    ``t_range`` within the relative ``TOL.t_endpoint_slack``.
+    """
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != "mum-family":
         raise ValueError(f"{path}: not a mum-family file")
@@ -275,12 +292,19 @@ def load_family(path: str | Path) -> MumFamily:
     if blocks.shape != (d + 1, d, d, d) or effects.shape != (d + 1, d, d, d):
         raise ValueError(f"{path}: array shapes do not match d = {d}")
     blocks.setflags(write=False)
-    effects.setflags(write=False)
-    return MumFamily(
-        d=d,
-        t=float(payload["t"]),
-        kappa=float(payload["kappa"]),
-        f_blocks=blocks,
-        effects=effects,
-        t_range=TInterval(**payload["t_range"]),
-    )
+    fam = _family(float(payload["t"]), blocks, t_interval(blocks, d))
+    stored, rng = TInterval(**payload["t_range"]), fam.t_range
+    agrees = {
+        "kappa": abs(float(payload["kappa"]) - fam.kappa) <= TOL.kappa_match,
+        "effects": np.abs(effects - fam.effects).max() <= TOL.kappa_match,
+        "t_range": all(
+            math.isclose(getattr(stored, end), getattr(rng, end), rel_tol=TOL.t_endpoint_slack)
+            for end in ("lower", "upper")
+        ),
+    }
+    if not all(agrees.values()):
+        wrong = ", ".join(name for name, ok in agrees.items() if not ok)
+        raise ValueError(f"{path}: stored {wrong} disagree with what t and the blocks give")
+    if not verify_mum_relations(fam).passed:
+        raise ValueError(f"{path}: the blocks do not give a mutually unbiased measurement")
+    return fam

@@ -26,24 +26,36 @@ def _ket(d: int, index: int) -> np.ndarray:
 
 
 def validate_density(rho: np.ndarray) -> list[str]:
-    """Return the list of violated density-matrix invariants (empty if valid)."""
+    """Return the violated density-matrix invariants (empty if valid).
+
+    ``rho`` is one square matrix or a stack (k, n, n), checked in one
+    vectorised pass with the ``density_*`` tolerances of ``TOL``:
+    finiteness before any arithmetic, then Hermiticity and unit trace,
+    then positivity by one batched ``eigvalsh``.  A stack reports the
+    problems of its first state that fails the earliest of these stages.
+    """
     rho = np.asarray(rho)
-    problems: list[str] = []
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         return [f"matrix is not square (shape {rho.shape})"]
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
-        return ["matrix contains non-finite entries"]
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > TOL.density_hermiticity:
-        problems.append(f"not Hermitian (max deviation {herm:.3e})")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TOL.density_trace:
-        problems.append(f"trace is {tr.real:.15g}, not 1")
-    if not problems:
-        min_eig = float(np.linalg.eigvalsh(rho).min())
-        if min_eig < -TOL.density_psd:
-            problems.append(f"negative eigenvalue {min_eig:.3e}")
-    return problems
+    stack = rho.reshape(-1, *rho.shape[-2:])
+    finite = np.isfinite(stack)
+    if not finite.all():
+        entries = np.argwhere(~finite[np.argmin(finite.all(axis=(1, 2)))]).tolist()
+        named = ", ".join(f"({i}, {j})" for i, j in entries[:4])
+        more = f" and {len(entries) - 4} more" if len(entries) > 4 else ""
+        return [f"matrix contains non-finite entries at {named}{more}"]
+    herms = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    for herm, tr in zip(herms.tolist(), np.trace(stack, axis1=1, axis2=2).tolist()):
+        problems = []
+        if herm > TOL.density_hermiticity:
+            problems.append(f"not Hermitian (max deviation {herm:.3e})")
+        if abs(tr - 1.0) > TOL.density_trace:
+            problems.append(f"trace is {tr.real:.15g}, not 1")
+        if problems:
+            return problems
+    min_eigs = np.linalg.eigvalsh(stack).min(axis=1)
+    negative = min_eigs[min_eigs < -TOL.density_psd]
+    return [f"negative eigenvalue {negative[0]:.3e}"] if negative.size else []
 
 
 def tiles_state() -> np.ndarray:

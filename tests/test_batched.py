@@ -21,7 +21,7 @@ from mumbounds.criteria import (
     concurrence_lower_bounds_of_states,
     separability_test,
 )
-from mumbounds.engine import SweepSpec, UsageError, _make_state, render_csv, run_sweep
+from mumbounds.engine import SweepSpec, UsageError, make_state, render_csv, run_sweep
 from mumbounds.mums import build_mums, build_mums_grid
 from mumbounds.states import (
     horodecki_noisy,
@@ -45,13 +45,13 @@ def _reference_points(spec):
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     fixed = dict(spec.fixed)
     if spec.variable == "t":
-        rho = _make_state(spec.state_family, spec.file, fixed)
+        rho = make_state(spec.state_family, spec.file, fixed)
         basis = standard_basis(math.isqrt(rho.shape[0]))
         return grid, [(rho, build_mums(basis, float(t))) for t in grid]
     if spec.variable == "upsilon":
-        states = [_make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(v)}) for v in grid]
+        states = [make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(v)}) for v in grid]
     else:
-        probe = _make_state(spec.state_family, spec.file, {**fixed, spec.variable: 1.0})
+        probe = make_state(spec.state_family, spec.file, {**fixed, spec.variable: 1.0})
         states = [mix_with_white_noise(probe, float(v)) for v in grid]
     fam = build_mums(standard_basis(math.isqrt(states[0].shape[0])), fixed["t"])
     return grid, [(rho, fam) for rho in states]

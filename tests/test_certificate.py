@@ -1,0 +1,104 @@
+"""An independent certificate of both trace norms from the correlation tensor.
+
+T_mu,nu = Tr(rho G_mu x G_nu), with G_0 = I/sqrt(d) and G_1.. the
+Gell-Mann matrices, so that Tr(G_mu G_nu) = delta_mu,nu.  The effects of
+a complete MUM family are a tight frame: sum_r |P_r><P_r| is d + 1 on
+I/sqrt(d) and b^2 = (kappa d - 1)/(d - 1) on traceless operators.  The
+building blocks are one with constant d (1 + sqrt(d))^2 on traceless
+operators.  With S = diag(sqrt(d + 1), b, ..., b) and T' the traceless
+block of T,
+
+    traceNormP = ||S T S||_tr    and    traceNormF = d (1 + sqrt(d))^2 ||T'||_tr.
+
+The right-hand sides use neither the family nor the contraction of
+``mumbounds.criteria``, only kappa: partner families that are permuted
+or unitarily rotated must give the same norms at equal kappa.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mumbounds.basis import gellmann_generators, partition_basis
+from mumbounds.criteria import concurrence_lower_bound
+from mumbounds.mums import build_f_blocks, build_mums, t_interval
+from mumbounds.states import random_density, random_pure
+
+REL_TOL = 1e-12
+
+
+def correlation_tensor(rho: np.ndarray, d: int) -> np.ndarray:
+    """T_mu,nu = Tr(rho (G_mu x G_nu)) by the index contraction of the definition."""
+    g = np.stack([np.eye(d, dtype=complex) / np.sqrt(d), *gellmann_generators(d)])
+    t = np.einsum("ikjl,mji,nlk->mn", rho.reshape(d, d, d, d), g, g, optimize=True)
+    assert np.abs(t.imag).max() < 1e-12
+    return t.real
+
+
+def _trace_norm(m: np.ndarray) -> float:
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def certified_norms(rho: np.ndarray, d: int, kappa: float) -> tuple[float, float]:
+    """(traceNormP, traceNormF) from T and kappa alone."""
+    t = correlation_tensor(rho, d)
+    s = np.full(d * d, np.sqrt((kappa * d - 1.0) / (d - 1.0)))
+    s[0] = np.sqrt(d + 1.0)
+    norm_p = _trace_norm(s[:, None] * t * s[None, :])
+    return norm_p, d * (1.0 + np.sqrt(d)) ** 2 * _trace_norm(t[1:, 1:])
+
+
+def _assert_certified(rho, fam_a, fam_b=None):
+    report = concurrence_lower_bound(rho, fam_a, fam_b)
+    norm_p, norm_f = certified_norms(rho, fam_a.d, fam_a.kappa)
+    assert abs(report.trace_norm_p - norm_p) <= REL_TOL * norm_p
+    assert abs(report.trace_norm_f - norm_f) <= REL_TOL * norm_f
+
+
+def _random_unitary(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _partner_bases(d: int):
+    """The Gell-Mann generators permuted, and rotated by a random unitary."""
+    gens = gellmann_generators(d)
+    order = np.random.default_rng(d).permutation(len(gens))
+    u = _random_unitary(d, seed=100 + d)
+    return {
+        "permuted": partition_basis([gens[k] for k in order], d),
+        "rotated": partition_basis([u @ g @ u.conj().T for g in gens], d),
+    }
+
+
+def _states(d: int):
+    psi = random_pure(d, d, seed=60 + d)
+    return {"pure": np.outer(psi, psi.conj()), "mixed": random_density(d * d, seed=70 + d)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_trace_norms_equal_the_correlation_tensor_forms(d, family, t_range_of):
+    rng = t_range_of(d)
+    for rho in _states(d).values():
+        for t in (0.5 * rng.lower, 0.9 * rng.upper):
+            _assert_certified(rho, family(d, t))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_partner_families_at_equal_kappa(d, family, t_range_of):
+    for kind, basis in _partner_bases(d).items():
+        t = 0.5 * min(t_range_of(d).upper, t_interval(build_f_blocks(basis), d).upper)
+        fam, partner = family(d, t), build_mums(basis, t)
+        assert partner.kappa == fam.kappa, kind
+        for rho in _states(d).values():
+            _assert_certified(rho, fam, partner)
+            _assert_certified(rho, partner, fam)
+
+
+@given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 1.0), rank=st.integers(1, 9))
+@settings(max_examples=25, deadline=None)
+def test_random_states_at_d3(seed, frac, rank, family, t_range_of):
+    rho = random_density(9, rank=rank, seed=seed)
+    _assert_certified(rho, family(3, frac * t_range_of(3).upper))

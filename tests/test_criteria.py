@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,14 +13,21 @@ from mumbounds.criteria import (
     build_correlation_matrix,
     concurrence_lower_bound,
     concurrence_lower_bounds,
+    concurrence_lower_bounds_of_states,
     pure_concurrence,
     pure_trace_norm_closed_form,
     schmidt_number_lower_bound,
     separability_test,
 )
 from mumbounds.linalg import partial_trace, schmidt_decompose
-from mumbounds.mums import build_mums
-from mumbounds.states import max_entangled, random_density, random_pure, tiles_noisy
+from mumbounds.mums import build_mums, build_mums_grid
+from mumbounds.states import (
+    max_entangled,
+    random_density,
+    random_pure,
+    tiles_noisy,
+    validate_density,
+)
 
 # recorded at the first verified run of the oracle suite (d=3, t=0.01)
 TILES_P1_T001_NORM = 1.335041578240853
@@ -284,31 +292,74 @@ class TestConcurrenceBound:
         assert concurrence_lower_bound(rho, fam, tol=0.0).verdict == "undetected"
 
 
+class TestFrontDoor:
+    """Every criterion checks its state with ``states.validate_density``."""
+
+    @staticmethod
+    def _calls(rho, fam):
+        return (
+            lambda: concurrence_lower_bound(rho, fam),
+            lambda: build_correlation_matrix(rho, fam),
+            lambda: build_correlation_matrix(rho, fam, convention="F"),
+            lambda: separability_test(rho, fam),
+            lambda: concurrence_lower_bounds(rho, [fam]),
+            lambda: concurrence_lower_bounds_of_states([rho], fam),
+        )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_state_names_its_entries(self, family, value):
+        # an off-diagonal NaN used to pass the check and fail inside the SVD
+        rho = np.eye(9, dtype=complex) / 9.0
+        rho[0, 1] = rho[1, 0] = value
+        for call in self._calls(rho, family(3, 0.05)):
+            with pytest.raises(ValueError, match=r"non-finite entries at \(0, 1\), \(1, 0\)$"):
+                call()
+
+    def test_density_tolerances_of_the_file_policy(self, family):
+        # each state passed the former 1e-9 cutoff and fails density_* of TOL
+        white = np.eye(9, dtype=complex) / 9.0
+        skew = white.copy()
+        skew[0, 1] = 1e-11
+        spectrum = np.full(9, (1.0 + 5e-10) / 8.0)
+        spectrum[0] = -5e-10
+        for rho in (white * (1.0 + 1e-10), skew, np.diag(spectrum).astype(complex)):
+            problems = validate_density(rho)
+            assert problems
+            message = "state is not a density matrix: " + "; ".join(problems)
+            for call in self._calls(rho, family(3, 0.05)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call()
+
+
 class TestBatchedBounds:
     def test_tiles_t_grid_equals_one_call_per_family(self, t_range_of):
-        basis = standard_basis(3)
         rng = t_range_of(3)
-        fams = [build_mums(basis, t) for t in np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81)]
+        fams = build_mums_grid(standard_basis(3), np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81))
         rho = tiles_noisy(0.99)
         assert concurrence_lower_bounds(rho, fams) == [
             concurrence_lower_bound(rho, fam) for fam in fams
         ]
 
-    def test_seeded_state_with_changing_blocks(self, family, t_range_of):
-        # the block norm is reused across t and recomputed when the blocks change
+    def test_rejects_pairs_and_families_of_other_block_arrays(self, family, t_range_of):
+        # only the families of one grid, which share one block array, are taken
         rng = t_range_of(4)
-        fams = [family(4, t) for t in (0.8 * rng.lower, 0.3 * rng.upper, 0.9 * rng.upper)]
-        fam_b = _permuted_family(4, -fams[1].t)
-        entries = [*fams, (fams[1], fam_b), fam_b, fams[0]]
-        pairs = [entry if isinstance(entry, tuple) else (entry, entry) for entry in entries]
+        fams = build_mums_grid(standard_basis(4), [0.8 * rng.lower, 0.3 * rng.upper])
+        rebuilt = build_mums(standard_basis(4), fams[1].t)  # equal blocks, another array
+        assert np.array_equal(rebuilt.f_blocks, fams[0].f_blocks)
         rho = random_density(16, seed=12)
-        expect = [concurrence_lower_bound(rho, a, b, variant="literal") for a, b in pairs]
-        assert concurrence_lower_bounds(rho, entries, variant="literal") == expect
-        assert expect[3].trace_norm_f != expect[1].trace_norm_f
+        for entries in (
+            [*fams, rebuilt],
+            [*fams, _permuted_family(4, -fams[1].t)],
+            [fams[0], (fams[1], fams[1])],
+            [(fams[0], fams[0])],
+            [fams[0], family(3, 0.05)],
+        ):
+            with pytest.raises(ValueError, match="share one block array"):
+                concurrence_lower_bounds(rho, entries)
+        expected = [concurrence_lower_bound(rho, fam) for fam in fams]
+        assert concurrence_lower_bounds(rho, fams) == expected
 
-    def test_rejects_mixed_dimensions_and_no_families(self, family):
-        with pytest.raises(ValueError, match="dimensions"):
-            concurrence_lower_bounds(np.eye(9) / 9.0, [family(3, 0.05), family(2, 0.05)])
+    def test_rejects_no_families(self):
         with pytest.raises(ValueError, match="at least one"):
             concurrence_lower_bounds(np.eye(9) / 9.0, [])
 

@@ -150,21 +150,23 @@ def test_sweep_rejects_non_finite_ends():
 class _Counts:
     """Counts calls of module attributes, and density eigen-checks of one size.
 
-    An eigen-check of a stack of states counts once, like one of a single state.
+    ``validate_density`` counts the file check inside ``load_state`` and
+    ``front_door`` the same validator called by the criteria.  An
+    eigen-check of a stack of states counts once, like one of a single state.
     """
 
     def __init__(self, monkeypatch, dim):
         self.calls = Counter()
         self.monkeypatch = monkeypatch
-        for module, name in (
-            (engine, "load_state"),
-            (states, "validate_density"),
-            (criteria, "_check_density"),
-            (engine, "build_correlation_matrix"),
-            (mums, "build_f_blocks"),
-            (mums, "t_interval"),
+        for module, name, label in (
+            (engine, "load_state", "load_state"),
+            (states, "validate_density", "validate_density"),
+            (criteria, "validate_density", "front_door"),
+            (engine, "build_correlation_matrix", "build_correlation_matrix"),
+            (mums, "build_f_blocks", "build_f_blocks"),
+            (mums, "t_interval", "t_interval"),
         ):
-            self._count(module, name, lambda *args, name=name: name)
+            self._count(module, name, lambda *args, label=label: label)
         self._count(criteria, "_correlation", lambda *args: f"contract.{args[3]}")
         self._count(
             np.linalg,
@@ -204,7 +206,7 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
         "validate_density": 1,
         "build_f_blocks": 1,
         "t_interval": 1,
-        "_check_density": 1,
+        "front_door": 1,
         "density_eigvalsh": 2,
         "build_correlation_matrix": 1,
         "contract.P": 1,
@@ -222,7 +224,7 @@ def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
         "validate_density": 1,
         "build_f_blocks": 1,
         "t_interval": 1,
-        "_check_density": 1,
+        "front_door": 1,
         "density_eigvalsh": 2,
         "contract.F": 1,
         "contract.P": 1,

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +161,27 @@ class TestBuildMumsGrid:
         assert build_mums_grid(basis, []) == []
 
 
+class TestMumFamily:
+    def test_three_fields_and_derived_properties(self, family):
+        fam = family(3, 0.05)
+        assert [f.name for f in dataclasses.fields(fam)] == ["t", "f_blocks", "t_range"]
+        assert fam.d == 3 and fam.kappa == kappa_of_t(3, 0.05)
+        # t*F first, then I/d added: the same doubles at every access
+        expected = 0.05 * fam.f_blocks
+        expected += np.eye(3, dtype=complex) / 3
+        assert fam.effects.tobytes() == expected.tobytes()
+        assert not fam.effects.flags.writeable
+        for name in ("d", "kappa", "effects", "t"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fam, name, None)
+
+    def test_compares_and_hashes_by_identity(self):
+        basis = standard_basis(3)
+        fam, twin = build_mums(basis, 0.05), build_mums(basis, 0.05)
+        assert fam == fam and fam != twin  # equal arrays used to make == raise
+        assert len({fam, fam, twin}) == 2
+
+
 class TestBuildMums:
     def test_relations_hold(self, family):
         fam = family(3, 0.01)
@@ -206,10 +229,9 @@ class TestBuildMums:
 
     def test_corrupted_effect_is_reported(self, family):
         fam = family(3, 0.01)
-        effects = fam.effects.copy()
-        effects[0, 0, 0, 0] += 0.01
-        broken = dataclasses.replace(fam, effects=effects)
-        report = verify_mum_relations(broken)
+        blocks = fam.f_blocks.copy()
+        blocks[0, 0, 0, 0] += 0.01 / fam.t  # moves one effect entry by 0.01
+        report = verify_mum_relations(dataclasses.replace(fam, f_blocks=blocks))
         assert not report.passed
         assert report.trace_one == pytest.approx(0.01, abs=1e-10)
 
@@ -251,6 +273,46 @@ class TestSerialization:
         assert np.array_equal(loaded.f_blocks, fam.f_blocks)
         assert np.array_equal(loaded.effects, fam.effects)
         assert verify_mum_relations(loaded).passed
+
+    @staticmethod
+    def _edited(fam, path, edit):
+        save_family(fam, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize(
+        "keys",
+        [("kappa",), ("effects", "re", 1, 2, 0, 0), ("t_range", "upper")],
+        ids=["kappa", "effects", "t_range"],
+    )
+    def test_rejects_stored_values_that_disagree(self, keys, family, tmp_path):
+        def nudge(payload):
+            *outer, last = keys
+            for key in outer:
+                payload = payload[key]
+            payload[last] += 1e-9
+
+        path = self._edited(family(3, 0.08), tmp_path / "family.json", nudge)
+        name = keys[0]
+        with pytest.raises(ValueError, match=f"stored {name} disagree with what t and the blocks"):
+            load_family(path)
+
+    @pytest.mark.parametrize("t, match", [(0.0, "1/d"), (0.2, "outside"), (math.nan, "outside")])
+    def test_rejects_an_inadmissible_t(self, t, match, family, tmp_path):
+        path = self._edited(family(3, 0.08), tmp_path / "family.json", lambda p: p.update(t=t))
+        with pytest.raises(InadmissibleTError, match=match):
+            load_family(path)
+
+    def test_rejects_blocks_that_give_no_mum(self, family, tmp_path):
+        # twice the blocks: kappa(t) no longer matches their overlaps
+        fam = family(3, 0.01)
+        blocks = 2.0 * fam.f_blocks
+        scaled = dataclasses.replace(fam, f_blocks=blocks, t_range=t_interval(blocks, 3))
+        path = self._edited(scaled, tmp_path / "family.json", lambda p: None)
+        with pytest.raises(ValueError, match="not give a mutually unbiased measurement"):
+            load_family(path)
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "other.json"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -226,3 +227,42 @@ class TestValidateDensity:
         assert any("square" in p for p in validate_density(np.zeros((2, 3))))
         bad = np.diag([np.inf, 0.0])
         assert any("finite" in p for p in validate_density(bad))
+
+    def test_names_non_finite_entries_before_any_arithmetic(self):
+        bad = np.eye(3, dtype=complex) / 3.0
+        bad[0, 2] = complex(0.0, np.inf)
+        bad[2, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf - inf would warn
+            assert validate_density(bad) == ["matrix contains non-finite entries at (0, 2), (2, 0)"]
+            many = np.full((3, 3), np.nan)
+            assert validate_density(many) == [
+                "matrix contains non-finite entries at (0, 0), (0, 1), (0, 2), (1, 0) and 5 more"
+            ]
+
+    def test_stack_reports_the_first_invalid_state(self):
+        good = random_density(4, seed=1)
+        skew = good.copy()
+        skew[0, 1] += 1e-6
+        negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+        nan = good.copy()
+        nan[3, 1] = np.nan
+        assert validate_density(np.stack([good, good])) == []
+        assert validate_density(np.stack([good, negative, good])) == validate_density(negative)
+        # Hermiticity and trace come before positivity, finiteness before both
+        assert validate_density(np.stack([negative, skew])) == validate_density(skew)
+        assert validate_density(np.stack([negative, skew, nan])) == validate_density(nan)
+        assert any("square" in p for p in validate_density(np.zeros((2, 3, 4))))
+
+    def test_stack_is_one_batched_eigen_check(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        stack = np.stack([random_density(9, seed=s) for s in range(5)])
+        assert validate_density(stack) == []
+        assert calls == [(5, 9, 9)]
