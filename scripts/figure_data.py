@@ -11,16 +11,15 @@ Run:  python scripts/figure_data.py [out_dir]
 import sys
 from pathlib import Path
 
-from mumbounds.basis import standard_basis
 from mumbounds.engine import SweepSpec, render_csv, run_sweep
-from mumbounds.mums import build_f_blocks, t_interval
+from mumbounds.mums import standard_t_range
 
 
 def main() -> None:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rng = t_interval(build_f_blocks(standard_basis(3)), 3)
+    rng = standard_t_range(3)
     sweeps = {
         "tiles_bound_vs_t.csv": SweepSpec(
             variable="t",

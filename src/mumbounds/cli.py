@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import standard_basis
 from .config import TOL
 from .criteria import concurrence_lower_bound
 from .engine import (
@@ -35,11 +34,10 @@ from .engine import (
 )
 from .mums import (
     InadmissibleTError,
-    build_f_blocks,
-    build_mums,
     kappa_of_t,
     optimal_kappa,
-    t_interval,
+    standard_family,
+    standard_t_range,
     two_design_residual,
     verify_mum_relations,
 )
@@ -87,7 +85,7 @@ def _finite(text: str) -> float:
 
 def cmd_verify(args) -> int:
     try:
-        fam = build_mums(standard_basis(args.d), args.t)
+        fam = standard_family(args.d, args.t)
     except InadmissibleTError as exc:
         rng = exc.t_range
         if args.t != 0.0 and rng.contains(args.t):
@@ -114,7 +112,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    rng = t_interval(build_f_blocks(standard_basis(args.d)), args.d)
+    rng = standard_t_range(args.d)
     print(f"d={args.d}")
     print(f"t={format_value(args.t)}")
     print(f"kappa={format_value(kappa_of_t(args.d, args.t))}")
@@ -126,7 +124,7 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_t_range(args) -> int:
-    rng = t_interval(build_f_blocks(standard_basis(args.d)), args.d)
+    rng = standard_t_range(args.d)
     print(f"d={args.d}")
     print(f"t_lower={format_value(rng.lower)}")
     print(f"t_upper={format_value(rng.upper)}")

@@ -8,8 +8,9 @@ raise ``UsageError``.
 Each query touches its state once.  Correlation matrices are one GEMM
 contraction A @ R @ B^T of the realigned state R with the family's
 operator stacks (see ``mumbounds.criteria``).  A sweep is one batched
-call.  A t-sweep builds the blocks and the t-interval once for the whole
-grid, whose families share that one block array, validates and
+call.  The Gell-Mann blocks and t-interval of a dimension are built on
+its first query and memoised (``mums.standard_family``), so the families
+of a t-sweep share one block array; a t-sweep validates and
 realigns the state once, contracts the t-independent block matrix once,
 and the probability matrices of its points in stacked chunks
 (``concurrence_lower_bounds``).  A p, q or upsilon sweep builds its
@@ -28,18 +29,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import standard_basis
 from .criteria import (
     build_correlation_matrix,
     concurrence_lower_bounds,
     concurrence_lower_bounds_of_states,
 )
 from .linalg import trace_norm
-from .mums import MumFamily, build_mums, build_mums_grid
+from .mums import MumFamily, standard_family
 from .states import horodecki_noisy, load_state, mix_with_white_noise, tiles_noisy
 from .threshold import ThresholdResult, find_threshold
 
 CSV_HEADER = "var,traceNormP,traceNormF,kappa,threshold,bound_literal,bound_derived,verdict"
+# Most grid points a sweep takes; a larger count is rejected before the
+# grid is allocated.  At this size a d = 3 sweep takes about 4 s and
+# 130 MB of rows on a 2-vCPU box, and the rows grow linearly with it.
+MAX_SWEEP_STEPS = 100_000
 
 _SWEEP_VARS = {
     "tiles": ("t", "p"),
@@ -78,7 +82,7 @@ def infer_d(dim: int) -> int:
 def family_for(d: int, t: float) -> MumFamily:
     """The Gell-Mann family at (d, t); an inadmissible t is a UsageError."""
     try:
-        return build_mums(standard_basis(d), t)
+        return standard_family(d, t)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -133,6 +137,8 @@ class SweepSpec:
             raise UsageError("sweep requires start < stop")
         if self.steps < 2:
             raise UsageError("sweep requires at least 2 steps")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise UsageError(f"sweep allows at most {MAX_SWEEP_STEPS} steps, got {self.steps}")
         if self.variable != "t" and self.fixed.get("t") is None:
             raise UsageError("--t is required when sweeping a mixing parameter")
         if self.variant not in ("literal", "derived"):
@@ -174,8 +180,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     if spec.variable == "t":
         rho = state_at(fixed)
+        d = infer_d(rho.shape[0])
         try:
-            fams = build_mums_grid(standard_basis(infer_d(rho.shape[0])), grid)
+            fams = [standard_family(d, t) for t in grid]
         except ValueError as exc:
             raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
         reports = concurrence_lower_bounds(rho, fams, variant=spec.variant)

@@ -5,12 +5,14 @@ blocks, the admissible sharpness interval for the parameter t, and the
 d+1 POVMs with effects I/d + t*F.  A family is the triple (t, blocks,
 interval): d, kappa(t) and the effects are derived from it, never
 stored.  A grid of t values shares one block array and one interval,
-built once per basis.  The defining trace relations and the 2-design
-property of the effects are verifiable numerically.
+built once per basis; the Gell-Mann blocks and interval are built once
+per dimension and memoised.  The defining trace relations and the
+2-design property of the effects are verifiable numerically.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -167,9 +169,30 @@ def build_mums(basis: OperatorBasis, t: float) -> MumFamily:
     return build_mums_grid(basis, [t])[0]
 
 
+@functools.lru_cache(maxsize=4)
+def _standard_blocks(d: int) -> tuple[np.ndarray, TInterval]:
+    """Blocks and interval of the Gell-Mann basis at d, built once per d.
+
+    The blocks are read-only and the interval is frozen, so every caller
+    may share them.  Four dimensions are kept (a d = 16 entry is 1.1 MB).
+    """
+    blocks = build_f_blocks(standard_basis(d))
+    return blocks, t_interval(blocks, d)
+
+
+def standard_t_range(d: int) -> TInterval:
+    """Admissible t interval of the Gell-Mann basis at d (memoised per d)."""
+    return _standard_blocks(d)[1]
+
+
 def standard_family(d: int, t: float) -> MumFamily:
-    """MUMs from the Gell-Mann basis in its fixed partition."""
-    return build_mums(standard_basis(d), t)
+    """MUMs from the Gell-Mann basis in its fixed partition.
+
+    Every family of one d shares the memoised block array and interval,
+    so families built one t at a time form a grid, as those of
+    ``build_mums_grid`` do.  Raises InadmissibleTError like ``build_mums``.
+    """
+    return _family(float(t), *_standard_blocks(d))
 
 
 @dataclass(frozen=True)
@@ -258,9 +281,10 @@ def _parts_to_complex(parts: dict) -> np.ndarray:
 def save_family(fam: MumFamily, path: str | Path) -> None:
     """Write a family to a JSON file for inspection or reuse.
 
-    Layout: d, t, kappa, t_range, and f_blocks/effects as nested
+    Layout: d, t, kappa, t_range, and f_blocks as nested
     [measurement][outcome] real/imag arrays.  Everything but t and the
-    blocks is derived and is checked again by ``load_family``.
+    blocks is derived and is checked again by ``load_family``; the
+    effects t*F + I/d are not written.
     """
     payload = {
         "format": "mum-family",
@@ -270,7 +294,6 @@ def save_family(fam: MumFamily, path: str | Path) -> None:
         "kappa": fam.kappa,
         "t_range": {"lower": fam.t_range.lower, "upper": fam.t_range.upper},
         "f_blocks": _complex_to_parts(fam.f_blocks),
-        "effects": _complex_to_parts(fam.effects),
     }
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
@@ -280,23 +303,27 @@ def load_family(path: str | Path) -> MumFamily:
 
     The family is rebuilt from t and the blocks through the checks of
     ``build_mums_grid`` and must pass ``verify_mum_relations``.  Stored
-    ``kappa`` and effects must match it within ``TOL.kappa_match``, and
-    ``t_range`` within the relative ``TOL.t_endpoint_slack``.
+    ``kappa`` must match it within ``TOL.kappa_match``, and ``t_range``
+    within the relative ``TOL.t_endpoint_slack``.  Files that also store
+    the effects (as older versions wrote them) must have them match
+    t*F + I/d within ``TOL.kappa_match``.
     """
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != "mum-family":
         raise ValueError(f"{path}: not a mum-family file")
     d = int(payload["d"])
     blocks = _parts_to_complex(payload["f_blocks"])
-    effects = _parts_to_complex(payload["effects"])
-    if blocks.shape != (d + 1, d, d, d) or effects.shape != (d + 1, d, d, d):
+    stored_effects = [_parts_to_complex(payload["effects"])] if "effects" in payload else []
+    if any(arr.shape != (d + 1, d, d, d) for arr in (blocks, *stored_effects)):
         raise ValueError(f"{path}: array shapes do not match d = {d}")
     blocks.setflags(write=False)
     fam = _family(float(payload["t"]), blocks, t_interval(blocks, d))
     stored, rng = TInterval(**payload["t_range"]), fam.t_range
     agrees = {
         "kappa": abs(float(payload["kappa"]) - fam.kappa) <= TOL.kappa_match,
-        "effects": np.abs(effects - fam.effects).max() <= TOL.kappa_match,
+        "effects": all(
+            np.abs(effects - fam.effects).max() <= TOL.kappa_match for effects in stored_effects
+        ),
         "t_range": all(
             math.isclose(getattr(stored, end), getattr(rng, end), rel_tol=TOL.t_endpoint_slack)
             for end in ("lower", "upper")

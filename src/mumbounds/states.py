@@ -31,8 +31,15 @@ def validate_density(rho: np.ndarray) -> list[str]:
     ``rho`` is one square matrix or a stack (k, n, n), checked in one
     vectorised pass with the ``density_*`` tolerances of ``TOL``:
     finiteness before any arithmetic, then Hermiticity and unit trace,
-    then positivity by one batched ``eigvalsh``.  A stack reports the
-    problems of its first state that fails the earliest of these stages.
+    then positivity.  A stack reports the problems of its first state
+    that fails the earliest of these stages.
+
+    Positivity is certified by one batched Cholesky factorisation of
+    rho + (density_psd/2)*I: when it succeeds, the smallest eigenvalue
+    is at least -density_psd/2 up to rounding of order n*eps, well
+    inside the tolerance.  Only when it fails does one batched
+    ``eigvalsh`` decide and name the eigenvalue, so every verdict and
+    message is that of ``eigvalsh``.
     """
     rho = np.asarray(rho)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
@@ -53,6 +60,14 @@ def validate_density(rho: np.ndarray) -> list[str]:
             problems.append(f"trace is {tr.real:.15g}, not 1")
         if problems:
             return problems
+    n = stack.shape[-1]
+    shifted = stack.copy()
+    shifted.reshape(-1, n * n)[:, :: n + 1] += 0.5 * TOL.density_psd  # the diagonals
+    try:
+        np.linalg.cholesky(shifted)
+        return []
+    except np.linalg.LinAlgError:
+        pass
     min_eigs = np.linalg.eigvalsh(stack).min(axis=1)
     negative = min_eigs[min_eigs < -TOL.density_psd]
     return [f"negative eigenvalue {negative[0]:.3e}"] if negative.size else []
@@ -157,11 +172,11 @@ def save_state(rho: np.ndarray, path: str | Path) -> None:
         )
     n = rho.shape[0]
 
+    # "%.17g" formats a float exactly as f"{x:.17g}", -0.0 and subnormals included
+    row_format = "    [" + ", ".join(["%.17g"] * n) + "]"
+
     def block(part: np.ndarray) -> str:
-        rows = [
-            "    [" + ", ".join(f"{x:.17g}" for x in row) + "]" for row in part
-        ]
-        return ",\n".join(rows)
+        return ",\n".join([row_format % tuple(row.tolist()) for row in part])
 
     text = (
         "{\n"

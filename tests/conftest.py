@@ -1,28 +1,24 @@
-import functools
-
 import pytest
 
-from mumbounds.basis import standard_basis
-from mumbounds.mums import build_f_blocks, build_mums, t_interval
+from mumbounds import mums
+
+
+@pytest.fixture(autouse=True)
+def _cold_family_memo():
+    """Start and end every test with an empty Gell-Mann family memo, so that
+    build counts and patched builders do not depend on test order."""
+    mums._standard_blocks.cache_clear()
+    yield
+    mums._standard_blocks.cache_clear()
 
 
 @pytest.fixture(scope="session")
 def family():
-    """Cached construction of the Gell-Mann MUM family at (d, t)."""
-
-    @functools.lru_cache(maxsize=None)
-    def _family(d: int, t: float):
-        return build_mums(standard_basis(d), t)
-
-    return _family
+    """The Gell-Mann MUM family at (d, t), from the library's memo."""
+    return mums.standard_family
 
 
 @pytest.fixture(scope="session")
 def t_range_of():
-    """Cached admissible t interval for the standard basis at dimension d."""
-
-    @functools.lru_cache(maxsize=None)
-    def _interval(d: int):
-        return t_interval(build_f_blocks(standard_basis(d)), d)
-
-    return _interval
+    """The admissible t interval of the Gell-Mann basis at d, from the library's memo."""
+    return mums.standard_t_range

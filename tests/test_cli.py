@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mumbounds.cli import main
-from mumbounds.engine import ThresholdQuery, run_threshold
+from mumbounds.engine import MAX_SWEEP_STEPS, SweepSpec, ThresholdQuery, run_threshold
 from mumbounds.states import save_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -204,6 +204,25 @@ class TestSweep:
         )
         assert code == 1
         assert "steps" in err
+
+    def test_oversized_steps_rejected_before_the_grid_exists(self, capsys, tmp_path, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the sweep grid must not be allocated")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        for steps in (MAX_SWEEP_STEPS + 1, 10**12):
+            code, out, err = run(
+                capsys, "sweep", "--state", "tiles", "--var", "p",
+                "--start", "0", "--stop", "1", "--steps", str(steps),
+                "--t", "0.01", "--out", str(tmp_path / "x.csv"),
+            )
+            assert (code, out) == (1, "")
+            assert err == (
+                f"usage error: sweep allows at most {MAX_SWEEP_STEPS} steps, got {steps}\n"
+            )
+        assert not (tmp_path / "x.csv").exists()
+        # the limit itself is a valid spec
+        SweepSpec("p", 0.0, 1.0, MAX_SWEEP_STEPS, "tiles", fixed={"t": 0.01}).validate()
 
     def test_inadmissible_t_grid_rejected(self, capsys, tmp_path):
         code, _, err = run(

@@ -1,5 +1,7 @@
 """The engine's threshold contract and the scripts built on the engine."""
 
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -148,11 +150,13 @@ def test_sweep_rejects_non_finite_ends():
 
 
 class _Counts:
-    """Counts calls of module attributes, and density eigen-checks of one size.
+    """Counts calls of module attributes, and density factorisations of one size.
 
     ``validate_density`` counts the file check inside ``load_state`` and
-    ``front_door`` the same validator called by the criteria.  An
-    eigen-check of a stack of states counts once, like one of a single state.
+    ``front_door`` the same validator called by the criteria.
+    ``density_cholesky`` counts positivity certificates and
+    ``density_eigvalsh`` eigen-checks; one of a stack of states counts
+    once, like one of a single state.
     """
 
     def __init__(self, monkeypatch, dim):
@@ -168,11 +172,14 @@ class _Counts:
         ):
             self._count(module, name, lambda *args, label=label: label)
         self._count(criteria, "_correlation", lambda *args: f"contract.{args[3]}")
-        self._count(
-            np.linalg,
-            "eigvalsh",
-            lambda a, *args: "density_eigvalsh" if np.shape(a)[-2:] == (dim, dim) else None,
-        )
+        for name in ("cholesky", "eigvalsh"):
+            self._count(
+                np.linalg,
+                name,
+                lambda a, *args, label=f"density_{name}": (
+                    label if np.shape(a)[-2:] == (dim, dim) else None
+                ),
+            )
 
     def _count(self, module, name, key):
         original = getattr(module, name)
@@ -199,15 +206,17 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
         ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
     )
     assert result.found and result.evaluations == 6
-    # one load and its file check, one family, one check at the correlation
-    # front door, one probability contraction; every evaluation reuses it
+    # one load and its file check, one family (blocks and interval built on
+    # this first query at d = 3), one check at the correlation front door,
+    # one probability contraction; every evaluation reuses it.  A valid
+    # state is certified by Cholesky and never reaches eigvalsh.
     assert counts.calls == {
         "load_state": 1,
         "validate_density": 1,
         "build_f_blocks": 1,
         "t_interval": 1,
         "front_door": 1,
-        "density_eigvalsh": 2,
+        "density_cholesky": 2,
         "build_correlation_matrix": 1,
         "contract.P": 1,
     }
@@ -216,19 +225,19 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
 def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
     path = _state_file(tmp_path)
     counts = _Counts(monkeypatch, 9)
-    # blocks and t-interval once per grid; at d = 3 the whole grid is one
-    # chunk: one density check, one block and one probability contraction,
-    # and a stack of mixed states is checked and contracted once
+    # at d = 3 the whole grid is one chunk: one density check, one block and
+    # one probability contraction, and a stack of mixed states is checked
+    # and contracted once; valid states are certified by Cholesky alone
     expected = {
         "load_state": 1,
         "validate_density": 1,
-        "build_f_blocks": 1,
-        "t_interval": 1,
         "front_door": 1,
-        "density_eigvalsh": 2,
+        "density_cholesky": 2,
         "contract.F": 1,
         "contract.P": 1,
     }
+    # blocks and t-interval on the first sweep only: later ones reuse the memo
+    first = {"build_f_blocks": 1, "t_interval": 1}
     for steps in (2, 5, 81):
         for spec in (
             SweepSpec("t", 0.01, 0.1, steps, "file", file=path),
@@ -236,7 +245,62 @@ def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
         ):
             counts.calls.clear()
             run_sweep(spec)
-            assert counts.calls == expected, spec
+            assert counts.calls == {**expected, **first}, spec
+            first = {}
+
+
+def test_an_invalid_file_state_is_decided_by_eigvalsh(monkeypatch, tmp_path):
+    # a failed certificate falls back to one eigen-check, which names the
+    # eigenvalue; the query stops at the file check
+    path = tmp_path / "negative.json"
+    rho = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    path.write_text(json.dumps({"dim": 9, "re": rho.tolist(), "im": np.zeros((9, 9)).tolist()}))
+    query = ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=str(path))
+    counts = _Counts(monkeypatch, 9)
+    with pytest.raises(states.StateFileError, match="negative eigenvalue -1.000e-06"):
+        run_threshold(query)
+    assert counts.calls == {
+        "load_state": 1,
+        "validate_density": 1,
+        "density_cholesky": 1,
+        "density_eigvalsh": 1,
+    }
+
+
+def test_family_memo_builds_once_per_dimension(monkeypatch, tmp_path):
+    counts = _Counts(monkeypatch, 9)
+    queries = [
+        ThresholdQuery(state_family="tiles", t=0.01, search_variable="p"),
+        ThresholdQuery(state_family="tiles", t=0.05, search_variable="p"),
+        ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=_state_file(tmp_path)),
+    ]
+    builds = []
+    for query in queries:
+        counts.calls.clear()
+        run_threshold(query)
+        builds.append((counts.calls["build_f_blocks"], counts.calls["t_interval"]))
+    # the first query at d = 3 builds the blocks and interval, the rest reuse them
+    assert builds == [(1, 1), (0, 0), (0, 0)]
+    blocks, rng = mums._standard_blocks(3)
+    assert not blocks.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rng.upper = 1.0
+    fams = [engine.family_for(3, t) for t in (0.01, 0.05)]
+    assert all(fam.f_blocks is blocks and fam.t_range is rng for fam in fams)
+    assert mums.standard_t_range(3) is rng
+    # another dimension is one more build, and d = 3 stays cached
+    engine.family_for(4, 0.01)
+    engine.family_for(3, 0.01)
+    assert (counts.calls["build_f_blocks"], counts.calls["t_interval"]) == (1, 1)
+
+
+def test_family_memo_is_bounded(monkeypatch):
+    counts = _Counts(monkeypatch, 9)
+    for d in (2, 3, 4, 5, 6, 2):
+        mums.standard_t_range(d)
+    # d = 2 was evicted by the four dimensions that followed it
+    assert counts.calls["build_f_blocks"] == 6
+    assert mums._standard_blocks.cache_info().currsize == 4
 
 
 def _python(*args):

@@ -282,19 +282,52 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         return path
 
+    @staticmethod
+    def _store_effects(fam, payload):
+        """Add the effects to a payload, as older versions of save_family did."""
+        payload["effects"] = {"re": fam.effects.real.tolist(), "im": fam.effects.imag.tolist()}
+
+    def test_does_not_write_the_derived_effects(self, family, tmp_path):
+        path = tmp_path / "family.json"
+        save_family(family(3, 0.08), path)
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"format", "version", "d", "t", "kappa", "t_range", "f_blocks"}
+
+    def test_loads_an_older_file_that_stores_the_effects(self, family, tmp_path):
+        fam = family(3, 0.08)
+        path = self._edited(fam, tmp_path / "family.json", lambda p: self._store_effects(fam, p))
+        loaded = load_family(path)
+        assert loaded.t == fam.t and loaded.t_range == fam.t_range
+        assert np.array_equal(loaded.effects, fam.effects)
+
+    def test_rejects_stored_effects_of_another_shape(self, family, tmp_path):
+        fam = family(3, 0.08)
+
+        def truncate(payload):
+            self._store_effects(fam, payload)
+            del payload["effects"]["re"][-1], payload["effects"]["im"][-1]
+
+        path = self._edited(fam, tmp_path / "family.json", truncate)
+        with pytest.raises(ValueError, match="array shapes do not match d = 3"):
+            load_family(path)
+
     @pytest.mark.parametrize(
         "keys",
         [("kappa",), ("effects", "re", 1, 2, 0, 0), ("t_range", "upper")],
         ids=["kappa", "effects", "t_range"],
     )
     def test_rejects_stored_values_that_disagree(self, keys, family, tmp_path):
+        fam = family(3, 0.08)
+
         def nudge(payload):
+            if keys[0] == "effects":  # only older files store them
+                self._store_effects(fam, payload)
             *outer, last = keys
             for key in outer:
                 payload = payload[key]
             payload[last] += 1e-9
 
-        path = self._edited(family(3, 0.08), tmp_path / "family.json", nudge)
+        path = self._edited(fam, tmp_path / "family.json", nudge)
         name = keys[0]
         with pytest.raises(ValueError, match=f"stored {name} disagree with what t and the blocks"):
             load_family(path)

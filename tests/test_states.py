@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mumbounds.config import TOL
 from mumbounds.linalg import partial_transpose, schmidt_decompose
 from mumbounds.states import (
     StateFileError,
@@ -253,16 +254,109 @@ class TestValidateDensity:
         assert validate_density(np.stack([negative, skew])) == validate_density(skew)
         assert validate_density(np.stack([negative, skew, nan])) == validate_density(nan)
         assert any("square" in p for p in validate_density(np.zeros((2, 3, 4))))
+        assert validate_density(np.zeros((0, 4, 4))) == []  # no state, so none invalid
 
-    def test_stack_is_one_batched_eigen_check(self, monkeypatch):
+    def test_stack_is_one_batched_positivity_check(self, monkeypatch):
         calls = []
-        original = np.linalg.eigvalsh
+        for name in ("cholesky", "eigvalsh"):
+            original = getattr(np.linalg, name)
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return original(a, *args, **kwargs)
+            def counted(a, *args, name=name, original=original, **kwargs):
+                calls.append((name, np.shape(a)))
+                return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         stack = np.stack([random_density(9, seed=s) for s in range(5)])
+        # a valid stack is certified by one Cholesky factorisation
         assert validate_density(stack) == []
-        assert calls == [(5, 9, 9)]
+        assert calls == [("cholesky", (5, 9, 9))]
+        # an invalid one is then decided by one eigen-check
+        calls.clear()
+        stack[3] = np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0, 0])
+        assert validate_density(stack) == ["negative eigenvalue -2.000e-01"]
+        assert calls == [("cholesky", (5, 9, 9)), ("eigvalsh", (5, 9, 9))]
+
+
+def _eigvalsh_decision(stack):
+    """Positivity as decided by the eigenvalues alone, with the validator's message."""
+    min_eigs = np.linalg.eigvalsh(stack).min(axis=-1).ravel()
+    negative = min_eigs[min_eigs < -TOL.density_psd]
+    return [f"negative eigenvalue {negative[0]:.3e}"] if negative.size else []
+
+
+def _boundary_state(n, lam_min, rank, seed):
+    """U diag(lam) U^dag: one eigenvalue lam_min, rank positive ones, the rest 0."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(z)
+    lam = np.zeros(n)
+    lam[0] = lam_min
+    lam[1 : rank + 1] = rng.uniform(0.5, 1.0, rank)
+    lam[1 : rank + 1] *= (1.0 - lam_min) / lam[1 : rank + 1].sum()
+    rho = (u * lam) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_positivity_certificate_agrees_with_eigvalsh(d, monkeypatch):
+    n = d * d
+    factors = (0.0, -0.4, -0.6, -0.99, -1.01, -2.0)  # lam_min in units of density_psd
+    states = [
+        _boundary_state(n, factor * TOL.density_psd, rank, seed=100 * d + 10 * rank + i)
+        for rank in (1, max(2, n // 3))  # pure but for lam_min, and rank-deficient
+        for i, factor in enumerate(factors)
+    ]
+    stacks = [np.stack(s) for s in (states, states[::-1], states[:4], states[:2])]
+    expected = [_eigvalsh_decision(rho) for rho in states + stacks]
+    assert [bool(problems) for problems in expected[:12]] == ([False] * 4 + [True] * 2) * 2
+
+    eigen_checks = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        eigen_checks.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    checked = []
+    for rho, problems in zip(states + stacks, expected):
+        eigen_checks.clear()
+        assert validate_density(rho) == problems
+        checked.append(len(eigen_checks))
+    # lam_min >= -density_psd/2 is certified without an eigen-check and
+    # eigvalsh decides below that, so both branches are exercised; a stack
+    # is certified only when all of its states are
+    assert checked == [0, 0, 1, 1, 1, 1] * 2 + [1, 1, 1, 0]
+
+
+def _save_state_reference(rho, path):
+    """save_state's text as one f-string per entry, the writer's plain definition."""
+    n = rho.shape[0]
+
+    def block(part):
+        return ",\n".join(
+            "    [" + ", ".join(f"{x:.17g}" for x in row) + "]" for row in part
+        )
+
+    path.write_text(
+        "{\n"
+        f'  "dim": {n},\n'
+        '  "re": [\n' + block(rho.real) + "\n  ],\n"
+        '  "im": [\n' + block(rho.imag) + "\n  ]\n"
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_save_state_bytes_equal_the_plain_writer(d, tmp_path):
+    rho = mix_with_white_noise(random_density(d * d, seed=d), 0.2)  # stays positive when edited
+    for (i, j), value in (((0, 1), -0.0), ((0, 2), 5e-324), ((1, 3), 1e-300), ((2, 3), -2.5e-310)):
+        rho[i, j] = complex(value, -0.0)
+        rho[j, i] = complex(value, 0.0)
+    rho[1, 1] = complex(rho[1, 1].real, -0.0)
+    save_state(rho, tmp_path / "fast.json")
+    _save_state_reference(rho, tmp_path / "plain.json")
+    text = (tmp_path / "fast.json").read_bytes()
+    assert text == (tmp_path / "plain.json").read_bytes()
+    assert b"-0, " in text and b"4.9406564584124654e-324" in text and b"1e-300" in text
+    assert np.array_equal(load_state(tmp_path / "fast.json"), rho)
