@@ -112,12 +112,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    try:  # the admissibility test of every family build
+        standard_family(args.d, args.t)
+        admissible = True
+    except InadmissibleTError:
+        admissible = False
     rng = standard_t_range(args.d)
     print(f"d={args.d}")
     print(f"t={format_value(args.t)}")
     print(f"kappa={format_value(kappa_of_t(args.d, args.t))}")
     print(f"kappa_optimal={format_value(optimal_kappa(args.d))}")
-    admissible = args.t != 0.0 and rng.contains(args.t)
     print(f"t_admissible={'yes' if admissible else 'no'}")
     print(f"t_interval=[{format_value(rng.lower)}, {format_value(rng.upper)}]")
     return 0
@@ -137,12 +141,14 @@ def cmd_bound(args) -> int:
     rho = make_state(args.state, args.file, vars(args))
     d = infer_d(rho.shape[0])
     fam = family_for(d, args.t)
-    report = concurrence_lower_bound(rho, fam, variant=args.variant, tol=args.tol)
+    report = concurrence_lower_bound(rho, fam, tol=args.tol)
     print(f"state={args.state}")
     for name, value in (("p", args.p), ("q", args.q), ("upsilon", args.upsilon)):
         if value is not None:
             print(f"{name}={format_value(value)}")
-    fields = report.as_dict()
+    # the headline bound is the chosen variant's coefficient
+    headline = {"bound": getattr(report, f"bound_{args.variant}"), "variant": args.variant}
+    fields = {**report.as_dict(), **headline}
     for key in _BOUND_KEYS:
         print(f"{key}={format_value(fields[key])}")
     if args.out:
@@ -163,7 +169,6 @@ def cmd_sweep(args) -> int:
         steps=args.steps,
         state_family=args.state,
         fixed=fixed,
-        variant=args.variant,
         file=args.file,
     )
     rows = run_sweep(spec)
@@ -287,7 +292,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stop", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--t", type=_finite, help="fixed t when sweeping a mixing parameter")
-    p.add_argument("--variant", choices=("literal", "derived"), default="derived")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -26,7 +26,8 @@ pair, and ``concurrence_lower_bound`` is its one-state case.  Each chunk
 of points is one broadcast matmul contraction, one imaginary-part check
 and one batched SVD per convention, and gives the same doubles as one
 point at a time.  ``build_correlation_matrix`` and ``separability_test``
-take exactly one state.
+take exactly one state; the verdict of ``separability_test`` is that of
+``concurrence_lower_bound``.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ def _check_pair(fam_a: MumFamily, fam_b: MumFamily) -> None:
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
-
-
-def _check_options(variant: str, tol: float) -> None:
-    if variant not in ("literal", "derived"):
-        raise ValueError("variant must be 'literal' or 'derived'")
-    _check_tol(tol)
 
 
 def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -208,9 +203,9 @@ class BoundReport:
 
     ``bound_derived`` carries the proof-consistent coefficient
     sqrt(2(d-1)/d)/(kappa*d - 1), ``bound_literal`` the variant with
-    sqrt(2(d-1)/(d(kappa*d - 1))); both clamp at zero.  The verdict
-    compares the probability-convention trace norm against
-    1 + kappa plus the verdict tolerance.
+    sqrt(2(d-1)/(d(kappa*d - 1))); both clamp at zero, and both are
+    always computed.  The verdict compares the probability-convention
+    trace norm against 1 + kappa plus the verdict tolerance.
     """
 
     d: int
@@ -223,11 +218,6 @@ class BoundReport:
     bound_derived: float
     schmidt_number_lb: float
     verdict: str
-    variant: str = "derived"
-
-    @property
-    def bound(self) -> float:
-        return self.bound_literal if self.variant == "literal" else self.bound_derived
 
     def as_dict(self) -> dict:
         return {
@@ -239,20 +229,12 @@ class BoundReport:
             "threshold": self.separability_threshold,
             "bound_literal": self.bound_literal,
             "bound_derived": self.bound_derived,
-            "bound": self.bound,
             "schmidt_number_lb": self.schmidt_number_lb,
             "verdict": self.verdict,
-            "variant": self.variant,
         }
 
 
-def _verdict(excess: float, tol: float) -> str:
-    return "entangled" if excess > tol else "undetected"
-
-
-def _report(
-    fam: MumFamily, trace_norm_p: float, trace_norm_f: float, variant: str, tol: float
-) -> BoundReport:
+def _report(fam: MumFamily, trace_norm_p: float, trace_norm_f: float, tol: float) -> BoundReport:
     """Both bound variants, the Schmidt bound and the verdict from two trace norms."""
     d = fam.d
     kappa = fam.kappa
@@ -270,8 +252,7 @@ def _report(
         bound_literal=float(literal),
         bound_derived=float(derived),
         schmidt_number_lb=schmidt_number_lower_bound(trace_norm_p, d, kappa),
-        verdict=_verdict(excess, tol),
-        variant=variant,
+        verdict="entangled" if excess > tol else "undetected",
     )
 
 
@@ -282,7 +263,6 @@ def _chunk_points(d: int) -> int:
 def concurrence_lower_bounds(
     rho: np.ndarray,
     families: Sequence[MumFamily],
-    variant: str = "derived",
     tol: float = TOL.verdict,
 ) -> list[BoundReport]:
     """Evaluate ``concurrence_lower_bound`` for one state at a grid of families.
@@ -295,7 +275,7 @@ def concurrence_lower_bounds(
     probability matrices are contracted in chunks of bounded memory, each
     one broadcast contraction and one batched SVD.
     """
-    _check_options(variant, tol)
+    _check_tol(tol)
     families = list(families)
     if not families:
         raise ValueError("at least one family is required")
@@ -313,7 +293,7 @@ def concurrence_lower_bounds(
         ops_p = np.stack([fam.effect_stack() for fam in chunk])
         sv_p = _correlation(realigned, ops_p, ops_p, "P")[1]
         reports += [
-            _report(fam, float(p.sum()), norm_f, variant, tol) for fam, p in zip(chunk, sv_p)
+            _report(fam, float(p.sum()), norm_f, tol) for fam, p in zip(chunk, sv_p)
         ]
     return reports
 
@@ -322,7 +302,6 @@ def concurrence_lower_bounds_of_states(
     states: Iterable[np.ndarray],
     fam_a: MumFamily,
     fam_b: MumFamily | None = None,
-    variant: str = "derived",
     tol: float = TOL.verdict,
 ) -> list[BoundReport]:
     """Evaluate ``concurrence_lower_bound`` for many states at one family pair.
@@ -335,7 +314,7 @@ def concurrence_lower_bounds_of_states(
     and one probability contraction and two batched SVDs.
     """
     fam_b = fam_a if fam_b is None else fam_b
-    _check_options(variant, tol)
+    _check_tol(tol)
     _check_pair(fam_a, fam_b)
     d = fam_a.d
     ops_f, ops_p = _stacks(fam_a, fam_b, "F"), _stacks(fam_a, fam_b, "P")
@@ -347,8 +326,7 @@ def concurrence_lower_bounds_of_states(
         sv_f = _correlation(realigned, *ops_f, "F")[1]
         sv_p = _correlation(realigned, *ops_p, "P")[1]
         reports += [
-            _report(fam_a, float(p.sum()), float(f.sum()), variant, tol)
-            for p, f in zip(sv_p, sv_f)
+            _report(fam_a, float(p.sum()), float(f.sum()), tol) for p, f in zip(sv_p, sv_f)
         ]
     return reports
 
@@ -357,16 +335,14 @@ def concurrence_lower_bound(
     rho: np.ndarray,
     fam_a: MumFamily,
     fam_b: MumFamily | None = None,
-    variant: str = "derived",
     tol: float = TOL.verdict,
 ) -> BoundReport:
     """Evaluate both concurrence bound variants and the separability verdict.
 
-    ``variant`` only selects which number the report headlines; both are
-    always computed.  ``tol`` must be finite and non-negative.  The
-    one-state case of ``concurrence_lower_bounds_of_states``.
+    ``tol`` must be finite and non-negative.  The one-state case of
+    ``concurrence_lower_bounds_of_states``.
     """
-    return concurrence_lower_bounds_of_states([rho], fam_a, fam_b, variant=variant, tol=tol)[0]
+    return concurrence_lower_bounds_of_states([rho], fam_a, fam_b, tol=tol)[0]
 
 
 def separability_test(
@@ -378,9 +354,7 @@ def separability_test(
     """Verdict "entangled" or "undetected" from the trace-norm criterion.
 
     Every separable state stays below 1 + kappa, so "entangled" is
-    conclusive while "undetected" is not.  ``tol`` must be finite and
-    non-negative.
+    conclusive while "undetected" is not.  The verdict of
+    ``concurrence_lower_bound``.
     """
-    _check_tol(tol)
-    corr = build_correlation_matrix(rho, fam_a, fam_b, convention="P")
-    return _verdict(corr.trace_norm - (1.0 + fam_a.kappa), tol)
+    return concurrence_lower_bound(rho, fam_a, fam_b, tol=tol).verdict

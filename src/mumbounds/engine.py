@@ -45,11 +45,13 @@ CSV_HEADER = "var,traceNormP,traceNormF,kappa,threshold,bound_literal,bound_deri
 # 130 MB of rows on a 2-vCPU box, and the rows grow linearly with it.
 MAX_SWEEP_STEPS = 100_000
 
-_SWEEP_VARS = {
-    "tiles": ("t", "p"),
-    "horodecki": ("t", "q", "upsilon"),
-    "file": ("t", "p", "q"),
+# the state parameters each family takes; giving any other one is a UsageError
+_STATE_PARAMS = {
+    "tiles": ("p",),
+    "horodecki": ("q", "upsilon"),
+    "file": ("p", "q"),
 }
+_SWEEP_VARS = {family: ("t", *params) for family, params in _STATE_PARAMS.items()}
 # the white-noise weights of each family; at weight 0 every state is I/d^2
 _SEARCH_VARS = {
     "tiles": ("p",),
@@ -88,8 +90,18 @@ def family_for(d: int, t: float) -> MumFamily:
 
 
 def make_state(family: str, file: str | None, params: dict) -> np.ndarray:
-    """Build a state of a family; ``params`` may hold p, q and upsilon."""
+    """Build a state of a family from the p, q and upsilon in ``params``.
+
+    A parameter that is given (not None) but that the family does not
+    take is a UsageError, as is an unknown family.
+    """
+    if family not in _STATE_PARAMS:
+        raise UsageError(f"unknown state family {family!r}")
     p, q, upsilon = params.get("p"), params.get("q"), params.get("upsilon")
+    given = {"p": p, "q": q, "upsilon": upsilon}
+    ignored = [k for k, v in given.items() if v is not None and k not in _STATE_PARAMS[family]]
+    if ignored:
+        raise UsageError(f"the {family} family does not take --{', --'.join(ignored)}")
     if family == "tiles":
         return tiles_noisy(1.0 if p is None else p)
     if family == "horodecki":
@@ -106,7 +118,6 @@ def make_state(family: str, file: str | None, params: dict) -> np.ndarray:
         if weight is not None:
             rho = mix_with_white_noise(rho, weight)
         return rho
-    raise UsageError(f"unknown state family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,6 @@ class SweepSpec:
     steps: int
     state_family: str               # tiles | horodecki | file
     fixed: dict = field(default_factory=dict)
-    variant: str = "derived"
     file: str | None = None
 
     def validate(self) -> None:
@@ -141,8 +151,6 @@ class SweepSpec:
             raise UsageError(f"sweep allows at most {MAX_SWEEP_STEPS} steps, got {self.steps}")
         if self.variable != "t" and self.fixed.get("t") is None:
             raise UsageError("--t is required when sweeping a mixing parameter")
-        if self.variant not in ("literal", "derived"):
-            raise UsageError("variant must be 'literal' or 'derived'")
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             fams = [standard_family(d, t) for t in grid]
         except ValueError as exc:
             raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
-        reports = concurrence_lower_bounds(rho, fams, variant=spec.variant)
+        reports = concurrence_lower_bounds(rho, fams)
     else:
         if spec.variable == "upsilon":
             probe = state_at({**fixed, "upsilon": float(grid[0])})
@@ -201,7 +209,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
         fam = family_for(infer_d(probe.shape[0]), fixed["t"])
         states = (state(float(v)) for v in grid)  # built as each chunk is evaluated
-        reports = concurrence_lower_bounds_of_states(states, fam, variant=spec.variant)
+        reports = concurrence_lower_bounds_of_states(states, fam)
 
     return [{"var": float(value), **report.as_dict()} for value, report in zip(grid, reports)]
 

@@ -62,8 +62,8 @@ class TInterval:
     lower: float
     upper: float
 
-    def contains(self, t: float, slack: float = TOL.t_endpoint_slack) -> bool:
-        # relative slack so the exact endpoints are admissible
+    def contains(self, t: float) -> bool:
+        slack = TOL.t_endpoint_slack  # relative, so the exact endpoints are admissible
         lo = self.lower - slack * abs(self.lower)
         hi = self.upper + slack * abs(self.upper)
         return lo <= t <= hi
@@ -199,8 +199,9 @@ def standard_family(d: int, t: float) -> MumFamily:
 class MumRelationReport:
     """Maximum absolute deviations from the MUM defining relations.
 
-    ``passed`` tests the trace and Gram relations only: those force each
-    measurement to sum to I, so ``completeness`` is a diagnostic.
+    ``passed`` tests the trace and Gram relations against
+    ``TOL.mum_relations``: those force each measurement to sum to I, so
+    ``completeness`` is a diagnostic.
     """
 
     trace_one: float
@@ -208,11 +209,10 @@ class MumRelationReport:
     within_basis: float
     completeness: float
     min_effect_eigenvalue: float
-    tolerance: float = TOL.mum_relations
 
     @property
     def passed(self) -> bool:
-        return max(self.trace_one, self.cross_basis, self.within_basis) < self.tolerance
+        return max(self.trace_one, self.cross_basis, self.within_basis) < TOL.mum_relations
 
 
 def verify_mum_relations(fam: MumFamily) -> MumRelationReport:
@@ -311,6 +311,9 @@ def load_family(path: str | Path) -> MumFamily:
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != "mum-family":
         raise ValueError(f"{path}: not a mum-family file")
+    for key in ("d", "t", "kappa", "t_range", "f_blocks"):
+        if key not in payload:
+            raise ValueError(f"{path}: missing field {key!r}")
     d = int(payload["d"])
     blocks = _parts_to_complex(payload["f_blocks"])
     stored_effects = [_parts_to_complex(payload["effects"])] if "effects" in payload else []

@@ -33,8 +33,8 @@ from mumbounds.states import (
 )
 
 
-def _reference_report(rho, fam, variant="derived"):
-    report = concurrence_lower_bound(rho, fam, variant=variant)
+def _reference_report(rho, fam):
+    report = concurrence_lower_bound(rho, fam)
     assert report.trace_norm_p == build_correlation_matrix(rho, fam, convention="P").trace_norm
     assert report.trace_norm_f == build_correlation_matrix(rho, fam, convention="F").trace_norm
     return report
@@ -61,7 +61,7 @@ def _reference_csv(spec):
     grid, points = _reference_points(spec)
     rows = []
     for value, (rho, fam) in zip(grid, points):
-        report = _reference_report(rho, fam, spec.variant)
+        report = _reference_report(rho, fam)
         rows.append(
             {
                 "var": float(value),
@@ -101,8 +101,8 @@ def test_horodecki_upsilon_grid():
     grid = np.linspace(0.0, 1.0, 101)
     fam = build_mums(standard_basis(3), 0.08)
     states = [horodecki_noisy(float(v), 0.995) for v in grid]
-    batched = concurrence_lower_bounds_of_states(np.stack(states), fam, variant="literal")
-    assert batched == [_reference_report(rho, fam, "literal") for rho in states]
+    batched = concurrence_lower_bounds_of_states(np.stack(states), fam)
+    assert batched == [_reference_report(rho, fam) for rho in states]
     _assert_sweep_matches(
         SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08})
     )

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from mumbounds.cli import main
-from mumbounds.engine import MAX_SWEEP_STEPS, SweepSpec, ThresholdQuery, run_threshold
+from mumbounds.engine import (
+    MAX_SWEEP_STEPS,
+    SweepSpec,
+    ThresholdQuery,
+    format_value,
+    run_threshold,
+)
 from mumbounds.states import save_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,6 +68,21 @@ class TestKappaAndRange:
         assert float(values["kappa_optimal"]) == pytest.approx(1 / 3 + 2 / 9, abs=1e-12)
         assert values["t_admissible"] == "yes"
 
+    @pytest.mark.parametrize("t", ["1e-300", "0"])
+    def test_t_giving_kappa_one_over_d_is_not_admissible(self, capsys, t):
+        code, out, _ = run(capsys, "kappa", "--d", "3", "--t", t)
+        assert code == 0
+        assert parse_kv(out)["t_admissible"] == "no"
+        assert run(capsys, "verify", "--d", "3", "--t", t)[0] == 1
+
+    @pytest.mark.parametrize("end", [None, "lower", "upper"])
+    def test_admissible_t_and_exact_endpoints(self, capsys, t_range_of, end):
+        t = 0.05 if end is None else getattr(t_range_of(3), end)
+        code, out, _ = run(capsys, "kappa", "--d", "3", f"--t={t!r}")
+        assert code == 0
+        assert parse_kv(out)["t_admissible"] == "yes"
+        assert run(capsys, "verify", "--d", "3", f"--t={t!r}")[0] == 0
+
     def test_t_range_output(self, capsys):
         code, out, _ = run(capsys, "t-range", "--d", "3")
         assert code == 0
@@ -106,6 +127,23 @@ class TestBound:
         payload = json.loads(out_path.read_text())
         assert payload["verdict"] == "entangled"
         assert payload["traceNormP"] == pytest.approx(1.3350415782, abs=1e-9)
+
+    @pytest.mark.parametrize("variant", ["literal", "derived"])
+    def test_variant_chooses_the_headline(self, capsys, tmp_path, variant):
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "bound", "--state", "tiles", "--p", "1", "--t", "0.05",
+            "--variant", variant, "--out", str(out_path),
+        )
+        assert code == 0
+        values = parse_kv(out)
+        assert values["bound_literal"] != values["bound_derived"]
+        assert values["bound"] == values[f"bound_{variant}"]
+        payload = json.loads(out_path.read_text())
+        assert payload["variant"] == variant
+        assert payload["bound"] == payload[f"bound_{variant}"]
+        for key in ("bound", "bound_literal", "bound_derived"):
+            assert format_value(payload[key]) == values[key]
 
     def test_invalid_tolerance_rejected(self, capsys):
         # a negative tolerance would certify the separable I/9, a NaN one
@@ -164,6 +202,17 @@ class TestSweep:
         assert len(lines) == 6
         values = [float(line.split(",")[0]) for line in lines[1:]]
         assert values == sorted(values)
+
+    def test_variant_is_not_a_sweep_flag(self, capsys, tmp_path):
+        # every sweep row carries both bounds, so there is no headline to choose
+        code, _, err = run(
+            capsys, "sweep", "--state", "tiles", "--p", "1", "--var", "t",
+            "--start", "0.01", "--stop", "0.02", "--steps", "2",
+            "--variant", "literal", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 1
+        assert "--variant" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_deterministic_output(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -344,6 +393,36 @@ class TestThreshold:
             capsys, "threshold", "--state", "horodecki", "--upsilon", "0.2", "--t", "0.5",
         )
         assert code == 1
+
+
+class TestIgnoredParameters:
+    """A state parameter that the family does not take is a usage error, not
+    echoed and then ignored: tiles takes p, horodecki q and upsilon, a file
+    p or q."""
+
+    @pytest.mark.parametrize(
+        "argv, ignored",
+        [
+            (("bound", "--state", "tiles", "--p", "0.99", "--q", "0.3", "--upsilon", "0.5",
+              "--t", "0.05"), ("--q", "--upsilon")),
+            (("bound", "--state", "file", "--file", "{tmp}/mixed.json", "--upsilon", "0.5",
+              "--t", "0.05"), ("--upsilon",)),
+            (("sweep", "--state", "horodecki", "--upsilon", "0.2", "--p", "0.9", "--var", "q",
+              "--start", "0", "--stop", "1", "--steps", "3", "--t", "0.01",
+              "--out", "{tmp}/out"), ("--p",)),
+            (("threshold", "--state", "tiles", "--q", "0.3", "--t", "0.05"), ("--q",)),
+            (("gen-state", "--state", "horodecki", "--upsilon", "0.3", "--p", "0.9",
+              "--out", "{tmp}/out"), ("--p",)),
+        ],
+        ids=["bound", "bound-file", "sweep", "threshold", "gen-state"],
+    )
+    def test_rejected_and_named(self, capsys, tmp_path, argv, ignored):
+        save_state(np.eye(9) / 9.0, tmp_path / "mixed.json")
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 1
+        assert out == ""
+        assert all(name in err for name in ignored)
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonFiniteParameters:

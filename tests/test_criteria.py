@@ -268,16 +268,6 @@ class TestConcurrenceBound:
         report = concurrence_lower_bound(_pure_density(psi), family(3, 0.08))
         assert report.bound_derived <= pure_concurrence(psi, 3, 3) + 1e-8
 
-    def test_headline_variant_selection(self, family):
-        rho = _pure_density(max_entangled(3))
-        fam = family(3, 0.08)
-        derived = concurrence_lower_bound(rho, fam, variant="derived")
-        literal = concurrence_lower_bound(rho, fam, variant="literal")
-        assert derived.bound == derived.bound_derived
-        assert literal.bound == literal.bound_literal
-        with pytest.raises(ValueError, match="variant"):
-            concurrence_lower_bound(rho, fam, variant="best")
-
 
     def test_tolerance_must_be_finite_and_non_negative(self, family):
         fam = family(3, 0.05)

@@ -347,6 +347,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not give a mutually unbiased measurement"):
             load_family(path)
 
+    @pytest.mark.parametrize("name", ["f_blocks", "t", "t_range", "kappa", "d"])
+    def test_names_a_missing_field(self, name, family, tmp_path):
+        path = self._edited(family(3, 0.08), tmp_path / "family.json", lambda p: p.pop(name))
+        with pytest.raises(ValueError) as raised:
+            load_family(path)
+        assert str(raised.value) == f"{path}: missing field '{name}'"
+
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
