@@ -24,6 +24,7 @@ from .engine import (
     SweepSpec,
     ThresholdQuery,
     UsageError,
+    check_params,
     family_for,
     format_value,
     infer_d,
@@ -86,8 +87,8 @@ def _finite(text: str) -> float:
 def cmd_verify(args) -> int:
     try:
         fam = standard_family(args.d, args.t)
-    except InadmissibleTError as exc:
-        rng = exc.t_range
+    except InadmissibleTError:
+        rng = standard_t_range(args.d)
         if args.t != 0.0 and rng.contains(args.t):
             raise  # a nonzero t below float resolution, where kappa = 1/d
         print(
@@ -160,7 +161,7 @@ def cmd_sweep(args) -> int:
     fixed = {
         key: value
         for key, value in (("t", args.t), ("p", args.p), ("q", args.q), ("upsilon", args.upsilon))
-        if value is not None and key != args.var
+        if value is not None
     }
     spec = SweepSpec(
         variable=args.var,
@@ -182,7 +183,7 @@ def cmd_threshold(args) -> int:
     fixed = {
         key: value
         for key, value in (("p", args.p), ("q", args.q), ("upsilon", args.upsilon))
-        if value is not None and key != search
+        if value is not None
     }
     query = ThresholdQuery(
         state_family=args.state,
@@ -214,17 +215,17 @@ def cmd_threshold(args) -> int:
 def cmd_gen_state(args) -> int:
     if args.state in ("tiles", "horodecki"):
         rho = make_state(args.state, None, vars(args))
-    elif args.state == "max-entangled":
+    else:  # max-entangled or random: a dimension and no parameter
+        check_params(args.state, vars(args), ())
         if args.d is None:
-            raise UsageError("--d is required for the max-entangled family")
-        psi = max_entangled(args.d)
-        rho = np.outer(psi, psi.conj())
-    elif args.state == "random":
-        if args.d is None:
-            raise UsageError("--d is required for the random family")
-        rho = random_density(args.d * args.d, seed=args.seed)
-    else:
-        raise UsageError(f"unknown state family {args.state!r}")
+            raise UsageError(f"--d is required for the {args.state} family")
+        if args.d < 2:
+            raise ValueError("dimension must be at least 2")
+        if args.state == "random":
+            rho = random_density(args.d * args.d, seed=args.seed)
+        else:
+            psi = max_entangled(args.d)
+            rho = np.outer(psi, psi.conj())
     save_state(rho, args.out)
     print(f"wrote {args.out}")
     return 0

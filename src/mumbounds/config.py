@@ -20,7 +20,7 @@ class Tolerances:
     correlation_imaginary: float = 1e-10  # largest imaginary part of a correlation entry
     schmidt_rank: float = 1e-9          # singular values above this count toward rank
     mum_relations: float = 1e-9
-    kappa_match: float = 1e-12          # kappa of paired families; stored kappa and effects
+    kappa_match: float = 1e-12          # kappa of paired families and of a family file
     verdict: float = 1e-9               # margin on trace norm vs 1 + kappa
     t_endpoint_slack: float = 1e-12     # relative slack admitting interval endpoints
 

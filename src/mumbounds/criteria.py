@@ -1,13 +1,13 @@
 """Correlation matrices of paired measurement families and the
 entanglement criteria built on their trace norms.
 
-Two conventions are exposed for the d(d+1) x d(d+1) correlation matrix
-of a bipartite state: "P" collects the outcome probabilities
-Tr(rho (P x P)) of the POVM effects, "F" the expectations
-Tr(rho (F x F)) of the raw building blocks.  The probability convention
-is the one whose trace norm obeys the separability threshold 1 + kappa
-and the pure-state closed form, so every bound and verdict here is
-computed from it; the block convention is kept as a diagnostic.
+The correlation matrix of a bipartite state is the d(d+1) x d(d+1)
+matrix of outcome probabilities Tr(rho (P x P)) of the POVM effects.
+Its trace norm obeys the separability threshold 1 + kappa and the
+pure-state closed form, so every bound and verdict here is computed
+from it.  Each report also carries, as a diagnostic, the trace norm of
+the matrix of block expectations Tr(rho (F x F)) of the raw building
+blocks (``BoundReport.trace_norm_f``).
 
 Every matrix is one contraction A @ R @ B^T: A and B are the operator
 stacks of the two families reshaped to (d(d+1), d^2), and R is the
@@ -20,11 +20,11 @@ realigned once however many matrices are contracted from it.
 
 Sweeps are evaluated in stacks: ``concurrence_lower_bounds`` takes one
 state at the families of one t grid, which share one block array
-(``build_mums_grid``), so the block matrix is contracted once;
+(``standard_family``), so the block matrix is contracted once;
 ``concurrence_lower_bounds_of_states`` takes many states at one family
 pair, and ``concurrence_lower_bound`` is its one-state case.  Each chunk
 of points is one broadcast matmul contraction, one imaginary-part check
-and one batched SVD per convention, and gives the same doubles as one
+and one batched SVD per operator stack, and gives the same doubles as one
 point at a time.  ``build_correlation_matrix`` and ``separability_test``
 take exactly one state; the verdict of ``separability_test`` is that of
 ``concurrence_lower_bound``.
@@ -80,9 +80,8 @@ def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _stacks(fam_a: MumFamily, fam_b: MumFamily, convention: str) -> tuple[np.ndarray, ...]:
-    """Operator stacks of a family pair: effects ("P") or blocks ("F")."""
-    stack = MumFamily.effect_stack if convention == "P" else MumFamily.block_stack
+def _stacks(fam_a: MumFamily, fam_b: MumFamily, stack) -> tuple[np.ndarray, ...]:
+    """Operator stacks of a family pair: ``MumFamily.effect_stack`` or ``.block_stack``."""
     ops_a = stack(fam_a)
     return ops_a, ops_a if fam_b is fam_a else stack(fam_b)
 
@@ -98,21 +97,19 @@ def _realigned(states: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Real correlation matrix of a state under two measurement families.
+    """Real probability correlation matrix of a state under two families.
 
     Row r = measurement-major index of the first family, column c of the
     second; ``trace_norm`` equals the sum of ``singular_values``.
     """
 
-    d: int
-    convention: str
     matrix: np.ndarray
     singular_values: np.ndarray
     trace_norm: float
 
 
 def _correlation(
-    realigned: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray, convention: str
+    realigned: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Contract realigned states with operator stacks; (matrices, singular values).
 
@@ -136,28 +133,22 @@ def build_correlation_matrix(
     rho: np.ndarray,
     fam_a: MumFamily,
     fam_b: MumFamily | None = None,
-    convention: str = "P",
 ) -> CorrelationMatrix:
-    """Correlation matrix with entries Tr(rho (X_r x X_c)).
+    """Probability correlation matrix with entries Tr(rho (P_r x P_c)).
 
-    X runs over the effects (convention "P") or the building blocks
-    (convention "F") of the two families, which must share the dimension
-    and the sharpness parameter kappa.  Entry (r, c) pairs operator r of
-    ``fam_a`` on the first factor with operator c of ``fam_b`` on the
-    second, both flattened measurement-major.
+    P runs over the effects of the two families, which must share the
+    dimension and the sharpness parameter kappa.  Entry (r, c) pairs
+    effect r of ``fam_a`` on the first factor with effect c of ``fam_b``
+    on the second, both flattened measurement-major.
     """
     if fam_b is None:
         fam_b = fam_a
     _check_pair(fam_a, fam_b)
-    if convention not in ("P", "F"):
-        raise ValueError("convention must be 'P' or 'F'")
     d = fam_a.d
     matrix, singular_values = _correlation(
-        _realigned(_as_state(rho, d * d), d), *_stacks(fam_a, fam_b, convention), convention
+        _realigned(_as_state(rho, d * d), d), *_stacks(fam_a, fam_b, MumFamily.effect_stack)
     )
     return CorrelationMatrix(
-        d=d,
-        convention=convention,
         matrix=matrix,
         singular_values=singular_values,
         trace_norm=float(singular_values.sum()),
@@ -204,7 +195,7 @@ class BoundReport:
     ``bound_derived`` carries the proof-consistent coefficient
     sqrt(2(d-1)/d)/(kappa*d - 1), ``bound_literal`` the variant with
     sqrt(2(d-1)/(d(kappa*d - 1))); both clamp at zero, and both are
-    always computed.  The verdict compares the probability-convention
+    always computed.  The verdict compares the probability correlation
     trace norm against 1 + kappa plus the verdict tolerance.
     """
 
@@ -267,8 +258,8 @@ def concurrence_lower_bounds(
 ) -> list[BoundReport]:
     """Evaluate ``concurrence_lower_bound`` for one state at a grid of families.
 
-    The families must share one block array, as those of one
-    ``build_mums_grid`` call do; any other input raises ValueError.  The
+    The families must share one block array, as ``standard_family``
+    calls of one d do; any other input raises ValueError.  The
     reports equal one ``concurrence_lower_bound`` call per family, in
     order.  The state is validated and realigned once and its block
     matrix, which does not depend on t, is contracted once; the
@@ -281,17 +272,17 @@ def concurrence_lower_bounds(
         raise ValueError("at least one family is required")
     blocks = getattr(families[0], "f_blocks", None)
     if not all(isinstance(fam, MumFamily) and fam.f_blocks is blocks for fam in families):
-        raise ValueError("families must share one block array; build them with build_mums_grid")
+        raise ValueError("families must share one block array; build them with standard_family")
     d = families[0].d
     realigned = _realigned(_as_state(rho, d * d), d)
     ops_f = families[0].block_stack()
-    norm_f = float(_correlation(realigned, ops_f, ops_f, "F")[1].sum())
+    norm_f = float(_correlation(realigned, ops_f, ops_f)[1].sum())
     step = _chunk_points(d)
     reports = []
     for start in range(0, len(families), step):
         chunk = families[start : start + step]
         ops_p = np.stack([fam.effect_stack() for fam in chunk])
-        sv_p = _correlation(realigned, ops_p, ops_p, "P")[1]
+        sv_p = _correlation(realigned, ops_p, ops_p)[1]
         reports += [
             _report(fam, float(p.sum()), norm_f, tol) for fam, p in zip(chunk, sv_p)
         ]
@@ -317,14 +308,15 @@ def concurrence_lower_bounds_of_states(
     _check_tol(tol)
     _check_pair(fam_a, fam_b)
     d = fam_a.d
-    ops_f, ops_p = _stacks(fam_a, fam_b, "F"), _stacks(fam_a, fam_b, "P")
+    ops_f = _stacks(fam_a, fam_b, MumFamily.block_stack)
+    ops_p = _stacks(fam_a, fam_b, MumFamily.effect_stack)
     step = _chunk_points(d)
     states = iter(states)
     reports = []
     while chunk := [_as_state(rho, d * d) for rho in itertools.islice(states, step)]:
         realigned = _realigned(np.stack(chunk), d)
-        sv_f = _correlation(realigned, *ops_f, "F")[1]
-        sv_p = _correlation(realigned, *ops_p, "P")[1]
+        sv_f = _correlation(realigned, *ops_f)[1]
+        sv_p = _correlation(realigned, *ops_p)[1]
         reports += [
             _report(fam_a, float(p.sum()), float(f.sum()), tol) for p, f in zip(sv_p, sv_f)
         ]

@@ -54,9 +54,8 @@ _STATE_PARAMS = {
 _SWEEP_VARS = {family: ("t", *params) for family, params in _STATE_PARAMS.items()}
 # the white-noise weights of each family; at weight 0 every state is I/d^2
 _SEARCH_VARS = {
-    "tiles": ("p",),
-    "horodecki": ("q",),
-    "file": ("p", "q"),
+    family: tuple(name for name in params if name != "upsilon")
+    for family, params in _STATE_PARAMS.items()
 }
 
 
@@ -89,6 +88,14 @@ def family_for(d: int, t: float) -> MumFamily:
         raise UsageError(str(exc)) from exc
 
 
+def check_params(family: str, params: dict, takes: tuple[str, ...]) -> None:
+    """Raise UsageError naming each of p, q and upsilon that ``params``
+    gives (not None) but that is not in ``takes``, the family's parameters."""
+    ignored = [k for k in ("p", "q", "upsilon") if params.get(k) is not None and k not in takes]
+    if ignored:
+        raise UsageError(f"the {family} family does not take --{', --'.join(ignored)}")
+
+
 def make_state(family: str, file: str | None, params: dict) -> np.ndarray:
     """Build a state of a family from the p, q and upsilon in ``params``.
 
@@ -97,11 +104,8 @@ def make_state(family: str, file: str | None, params: dict) -> np.ndarray:
     """
     if family not in _STATE_PARAMS:
         raise UsageError(f"unknown state family {family!r}")
+    check_params(family, params, _STATE_PARAMS[family])
     p, q, upsilon = params.get("p"), params.get("q"), params.get("upsilon")
-    given = {"p": p, "q": q, "upsilon": upsilon}
-    ignored = [k for k, v in given.items() if v is not None and k not in _STATE_PARAMS[family]]
-    if ignored:
-        raise UsageError(f"the {family} family does not take --{', --'.join(ignored)}")
     if family == "tiles":
         return tiles_noisy(1.0 if p is None else p)
     if family == "horodecki":
@@ -149,6 +153,8 @@ class SweepSpec:
             raise UsageError("sweep requires at least 2 steps")
         if self.steps > MAX_SWEEP_STEPS:
             raise UsageError(f"sweep allows at most {MAX_SWEEP_STEPS} steps, got {self.steps}")
+        if self.fixed.get(self.variable) is not None:
+            raise UsageError(f"--{self.variable} is the swept variable and cannot be given")
         if self.variable != "t" and self.fixed.get("t") is None:
             raise UsageError("--t is required when sweeping a mixing parameter")
 
@@ -174,6 +180,10 @@ class ThresholdQuery:
                 f"search variable {self.search_variable!r} is not a white-noise "
                 f"weight of the {self.state_family} family (allowed: "
                 f"{', '.join(_SEARCH_VARS[self.state_family])})"
+            )
+        if self.fixed.get(self.search_variable) is not None:
+            raise UsageError(
+                f"--{self.search_variable} is the searched variable and cannot be given"
             )
 
 

@@ -4,10 +4,10 @@ From a partitioned operator basis, build the d(d+1) traceless building
 blocks, the admissible sharpness interval for the parameter t, and the
 d+1 POVMs with effects I/d + t*F.  A family is the triple (t, blocks,
 interval): d, kappa(t) and the effects are derived from it, never
-stored.  A grid of t values shares one block array and one interval,
-built once per basis; the Gell-Mann blocks and interval are built once
-per dimension and memoised.  The defining trace relations and the
-2-design property of the effects are verifiable numerically.
+stored.  The Gell-Mann blocks and interval are built once per dimension
+and memoised, so the families of a grid of t values share one block
+array and one interval.  The defining trace relations and the 2-design
+property of the effects are verifiable numerically.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -123,11 +122,7 @@ class MumFamily:
 
 
 class InadmissibleTError(ValueError):
-    """A t value outside the admissible interval ``t_range``, or degenerate."""
-
-    def __init__(self, message: str, t_range: TInterval):
-        super().__init__(message)
-        self.t_range = t_range
+    """A t value outside the admissible interval of its blocks, or degenerate."""
 
 
 def _family(t: float, blocks: np.ndarray, rng: TInterval) -> MumFamily:
@@ -135,38 +130,25 @@ def _family(t: float, blocks: np.ndarray, rng: TInterval) -> MumFamily:
     d = blocks.shape[-1]
     if kappa_of_t(d, t) * d <= 1.0:  # t = 0 or below float resolution
         raise InadmissibleTError(
-            f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement",
-            rng,
+            f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement"
         )
     if not rng.contains(t):
         raise InadmissibleTError(
             f"t = {t} is outside the admissible interval "
-            f"[{rng.lower:.6f}, {rng.upper:.6f}] for this basis",
-            rng,
+            f"[{rng.lower:.6f}, {rng.upper:.6f}] for this basis"
         )
     return MumFamily(t=t, f_blocks=blocks, t_range=rng)
-
-
-def build_mums_grid(basis: OperatorBasis, ts: Sequence[float]) -> list[MumFamily]:
-    """Construct the d+1 MUMs of a basis at every t of a grid, in order.
-
-    The blocks and the admissible interval are built once, and every
-    family shares that one read-only block array and that one interval.
-    Raises InadmissibleTError, a ValueError, for the first t that is
-    zero (kappa would equal 1/d) or outside the interval.
-    """
-    blocks = build_f_blocks(basis)
-    rng = t_interval(blocks, basis.d)
-    return [_family(float(t), blocks, rng) for t in ts]
 
 
 def build_mums(basis: OperatorBasis, t: float) -> MumFamily:
     """Construct the d+1 MUMs of a basis at sharpness parameter t.
 
-    The one-point grid of ``build_mums_grid``; raises its
-    InadmissibleTError when t is zero or outside the interval.
+    Builds the blocks and their admissible interval.  Raises
+    InadmissibleTError, a ValueError, when t is zero (kappa would equal
+    1/d) or outside the interval.
     """
-    return build_mums_grid(basis, [t])[0]
+    blocks = build_f_blocks(basis)
+    return _family(float(t), blocks, t_interval(blocks, basis.d))
 
 
 @functools.lru_cache(maxsize=4)
@@ -189,8 +171,8 @@ def standard_family(d: int, t: float) -> MumFamily:
     """MUMs from the Gell-Mann basis in its fixed partition.
 
     Every family of one d shares the memoised block array and interval,
-    so families built one t at a time form a grid, as those of
-    ``build_mums_grid`` do.  Raises InadmissibleTError like ``build_mums``.
+    so ``[standard_family(d, t) for t in ts]`` is a grid of families.
+    Raises InadmissibleTError like ``build_mums``.
     """
     return _family(float(t), *_standard_blocks(d))
 
@@ -302,11 +284,10 @@ def load_family(path: str | Path) -> MumFamily:
     """Read a family back from the JSON layout written by save_family.
 
     The family is rebuilt from t and the blocks through the checks of
-    ``build_mums_grid`` and must pass ``verify_mum_relations``.  Stored
+    ``build_mums`` and must pass ``verify_mum_relations``.  Stored
     ``kappa`` must match it within ``TOL.kappa_match``, and ``t_range``
-    within the relative ``TOL.t_endpoint_slack``.  Files that also store
-    the effects (as older versions wrote them) must have them match
-    t*F + I/d within ``TOL.kappa_match``.
+    within the relative ``TOL.t_endpoint_slack``.  Any other field, such
+    as the effects that older versions wrote, is ignored.
     """
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != "mum-family":
@@ -316,17 +297,13 @@ def load_family(path: str | Path) -> MumFamily:
             raise ValueError(f"{path}: missing field {key!r}")
     d = int(payload["d"])
     blocks = _parts_to_complex(payload["f_blocks"])
-    stored_effects = [_parts_to_complex(payload["effects"])] if "effects" in payload else []
-    if any(arr.shape != (d + 1, d, d, d) for arr in (blocks, *stored_effects)):
-        raise ValueError(f"{path}: array shapes do not match d = {d}")
+    if blocks.shape != (d + 1, d, d, d):
+        raise ValueError(f"{path}: f_blocks shape does not match d = {d}")
     blocks.setflags(write=False)
     fam = _family(float(payload["t"]), blocks, t_interval(blocks, d))
     stored, rng = TInterval(**payload["t_range"]), fam.t_range
     agrees = {
         "kappa": abs(float(payload["kappa"]) - fam.kappa) <= TOL.kappa_match,
-        "effects": all(
-            np.abs(effects - fam.effects).max() <= TOL.kappa_match for effects in stored_effects
-        ),
         "t_range": all(
             math.isclose(getattr(stored, end), getattr(rng, end), rel_tol=TOL.t_endpoint_slack)
             for end in ("lower", "upper")

@@ -3,8 +3,9 @@
 The reference below builds every family with ``build_mums`` and every
 state as the sweep engine does, and evaluates each point on its own with
 ``concurrence_lower_bound``, whose trace norms it also checks against
-``build_correlation_matrix``.  Every report field and every CSV byte
-must be equal, not merely close.
+``build_correlation_matrix`` and one unstacked contraction of the
+blocks.  Every report field and every CSV byte must be equal, not merely
+close.
 """
 
 import math
@@ -22,7 +23,7 @@ from mumbounds.criteria import (
     separability_test,
 )
 from mumbounds.engine import SweepSpec, UsageError, make_state, render_csv, run_sweep
-from mumbounds.mums import build_mums, build_mums_grid
+from mumbounds.mums import build_mums, standard_family
 from mumbounds.states import (
     horodecki_noisy,
     mix_with_white_noise,
@@ -35,9 +36,16 @@ from mumbounds.states import (
 
 def _reference_report(rho, fam):
     report = concurrence_lower_bound(rho, fam)
-    assert report.trace_norm_p == build_correlation_matrix(rho, fam, convention="P").trace_norm
-    assert report.trace_norm_f == build_correlation_matrix(rho, fam, convention="F").trace_norm
+    assert report.trace_norm_p == build_correlation_matrix(rho, fam).trace_norm
+    realigned = criteria._realigned(np.asarray(rho, dtype=complex), fam.d)
+    blocks = fam.block_stack()
+    assert report.trace_norm_f == criteria._correlation(realigned, blocks, blocks)[1].sum()
     return report
+
+
+def _label(ops):
+    """"P" for a stack of effects (unit trace), "F" for one of blocks (traceless)."""
+    return "P" if abs(np.trace(ops.reshape(-1, *ops.shape[-2:])[0]) - 1.0) < 1e-9 else "F"
 
 
 def _reference_points(spec):
@@ -90,7 +98,7 @@ def test_tiles_t_grid(t_range_of):
     grid = _tiles_grid(t_range_of)
     rho = tiles_noisy(0.99)
     basis = standard_basis(3)
-    batched = concurrence_lower_bounds(rho, build_mums_grid(basis, grid))
+    batched = concurrence_lower_bounds(rho, [standard_family(3, t) for t in grid])
     assert batched == [_reference_report(rho, build_mums(basis, float(t))) for t in grid]
     _assert_sweep_matches(
         SweepSpec("t", grid[0], grid[-1], 81, "tiles", fixed={"p": 0.99})
@@ -139,9 +147,9 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     contractions = []
     original = criteria._correlation
 
-    def counted(realigned, ops_a, ops_b, convention):
-        contractions.append(convention)
-        return original(realigned, ops_a, ops_b, convention)
+    def counted(realigned, ops_a, ops_b):
+        contractions.append(_label(ops_a))
+        return original(realigned, ops_a, ops_b)
 
     monkeypatch.setattr(criteria, "_correlation", counted)
     chunks = math.ceil(7 / points_per_chunk)
@@ -151,7 +159,7 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     basis = standard_basis(3)
     expected = [_reference_report(rho, build_mums(basis, float(t))) for t in grid]
     contractions.clear()
-    assert concurrence_lower_bounds(rho, build_mums_grid(basis, grid)) == expected
+    assert concurrence_lower_bounds(rho, [standard_family(3, t) for t in grid]) == expected
     assert contractions.count("P") == chunks and contractions.count("F") == 1
 
     fam = build_mums(basis, 0.08)
@@ -199,7 +207,6 @@ def test_single_state_entry_points_reject_a_stack(family):
     stack = np.stack([np.eye(9, dtype=complex) / 9.0] * 2)
     for call in (
         lambda: build_correlation_matrix(stack, fam),
-        lambda: build_correlation_matrix(stack, fam, convention="F"),
         lambda: separability_test(stack, fam),
         lambda: concurrence_lower_bound(stack, fam),
         lambda: concurrence_lower_bounds(stack, [fam]),

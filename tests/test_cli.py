@@ -398,10 +398,11 @@ class TestThreshold:
 class TestIgnoredParameters:
     """A state parameter that the family does not take is a usage error, not
     echoed and then ignored: tiles takes p, horodecki q and upsilon, a file
-    p or q."""
+    p or q, random and max-entangled none.  So is a value for the variable
+    that a sweep varies or a threshold searches."""
 
     @pytest.mark.parametrize(
-        "argv, ignored",
+        "argv, named",
         [
             (("bound", "--state", "tiles", "--p", "0.99", "--q", "0.3", "--upsilon", "0.5",
               "--t", "0.05"), ("--q", "--upsilon")),
@@ -413,15 +414,31 @@ class TestIgnoredParameters:
             (("threshold", "--state", "tiles", "--q", "0.3", "--t", "0.05"), ("--q",)),
             (("gen-state", "--state", "horodecki", "--upsilon", "0.3", "--p", "0.9",
               "--out", "{tmp}/out"), ("--p",)),
+            (("gen-state", "--state", "random", "--d", "3", "--p", "0.5", "--upsilon", "0.2",
+              "--out", "{tmp}/out"), ("--p", "--upsilon")),
+            (("gen-state", "--state", "max-entangled", "--d", "3", "--q", "0.5",
+              "--out", "{tmp}/out"), ("--q",)),
+            (("threshold", "--state", "tiles", "--p", "0.5", "--t", "0.05"),
+             ("--p is the searched variable",)),
+            (("threshold", "--state", "horodecki", "--upsilon", "0.2", "--q", "0.5",
+              "--t", "0.05"), ("--q is the searched variable",)),
+            (("sweep", "--state", "tiles", "--var", "p", "--p", "0.5", "--start", "0",
+              "--stop", "1", "--steps", "3", "--t", "0.05", "--out", "{tmp}/out"),
+             ("--p is the swept variable",)),
+            (("sweep", "--state", "tiles", "--p", "0.9", "--var", "t", "--t", "0.05",
+              "--start", "0.01", "--stop", "0.1", "--steps", "3", "--out", "{tmp}/out"),
+             ("--t is the swept variable",)),
         ],
-        ids=["bound", "bound-file", "sweep", "threshold", "gen-state"],
+        ids=["bound", "bound-file", "sweep", "threshold", "gen-state", "gen-state-random",
+             "gen-state-max-entangled", "threshold-searched-p", "threshold-searched-q",
+             "sweep-swept-p", "sweep-swept-t"],
     )
-    def test_rejected_and_named(self, capsys, tmp_path, argv, ignored):
+    def test_rejected_and_named(self, capsys, tmp_path, argv, named):
         save_state(np.eye(9) / 9.0, tmp_path / "mixed.json")
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert code == 1
         assert out == ""
-        assert all(name in err for name in ignored)
+        assert all(name in err for name in named)
         assert not (tmp_path / "out").exists()
 
 
@@ -528,6 +545,16 @@ class TestStateFiles:
         )
         assert code == 1
         assert "--d" in err
+
+    @pytest.mark.parametrize("state", ["random", "max-entangled"])
+    @pytest.mark.parametrize("d", ["1", "0", "-3"])
+    def test_gen_state_rejects_a_dimension_below_two(self, capsys, tmp_path, state, d):
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, "gen-state", "--state", state, "--d", d, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert "dimension must be at least 2" in err
+        assert not path.exists()
 
 
 class TestUsage:

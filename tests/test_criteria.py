@@ -20,7 +20,7 @@ from mumbounds.criteria import (
     separability_test,
 )
 from mumbounds.linalg import partial_trace, schmidt_decompose
-from mumbounds.mums import build_mums, build_mums_grid
+from mumbounds.mums import build_mums, standard_family
 from mumbounds.states import (
     max_entangled,
     random_density,
@@ -60,34 +60,39 @@ class TestCorrelationMatrix:
     def test_maximally_mixed(self, family):
         fam = family(3, 0.05)
         rho = np.eye(9) / 9.0
-        corr_p = build_correlation_matrix(rho, fam, convention="P")
+        corr_p = build_correlation_matrix(rho, fam)
         assert np.abs(corr_p.matrix - 1.0 / 9.0).max() < 1e-14
-        corr_f = build_correlation_matrix(rho, fam, convention="F")
-        assert np.abs(corr_f.matrix).max() < 1e-14
+        blocks = fam.block_stack()
+        assert np.abs(_einsum_reference(rho, blocks, blocks)).max() < 1e-14
 
     def test_kron_definition_oracle(self, family):
         # entry (r, c) is Tr(rho (X_r x X_c)) by definition
         fam = family(2, 0.1)
         rho = random_density(4, seed=11)
-        for convention, stack in (
-            ("P", fam.effect_stack()),
-            ("F", fam.block_stack()),
+        blocks = fam.block_stack()
+        for matrix, stack in (
+            (build_correlation_matrix(rho, fam).matrix, fam.effect_stack()),
+            (_einsum_reference(rho, blocks, blocks).real, blocks),
         ):
-            corr = build_correlation_matrix(rho, fam, convention=convention)
             for r in range(6):
                 for c in range(6):
                     expect = np.trace(rho @ np.kron(stack[r], stack[c])).real
-                    assert abs(corr.matrix[r, c] - expect) < 1e-12
+                    assert abs(matrix[r, c] - expect) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])
     def test_contraction_matches_einsum_reference(self, d, family, t_range_of):
         fam = family(d, 0.9 * t_range_of(d).upper)
         rho = random_density(d * d, seed=d)
-        for convention, stack in (("P", fam.effect_stack()), ("F", fam.block_stack())):
-            corr = build_correlation_matrix(rho, fam, convention=convention)
-            expect = _einsum_reference(rho, stack, stack)
-            assert np.abs(corr.matrix - expect.real).max() < 1e-12
-            assert np.abs(expect.imag).max() < 1e-12
+        stack = fam.effect_stack()
+        expect = _einsum_reference(rho, stack, stack)
+        assert np.abs(build_correlation_matrix(rho, fam).matrix - expect.real).max() < 1e-12
+        assert np.abs(expect.imag).max() < 1e-12
+        # the block matrix behind every report's trace_norm_f
+        blocks = fam.block_stack()
+        expect_f = _einsum_reference(rho, blocks, blocks)
+        assert np.abs(expect_f.imag).max() < 1e-12
+        norm_f = np.linalg.svd(expect_f.real, compute_uv=False).sum()
+        assert abs(concurrence_lower_bound(rho, fam).trace_norm_f - norm_f) < 1e-12 * norm_f
 
     def test_contraction_matches_einsum_reference_for_distinct_families(self, family):
         # a permuted basis at -t shares kappa with the standard one at t
@@ -95,20 +100,21 @@ class TestCorrelationMatrix:
         fam_b = _permuted_family(3, -0.05)
         assert fam_b.kappa == fam_a.kappa
         rho = random_density(9, seed=4)
-        for convention, stacks in (
-            ("P", (fam_a.effect_stack(), fam_b.effect_stack())),
-            ("F", (fam_a.block_stack(), fam_b.block_stack())),
-        ):
-            corr = build_correlation_matrix(rho, fam_a, fam_b, convention=convention)
-            assert np.abs(corr.matrix - _einsum_reference(rho, *stacks).real).max() < 1e-12
+        corr = build_correlation_matrix(rho, fam_a, fam_b)
+        expect = _einsum_reference(rho, fam_a.effect_stack(), fam_b.effect_stack())
+        assert np.abs(corr.matrix - expect.real).max() < 1e-12
+        expect_f = _einsum_reference(rho, fam_a.block_stack(), fam_b.block_stack()).real
+        norm_f = np.linalg.svd(expect_f, compute_uv=False).sum()
+        report = concurrence_lower_bound(rho, fam_a, fam_b)
+        assert abs(report.trace_norm_f - norm_f) < 1e-12 * norm_f
 
-    def test_affine_relation_between_conventions(self, family):
+    def test_affine_relation_between_probability_and_block_matrices(self, family):
         # Tr(rho P x P) = 1/d^2 + (t/d) Tr(rho_A F) + (t/d) Tr(rho_B F') + t^2 Tr(rho F x F')
         fam = family(3, 0.05)
         rho = random_density(9, seed=3)
-        corr_p = build_correlation_matrix(rho, fam, convention="P").matrix
-        corr_f = build_correlation_matrix(rho, fam, convention="F").matrix
+        corr_p = build_correlation_matrix(rho, fam).matrix
         stack = fam.block_stack()
+        corr_f = _einsum_reference(rho, stack, stack).real
         rho_a = partial_trace(rho, 3, 3, "A")
         rho_b = partial_trace(rho, 3, 3, "B")
         u = np.einsum("rij,ji->r", stack, rho_a).real
@@ -119,7 +125,7 @@ class TestCorrelationMatrix:
 
     def test_probability_entries_in_unit_interval(self, family):
         fam = family(3, 0.1)
-        corr = build_correlation_matrix(random_density(9, seed=7), fam, convention="P")
+        corr = build_correlation_matrix(random_density(9, seed=7), fam)
         assert corr.matrix.min() >= -1e-12
         assert corr.matrix.max() <= 1.0 + 1e-12
 
@@ -150,9 +156,9 @@ class TestCorrelationMatrix:
         # every entry of I/9 is 1/9; a phase of 1e-6 adds an imaginary part of ~1.1e-7
         realigned = criteria._realigned(np.eye(9) / 9.0, 3) * (1.0 + 1e-6j)
         with pytest.raises(ValueError, match="imaginary part"):
-            criteria._correlation(realigned, ops, ops, "P")
+            criteria._correlation(realigned, ops, ops)
         monkeypatch.setattr(criteria, "TOL", replace(TOL, correlation_imaginary=1e-6))
-        _, singular_values = criteria._correlation(realigned, ops, ops, "P")
+        _, singular_values = criteria._correlation(realigned, ops, ops)
         assert singular_values.sum() == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
 
 
@@ -290,7 +296,6 @@ class TestFrontDoor:
         return (
             lambda: concurrence_lower_bound(rho, fam),
             lambda: build_correlation_matrix(rho, fam),
-            lambda: build_correlation_matrix(rho, fam, convention="F"),
             lambda: separability_test(rho, fam),
             lambda: concurrence_lower_bounds(rho, [fam]),
             lambda: concurrence_lower_bounds_of_states([rho], fam),
@@ -324,7 +329,7 @@ class TestFrontDoor:
 class TestBatchedBounds:
     def test_tiles_t_grid_equals_one_call_per_family(self, t_range_of):
         rng = t_range_of(3)
-        fams = build_mums_grid(standard_basis(3), np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81))
+        fams = [standard_family(3, t) for t in np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81)]
         rho = tiles_noisy(0.99)
         assert concurrence_lower_bounds(rho, fams) == [
             concurrence_lower_bound(rho, fam) for fam in fams
@@ -333,7 +338,7 @@ class TestBatchedBounds:
     def test_rejects_pairs_and_families_of_other_block_arrays(self, family, t_range_of):
         # only the families of one grid, which share one block array, are taken
         rng = t_range_of(4)
-        fams = build_mums_grid(standard_basis(4), [0.8 * rng.lower, 0.3 * rng.upper])
+        fams = [standard_family(4, t) for t in (0.8 * rng.lower, 0.3 * rng.upper)]
         rebuilt = build_mums(standard_basis(4), fams[1].t)  # equal blocks, another array
         assert np.array_equal(rebuilt.f_blocks, fams[0].f_blocks)
         rho = random_density(16, seed=12)

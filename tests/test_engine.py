@@ -149,6 +149,20 @@ def test_sweep_rejects_non_finite_ends():
             run_sweep(spec)
 
 
+def _contraction(realigned, ops_a, ops_b):
+    """Label a contraction by its operands: effects have unit trace ("P"),
+    building blocks are traceless ("F")."""
+    first = ops_a.reshape(-1, *ops_a.shape[-2:])[0]
+    return "contract.P" if abs(np.trace(first) - 1.0) < 1e-9 else "contract.F"
+
+
+def test_specs_reject_a_value_for_their_own_variable():
+    with pytest.raises(UsageError, match="--upsilon is the swept variable"):
+        SweepSpec("upsilon", 0.0, 1.0, 3, "horodecki", fixed={"upsilon": 0.2, "t": 0.01}).validate()
+    with pytest.raises(UsageError, match="--p is the searched variable"):
+        ThresholdQuery("file", 0.05, "p", fixed={"p": 0.5}, file="unread.json").validate()
+
+
 class _Counts:
     """Counts calls of module attributes, and density factorisations of one size.
 
@@ -171,7 +185,7 @@ class _Counts:
             (mums, "t_interval", "t_interval"),
         ):
             self._count(module, name, lambda *args, label=label: label)
-        self._count(criteria, "_correlation", lambda *args: f"contract.{args[3]}")
+        self._count(criteria, "_correlation", _contraction)
         for name in ("cholesky", "eigvalsh"):
             self._count(
                 np.linalg,

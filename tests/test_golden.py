@@ -45,6 +45,8 @@ CLI_CORPUS = [
     ("gen_max_entangled", "gen-state --state max-entangled --d 2 --out {tmp}/me.json",
      ["me.json"]),
     ("gen_missing_d", "gen-state --state random --out {tmp}/x.json", []),
+    ("gen_random_given_p", "gen-state --state random --d 3 --p 0.5 --out {tmp}/x.json", []),
+    ("gen_random_d1", "gen-state --state random --d 1 --out {tmp}/x.json", []),
     ("verify_state_ok", "verify-state --file {tmp}/rand.json", []),
     ("verify_state_bad", "verify-state --file {tmp}/bad.json", []),
     ("verify_state_missing", "verify-state --file {tmp}/nope.json", []),
@@ -68,12 +70,15 @@ CLI_CORPUS = [
      "--steps 6 --t 0.02 --out {tmp}/q.csv", ["q.csv"]),
     ("sweep_bad_grid", "sweep --state tiles --p 1 --var t --start -0.2 --stop 0.1 --steps 5 "
      "--out {tmp}/bad.csv", []),
+    ("sweep_given_swept_var", "sweep --state tiles --var p --p 0.5 --start 0.8 --stop 1 "
+     "--steps 3 --t 0.05 --out {tmp}/given.csv", []),
     ("threshold_tiles", "threshold --state tiles --t 0.05", []),
     ("threshold_horodecki", "threshold --state horodecki --upsilon 0.2 --t 0.01 --tol 1e-7",
      []),
     ("threshold_file", "threshold --state file --file {tmp}/rand.json --t 0.05",
      []),
     ("threshold_t_zero", "threshold --state tiles --t 0", []),
+    ("threshold_given_searched_var", "threshold --state tiles --p 0.5 --t 0.05", []),
     ("verify_d3", "verify --d 3 --t 0.05", []),
     ("verify_d3_t_zero", "verify --d 3 --t 0", []),
     ("verify_d5", "verify --d 5 --t -0.02", []),

@@ -12,11 +12,11 @@ from mumbounds.mums import (
     InadmissibleTError,
     build_f_blocks,
     build_mums,
-    build_mums_grid,
     kappa_of_t,
     load_family,
     optimal_kappa,
     save_family,
+    standard_family,
     swap_operator,
     t_interval,
     two_design_residual,
@@ -133,14 +133,15 @@ class TestKappa:
         assert kappa_of_t(d, t_star) == pytest.approx(optimal_kappa(d), abs=1e-14)
 
 
-class TestBuildMumsGrid:
+class TestStandardFamilyGrid:
+    """The families of a t grid are ``standard_family`` calls of one d."""
+
     @pytest.mark.parametrize("d", [2, 3, 5, 16])
     def test_families_share_blocks_and_interval(self, d, t_range_of):
-        basis = standard_basis(d)
         rng = t_range_of(d)
         ts = np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 6)
-        fams = build_mums_grid(basis, ts)
-        blocks = build_f_blocks(basis)
+        fams = [standard_family(d, t) for t in ts]
+        blocks = build_f_blocks(standard_basis(d))
         assert [fam.t for fam in fams] == [float(t) for t in ts]
         for fam in fams:
             assert fam.f_blocks is fams[0].f_blocks and fam.t_range is fams[0].t_range
@@ -153,12 +154,18 @@ class TestBuildMumsGrid:
             assert np.array_equal(fam.f_blocks, blocks)
 
     def test_first_inadmissible_t_is_reported(self):
-        basis = standard_basis(3)
-        with pytest.raises(ValueError, match=r"t = 0\.2 is outside"):
-            build_mums_grid(basis, [0.01, 0.2, 0.0, 0.3])
-        with pytest.raises(ValueError, match=r"t = 0\.0 gives kappa"):
-            build_mums_grid(basis, [0.01, 0.0, 0.2])
-        assert build_mums_grid(basis, []) == []
+        with pytest.raises(InadmissibleTError, match=r"t = 0\.2 is outside"):
+            [standard_family(3, t) for t in (0.01, 0.2, 0.0, 0.3)]
+        with pytest.raises(InadmissibleTError, match=r"t = 0\.0 gives kappa"):
+            [standard_family(3, t) for t in (0.01, 0.0, 0.2)]
+
+    def test_build_mums_has_its_own_equal_blocks(self, t_range_of):
+        fam = build_mums(standard_basis(3), 0.05)
+        shared = standard_family(3, 0.05)
+        assert fam.f_blocks is not shared.f_blocks and not fam.f_blocks.flags.writeable
+        assert np.array_equal(fam.f_blocks, shared.f_blocks)
+        assert fam.t_range == shared.t_range == t_range_of(3)
+        assert np.array_equal(fam.effects, shared.effects)
 
 
 class TestMumFamily:
@@ -204,12 +211,6 @@ class TestBuildMums:
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError, match="1/d"):
             build_mums(standard_basis(3), 0.0)
-
-    def test_inadmissible_t_carries_the_interval(self, t_range_of):
-        for t in (0.0, 0.2, -0.2):
-            with pytest.raises(InadmissibleTError) as info:
-                build_mums(standard_basis(3), t)
-            assert info.value.t_range == t_range_of(3)
 
     def test_d2_endpoint_gives_projectors(self, family, t_range_of):
         fam = family(2, t_range_of(2).upper)
@@ -300,28 +301,34 @@ class TestSerialization:
         assert loaded.t == fam.t and loaded.t_range == fam.t_range
         assert np.array_equal(loaded.effects, fam.effects)
 
-    def test_rejects_stored_effects_of_another_shape(self, family, tmp_path):
-        fam = family(3, 0.08)
-
-        def truncate(payload):
+        def store_wrong_effects(payload):
+            # stored effects are ignored: the family is the one its blocks give
             self._store_effects(fam, payload)
-            del payload["effects"]["re"][-1], payload["effects"]["im"][-1]
+            payload["effects"]["re"][1][2][0][0] += 0.5
+            del payload["effects"]["im"][-1]
 
-        path = self._edited(fam, tmp_path / "family.json", truncate)
-        with pytest.raises(ValueError, match="array shapes do not match d = 3"):
+        path = self._edited(fam, tmp_path / "wrong.json", store_wrong_effects)
+        loaded = load_family(path)
+        assert loaded.t == fam.t and loaded.t_range == fam.t_range
+        assert np.array_equal(loaded.effects, fam.effects)
+
+    def test_rejects_blocks_of_another_shape(self, family, tmp_path):
+        def truncate(payload):
+            del payload["f_blocks"]["re"][-1], payload["f_blocks"]["im"][-1]
+
+        path = self._edited(family(3, 0.08), tmp_path / "family.json", truncate)
+        with pytest.raises(ValueError, match="f_blocks shape does not match d = 3"):
             load_family(path)
 
     @pytest.mark.parametrize(
         "keys",
-        [("kappa",), ("effects", "re", 1, 2, 0, 0), ("t_range", "upper")],
-        ids=["kappa", "effects", "t_range"],
+        [("kappa",), ("t_range", "upper")],
+        ids=["kappa", "t_range"],
     )
     def test_rejects_stored_values_that_disagree(self, keys, family, tmp_path):
         fam = family(3, 0.08)
 
         def nudge(payload):
-            if keys[0] == "effects":  # only older files store them
-                self._store_effects(fam, payload)
             *outer, last = keys
             for key in outer:
                 payload = payload[key]
