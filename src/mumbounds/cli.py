@@ -216,13 +216,13 @@ def cmd_gen_state(args) -> int:
     if args.state in ("tiles", "horodecki"):
         rho = make_state(args.state, None, vars(args))
     else:  # max-entangled or random: a dimension and no parameter
-        check_params(args.state, vars(args), ())
+        check_params(args.state, vars(args), ("d", "seed") if args.state == "random" else ("d",))
         if args.d is None:
             raise UsageError(f"--d is required for the {args.state} family")
         if args.d < 2:
             raise ValueError("dimension must be at least 2")
         if args.state == "random":
-            rho = random_density(args.d * args.d, seed=args.seed)
+            rho = random_density(args.d * args.d, seed=0 if args.seed is None else args.seed)
         else:
             psi = max_entangled(args.d)
             rho = np.outer(psi, psi.conj())
@@ -313,7 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=_finite)
     p.add_argument("--upsilon", type=_finite)
     p.add_argument("--d", type=int, help="subsystem dimension for max-entangled/random")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed for random (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_state)
 

@@ -18,15 +18,18 @@ front door, ``states.validate_density`` with the ``density_*``
 tolerances, and a failure raises ValueError.  A state is validated and
 realigned once however many matrices are contracted from it.
 
-Sweeps are evaluated in stacks: ``concurrence_lower_bounds`` takes one
-state at the families of one t grid, which share one block array
-(``standard_family``), so the block matrix is contracted once;
-``concurrence_lower_bounds_of_states`` takes many states at one family
-pair, and ``concurrence_lower_bound`` is its one-state case.  Each chunk
-of points is one broadcast matmul contraction, one imaginary-part check
-and one batched SVD per operator stack, and gives the same doubles as one
-point at a time.  ``build_correlation_matrix`` and ``separability_test``
-take exactly one state; the verdict of ``separability_test`` is that of
+Sweeps are evaluated as columns: ``bound_columns`` takes one state at
+the t grid of one block array (``mums.standard_grid``), so the block
+matrix is contracted once; ``bound_columns_of_states`` takes stacks of
+states at one family pair.  Each chunk of points is one broadcast of its effects or one stack of
+states, one contraction, one imaginary-part check and one batched SVD
+per operator stack; the report fields of the grid are then computed as
+arrays, with the same doubles as one point at a time.  The report
+functions build their ``BoundReport`` objects from those columns:
+``concurrence_lower_bounds`` and ``concurrence_lower_bounds_of_states``,
+whose one-state case is ``concurrence_lower_bound``.
+``build_correlation_matrix`` and ``separability_test`` take exactly one
+state; the verdict of ``separability_test`` is that of
 ``concurrence_lower_bound``.
 """
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from .config import TOL
 from .linalg import SchmidtData, partial_trace, pure_amplitudes
-from .mums import MumFamily
+from .mums import MumFamily, family_effects, kappa_of_t
 from .states import validate_density
 
 
@@ -225,30 +228,83 @@ class BoundReport:
         }
 
 
-def _report(fam: MumFamily, trace_norm_p: float, trace_norm_f: float, tol: float) -> BoundReport:
-    """Both bound variants, the Schmidt bound and the verdict from two trace norms."""
-    d = fam.d
-    kappa = fam.kappa
+# BoundReport fields after d, keyed as BoundReport.as_dict: the columns of a grid
+_COLUMNS = (
+    "t", "kappa", "traceNormP", "traceNormF", "threshold",
+    "bound_literal", "bound_derived", "schmidt_number_lb", "verdict",
+)
+
+
+def _columns(
+    d: int, ts: np.ndarray, norm_p: np.ndarray, norm_f: np.ndarray, tol: float
+) -> dict[str, list]:
+    """The report fields of a grid of points from their t and two trace norms.
+
+    One list per field, keyed as ``BoundReport.as_dict``.  Each value is
+    the double of the scalar formula at its point: the same IEEE
+    operations in the same order, with max(c, x) taken as x if x > c
+    else c, so that a clamped bound is +0.0 and never -0.0.
+    """
+    kappa = kappa_of_t(d, ts)
     threshold = 1.0 + kappa
-    excess = trace_norm_p - threshold
-    derived = max(0.0, np.sqrt(2.0 * (d - 1.0) / d) * excess / (kappa * d - 1.0))
-    literal = max(0.0, np.sqrt(2.0 * (d - 1.0) / (d * (kappa * d - 1.0))) * excess)
-    return BoundReport(
-        d=d,
-        t=fam.t,
-        kappa=kappa,
-        trace_norm_p=trace_norm_p,
-        trace_norm_f=trace_norm_f,
-        separability_threshold=threshold,
-        bound_literal=float(literal),
-        bound_derived=float(derived),
-        schmidt_number_lb=schmidt_number_lower_bound(trace_norm_p, d, kappa),
-        verdict="entangled" if excess > tol else "undetected",
+    excess = norm_p - threshold
+    scale = kappa * d - 1.0
+    derived = np.sqrt(2.0 * (d - 1.0) / d) * excess / scale
+    literal = np.sqrt(2.0 * (d - 1.0) / (d * scale)) * excess
+    # the formula of schmidt_number_lower_bound
+    schmidt = 1.0 + (d - 1.0) * (norm_p - 1.0 - kappa) / scale
+    columns = (
+        ts, kappa, norm_p, norm_f, threshold,
+        np.where(literal > 0.0, literal, 0.0),
+        np.where(derived > 0.0, derived, 0.0),
+        np.where(schmidt > 1.0, schmidt, 1.0),
+        np.where(excess > tol, "entangled", "undetected"),
     )
+    return {name: column.tolist() for name, column in zip(_COLUMNS, columns)}
 
 
-def _chunk_points(d: int) -> int:
+def _reports(d: int, columns: dict[str, list]) -> list[BoundReport]:
+    return [BoundReport(d, *fields) for fields in zip(*columns.values())]
+
+
+def chunk_points(d: int) -> int:
+    """Grid points in one stacked evaluation at d, so that a chunk's working
+    set stays within ``_CHUNK_BYTES``; at least one."""
     return max(1, _CHUNK_BYTES // _point_bytes(d))
+
+
+def bound_columns(
+    rho: np.ndarray,
+    blocks: np.ndarray,
+    ts,
+    tol: float = TOL.verdict,
+) -> dict[str, list]:
+    """The reports of one state at the family (t, ``blocks``) of each t of
+    ``ts``, as columns.
+
+    One list per ``BoundReport`` field after d, keyed as
+    ``BoundReport.as_dict``, with one entry per t in order.  Each t must
+    be admissible for the blocks, as ``mums.standard_grid`` checks.  The
+    state is validated and realigned once and its block matrix, which
+    does not depend on t, is contracted once.  Each chunk of bounded
+    memory is one broadcast of its effects (``family_effects``), one
+    contraction and one batched SVD; the report fields of the whole grid
+    are then computed as arrays.
+    """
+    _check_tol(tol)
+    ts = np.asarray(ts, dtype=float)
+    d = blocks.shape[-1]
+    realigned = _realigned(_as_state(rho, d * d), d)
+    ops_f = blocks.reshape(-1, d, d)
+    norm_f = _correlation(realigned, ops_f, ops_f)[1].sum()
+    step = chunk_points(d)
+    norms_p = []
+    for start in range(0, len(ts), step):
+        chunk = ts[start : start + step]
+        ops_p = family_effects(blocks, chunk).reshape(len(chunk), -1, d, d)
+        norms_p.append(_correlation(realigned, ops_p, ops_p)[1].sum(axis=-1))
+    norm_p = np.concatenate([np.empty(0), *norms_p])
+    return _columns(d, ts, norm_p, np.full(len(ts), norm_f), tol)
 
 
 def concurrence_lower_bounds(
@@ -259,12 +315,9 @@ def concurrence_lower_bounds(
     """Evaluate ``concurrence_lower_bound`` for one state at a grid of families.
 
     The families must share one block array, as ``standard_family``
-    calls of one d do; any other input raises ValueError.  The
-    reports equal one ``concurrence_lower_bound`` call per family, in
-    order.  The state is validated and realigned once and its block
-    matrix, which does not depend on t, is contracted once; the
-    probability matrices are contracted in chunks of bounded memory, each
-    one broadcast contraction and one batched SVD.
+    calls of one d do; any other input raises ValueError.  The reports
+    equal one ``concurrence_lower_bound`` call per family, in order, and
+    are built from ``bound_columns``.
     """
     _check_tol(tol)
     families = list(families)
@@ -273,20 +326,44 @@ def concurrence_lower_bounds(
     blocks = getattr(families[0], "f_blocks", None)
     if not all(isinstance(fam, MumFamily) and fam.f_blocks is blocks for fam in families):
         raise ValueError("families must share one block array; build them with standard_family")
-    d = families[0].d
-    realigned = _realigned(_as_state(rho, d * d), d)
-    ops_f = families[0].block_stack()
-    norm_f = float(_correlation(realigned, ops_f, ops_f)[1].sum())
-    step = _chunk_points(d)
-    reports = []
-    for start in range(0, len(families), step):
-        chunk = families[start : start + step]
-        ops_p = np.stack([fam.effect_stack() for fam in chunk])
-        sv_p = _correlation(realigned, ops_p, ops_p)[1]
-        reports += [
-            _report(fam, float(p.sum()), norm_f, tol) for fam, p in zip(chunk, sv_p)
-        ]
-    return reports
+    columns = bound_columns(rho, blocks, [fam.t for fam in families], tol)
+    return _reports(families[0].d, columns)
+
+
+def bound_columns_of_states(
+    stacks: Iterable[np.ndarray],
+    fam_a: MumFamily,
+    fam_b: MumFamily | None = None,
+    tol: float = TOL.verdict,
+) -> dict[str, list]:
+    """The reports of ``concurrence_lower_bounds_of_states`` as columns.
+
+    ``stacks`` is an iterable of state stacks (k, d^2, d^2), taken one at
+    a time, so a generator never has more than one stack built; a stack
+    of more than ``chunk_points(d)`` states is split into chunks.  Each
+    chunk is one density check, one block and one probability
+    contraction and two batched SVDs.  The columns are keyed as
+    ``BoundReport.as_dict``, one entry per state in order.
+    """
+    fam_b = fam_a if fam_b is None else fam_b
+    _check_tol(tol)
+    _check_pair(fam_a, fam_b)
+    d = fam_a.d
+    ops_f = _stacks(fam_a, fam_b, MumFamily.block_stack)
+    ops_p = _stacks(fam_a, fam_b, MumFamily.effect_stack)
+    step = chunk_points(d)
+    norms_p, norms_f = [], []
+    for stack in stacks:
+        stack = np.asarray(stack, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1:] != (d * d, d * d):
+            raise ValueError(f"a state stack must be (k, {d * d}, {d * d}), got {stack.shape}")
+        for start in range(0, len(stack), step):
+            realigned = _realigned(stack[start : start + step], d)
+            norms_f.append(_correlation(realigned, *ops_f)[1].sum(axis=-1))
+            norms_p.append(_correlation(realigned, *ops_p)[1].sum(axis=-1))
+    norm_p = np.concatenate([np.empty(0), *norms_p])
+    norm_f = np.concatenate([np.empty(0), *norms_f])
+    return _columns(d, np.full(len(norm_p), fam_a.t), norm_p, norm_f, tol)
 
 
 def concurrence_lower_bounds_of_states(
@@ -301,26 +378,17 @@ def concurrence_lower_bounds_of_states(
     (n, d^2, d^2) array or a generator.  The reports equal one
     ``concurrence_lower_bound`` call per state, in order.  The states are
     taken a chunk of bounded memory at a time, so a generator never has
-    more than one chunk built; each chunk is one density check, one block
-    and one probability contraction and two batched SVDs.
+    more than one chunk built, and evaluated by ``bound_columns_of_states``.
     """
-    fam_b = fam_a if fam_b is None else fam_b
-    _check_tol(tol)
-    _check_pair(fam_a, fam_b)
-    d = fam_a.d
-    ops_f = _stacks(fam_a, fam_b, MumFamily.block_stack)
-    ops_p = _stacks(fam_a, fam_b, MumFamily.effect_stack)
-    step = _chunk_points(d)
+    dim = fam_a.d * fam_a.d
+    step = chunk_points(fam_a.d)
     states = iter(states)
-    reports = []
-    while chunk := [_as_state(rho, d * d) for rho in itertools.islice(states, step)]:
-        realigned = _realigned(np.stack(chunk), d)
-        sv_f = _correlation(realigned, *ops_f)[1]
-        sv_p = _correlation(realigned, *ops_p)[1]
-        reports += [
-            _report(fam_a, float(p.sum()), float(f.sum()), tol) for p, f in zip(sv_p, sv_f)
-        ]
-    return reports
+
+    def stacks():
+        while chunk := [_as_state(rho, dim) for rho in itertools.islice(states, step)]:
+            yield np.stack(chunk)
+
+    return _reports(fam_a.d, bound_columns_of_states(stacks(), fam_a, fam_b, tol))
 
 
 def concurrence_lower_bound(

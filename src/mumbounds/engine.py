@@ -7,15 +7,17 @@ raise ``UsageError``.
 
 Each query touches its state once.  Correlation matrices are one GEMM
 contraction A @ R @ B^T of the realigned state R with the family's
-operator stacks (see ``mumbounds.criteria``).  A sweep is one batched
-call.  The Gell-Mann blocks and t-interval of a dimension are built on
-its first query and memoised (``mums.standard_family``), so the families
-of a t-sweep share one block array; a t-sweep validates and
-realigns the state once, contracts the t-independent block matrix once,
-and the probability matrices of its points in stacked chunks
-(``concurrence_lower_bounds``).  A p, q or upsilon sweep builds its
-per-point states one by one, as each chunk of them is evaluated at one
-family (``concurrence_lower_bounds_of_states``).
+operator stacks (see ``mumbounds.criteria``).  A sweep is evaluated as
+columns, a chunk of points at a time, and only its rows are built per
+point.  The Gell-Mann blocks and t-interval of a dimension are built on
+its first query and memoised (``mums.standard_family``).  A t-sweep
+checks its grid as one array against them (``mums.standard_grid``),
+validates and realigns the state once, contracts the t-independent block
+matrix once, and the probability matrices of each chunk from one
+broadcast of its effects (``bound_columns``).  A p, q or upsilon sweep builds the states of each
+chunk as one stack, one broadcast of ``mix_with_white_noise`` or
+``horodecki_state``, as the chunk is evaluated at one family
+(``bound_columns_of_states``).
 A threshold query builds the state at weight 1, contracts its
 probability matrix C once, and evaluates every other weight of the
 search as one SVD of w*C + (1 - w)*J/d^2, the exact matrix of the
@@ -25,24 +27,26 @@ mixture with white noise, since every effect has unit trace.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .criteria import (
+    bound_columns,
+    bound_columns_of_states,
     build_correlation_matrix,
-    concurrence_lower_bounds,
-    concurrence_lower_bounds_of_states,
+    chunk_points,
 )
 from .linalg import trace_norm
-from .mums import MumFamily, standard_family
+from .mums import MumFamily, standard_family, standard_grid
 from .states import horodecki_noisy, load_state, mix_with_white_noise, tiles_noisy
 from .threshold import ThresholdResult, find_threshold
 
 CSV_HEADER = "var,traceNormP,traceNormF,kappa,threshold,bound_literal,bound_derived,verdict"
 # Most grid points a sweep takes; a larger count is rejected before the
-# grid is allocated.  At this size a d = 3 sweep takes about 4 s and
-# 130 MB of rows on a 2-vCPU box, and the rows grow linearly with it.
+# grid is allocated.  At this size a d = 3 sweep takes about 2.5 s and
+# 140 MB of rows and columns on a 2-vCPU box, and both grow linearly with it.
 MAX_SWEEP_STEPS = 100_000
 
 # the state parameters each family takes; giving any other one is a UsageError
@@ -88,10 +92,15 @@ def family_for(d: int, t: float) -> MumFamily:
         raise UsageError(str(exc)) from exc
 
 
+# every value a family may take, in the order a UsageError names them
+_FAMILY_PARAMS = ("p", "q", "upsilon", "d", "seed")
+
+
 def check_params(family: str, params: dict, takes: tuple[str, ...]) -> None:
-    """Raise UsageError naming each of p, q and upsilon that ``params``
-    gives (not None) but that is not in ``takes``, the family's parameters."""
-    ignored = [k for k in ("p", "q", "upsilon") if params.get(k) is not None and k not in takes]
+    """Raise UsageError naming each of p, q, upsilon, d and seed that
+    ``params`` gives (not None) but that is not in ``takes``, the
+    family's parameters."""
+    ignored = [k for k in _FAMILY_PARAMS if params.get(k) is not None and k not in takes]
     if ignored:
         raise UsageError(f"the {family} family does not take --{', --'.join(ignored)}")
 
@@ -100,7 +109,8 @@ def make_state(family: str, file: str | None, params: dict) -> np.ndarray:
     """Build a state of a family from the p, q and upsilon in ``params``.
 
     A parameter that is given (not None) but that the family does not
-    take is a UsageError, as is an unknown family.
+    take is a UsageError, as is an unknown family.  An array of upsilon
+    values gives the stack of their states (``horodecki_state``).
     """
     if family not in _STATE_PARAMS:
         raise UsageError(f"unknown state family {family!r}")
@@ -188,7 +198,12 @@ class ThresholdQuery:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the sweep grid, ascending: per point, var and ``BoundReport.as_dict()``."""
+    """Evaluate the sweep grid, ascending: per point, var, d and the other
+    ``BoundReport.as_dict()`` fields.
+
+    The grid is evaluated as columns (``bound_columns`` and
+    ``bound_columns_of_states``), and the rows are built from them.
+    """
     spec.validate()
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     fixed = dict(spec.fixed)
@@ -200,35 +215,46 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         rho = state_at(fixed)
         d = infer_d(rho.shape[0])
         try:
-            fams = [standard_family(d, t) for t in grid]
+            blocks, ts = standard_grid(d, grid)
         except ValueError as exc:
             raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
-        reports = concurrence_lower_bounds(rho, fams)
+        columns = bound_columns(rho, blocks, ts)
     else:
         if spec.variable == "upsilon":
+            # the state at the first point fixes d and checks the fixed
+            # parameters before the family is built
             probe = state_at({**fixed, "upsilon": float(grid[0])})
 
-            def state(v: float) -> np.ndarray:
-                return state_at({**fixed, "upsilon": v})
+            def states(values: np.ndarray) -> np.ndarray:
+                return state_at({**fixed, "upsilon": values})
         else:
             # a white-noise weight: every point mixes the state at weight 1
             probe = state_at({**fixed, spec.variable: 1.0})
 
-            def state(v: float) -> np.ndarray:
-                return mix_with_white_noise(probe, v)
+            def states(values: np.ndarray) -> np.ndarray:
+                return mix_with_white_noise(probe, values)
 
-        fam = family_for(infer_d(probe.shape[0]), fixed["t"])
-        states = (state(float(v)) for v in grid)  # built as each chunk is evaluated
-        reports = concurrence_lower_bounds_of_states(states, fam)
+        d = infer_d(probe.shape[0])
+        fam = family_for(d, fixed["t"])
+        step = chunk_points(d)
+        # one stack of states per chunk, built as the chunk is evaluated
+        stacks = (states(grid[start : start + step]) for start in range(0, len(grid), step))
+        columns = bound_columns_of_states(stacks, fam)
 
-    return [{"var": float(value), **report.as_dict()} for value, report in zip(grid, reports)]
+    names = ("var", "d", *columns)
+    return [dict(zip(names, row)) for row in zip(grid.tolist(), [d] * len(grid), *columns.values())]
+
+
+# the numbers of a row and then its verdict: "%.12g" formats a float
+# exactly as format_value does
+_CSV_KEYS = CSV_HEADER.split(",")
+_CSV_ROW = ",".join(["%.12g"] * (len(_CSV_KEYS) - 1) + ["%s"])
+_CSV_FIELDS = operator.itemgetter(*_CSV_KEYS)
 
 
 def render_csv(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(format_value(row[key]) for key in CSV_HEADER.split(",")))
-    return "\n".join(lines) + "\n"
+    """The rows of ``run_sweep`` as CSV: the header, then one line per row."""
+    return "\n".join([CSV_HEADER, *[_CSV_ROW % _CSV_FIELDS(row) for row in rows]]) + "\n"
 
 
 def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:

@@ -6,8 +6,10 @@ d+1 POVMs with effects I/d + t*F.  A family is the triple (t, blocks,
 interval): d, kappa(t) and the effects are derived from it, never
 stored.  The Gell-Mann blocks and interval are built once per dimension
 and memoised, so the families of a grid of t values share one block
-array and one interval.  The defining trace relations and the 2-design
-property of the effects are verifiable numerically.
+array and one interval; a grid of t is checked as one array
+(``standard_grid``) and its effects are one broadcast
+(``family_effects``).  The defining trace relations and the
+2-design property of the effects are verifiable numerically.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ def kappa_of_t(d: int, t: float) -> float:
     """Sharpness parameter of the constructed family at a given t.
 
     Equals 1/d at t = 0, where the effects degenerate to I/d and the
-    family is no longer a MUM.
+    family is no longer a MUM.  An array of t gives the array of kappa,
+    each the double that its t alone gives.
     """
     return 1.0 / d + t * t * (1.0 + np.sqrt(d)) ** 2 * (d - 1)
 
@@ -62,10 +65,11 @@ class TInterval:
     upper: float
 
     def contains(self, t: float) -> bool:
+        """Whether t lies in the interval; an array of t gives an array."""
         slack = TOL.t_endpoint_slack  # relative, so the exact endpoints are admissible
         lo = self.lower - slack * abs(self.lower)
         hi = self.upper + slack * abs(self.upper)
-        return lo <= t <= hi
+        return (lo <= t) & (t <= hi)
 
 
 def t_interval(blocks: np.ndarray, d: int) -> TInterval:
@@ -107,8 +111,7 @@ class MumFamily:
     @property
     def effects(self) -> np.ndarray:
         """The effects I/d + t*F, shape (d+1, d, d, d), a new read-only array."""
-        effects = self.t * self.f_blocks
-        effects += np.eye(self.d, dtype=complex) / self.d
+        effects = family_effects(self.f_blocks, self.t)
         effects.setflags(write=False)
         return effects
 
@@ -119,6 +122,21 @@ class MumFamily:
     def effect_stack(self) -> np.ndarray:
         """Effects flattened to (d*(d+1), d, d), measurement-major."""
         return self.effects.reshape(-1, self.d, self.d)
+
+
+def family_effects(blocks: np.ndarray, ts) -> np.ndarray:
+    """The effects I/d + t*F of one block array at each t of ``ts``.
+
+    ``ts`` is one t, giving shape (d+1, d, d, d), or an array of them,
+    giving (len(ts), d+1, d, d, d).  One broadcast: t*F for every t,
+    then I/d added in place, so each t gets the doubles of its own call;
+    ``MumFamily.effects`` is the one-t case.  The t values are not
+    checked for admissibility.
+    """
+    d = blocks.shape[-1]
+    effects = np.asarray(ts, dtype=float)[..., None, None, None, None] * blocks
+    effects += np.eye(d, dtype=complex) / d
+    return effects
 
 
 class InadmissibleTError(ValueError):
@@ -175,6 +193,22 @@ def standard_family(d: int, t: float) -> MumFamily:
     Raises InadmissibleTError like ``build_mums``.
     """
     return _family(float(t), *_standard_blocks(d))
+
+
+def standard_grid(d: int, ts) -> tuple[np.ndarray, np.ndarray]:
+    """The families ``standard_family(d, t)`` for each t of ``ts``, as columns.
+
+    Returns the memoised block array and ``ts`` as a float array, without
+    one family object per t.  Each t passes the checks of
+    ``standard_family`` as one array, and the first t that fails raises
+    the InadmissibleTError that ``standard_family`` gives for it.
+    """
+    blocks, rng = _standard_blocks(d)
+    ts = np.asarray(ts, dtype=float)
+    admissible = (kappa_of_t(d, ts) * d > 1.0) & rng.contains(ts)
+    if not admissible.all():
+        _family(float(ts[np.argmin(admissible)]), blocks, rng)  # raises for that t
+    return blocks, ts
 
 
 @dataclass(frozen=True)

@@ -93,13 +93,29 @@ def tiles_state() -> np.ndarray:
     return (np.eye(9, dtype=complex) - proj) / 4.0
 
 
-def mix_with_white_noise(rho: np.ndarray, weight: float) -> np.ndarray:
-    """Convex mixture weight*rho + (1-weight)*I/dim."""
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"mixing weight {weight!r} must lie in [0, 1]")
+def _outside_unit_interval(values) -> float | None:
+    """The first of ``values``, a number or an array, outside [0, 1] (NaN
+    included), or None."""
+    for value in np.asarray(values, dtype=float).reshape(-1).tolist():
+        if not 0.0 <= value <= 1.0:
+            return value
+    return None
+
+
+def mix_with_white_noise(rho: np.ndarray, weight) -> np.ndarray:
+    """Convex mixture weight*rho + (1-weight)*I/dim.
+
+    ``rho`` is one state or a stack (k, dim, dim) and ``weight`` a number
+    or an array of k weights; a stack or an array gives the stack of
+    mixtures in one broadcast, each the doubles of its own call.
+    """
+    bad = _outside_unit_interval(weight)
+    if bad is not None:
+        raise ValueError(f"mixing weight {bad!r} must lie in [0, 1]")
     rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
-    return weight * rho + (1.0 - weight) * np.eye(n, dtype=complex) / n
+    n = rho.shape[-1]
+    w = np.asarray(weight, dtype=float)[..., None, None]
+    return w * rho + (1.0 - w) * np.eye(n, dtype=complex) / n
 
 
 def tiles_noisy(p: float) -> np.ndarray:
@@ -107,26 +123,35 @@ def tiles_noisy(p: float) -> np.ndarray:
     return mix_with_white_noise(tiles_state(), p)
 
 
-def horodecki_state(upsilon: float) -> np.ndarray:
-    """The Horodecki 3x3 bound entangled state at parameter upsilon in [0, 1]."""
-    if not 0.0 <= upsilon <= 1.0:
-        raise ValueError(f"upsilon = {upsilon!r} must lie in [0, 1]")
-    u = upsilon
-    corner = (1.0 + u) / 2.0
-    root = np.sqrt(1.0 - u * u) / 2.0
-    m = np.zeros((9, 9), dtype=complex)
-    for i in (0, 1, 2, 3, 4, 5, 7):
-        m[i, i] = u
-    m[6, 6] = corner
-    m[8, 8] = corner
-    for i, j in ((0, 4), (0, 8), (4, 8)):
-        m[i, j] = m[j, i] = u
-    m[6, 8] = m[8, 6] = root
-    return m / (1.0 + 8.0 * u)
+# flat indices into the 9 x 9 Horodecki matrix of its entries equal to
+# upsilon, to (1 + upsilon)/2 and to sqrt(1 - upsilon^2)/2; the rest are 0
+_HORODECKI_U = np.ravel_multi_index(
+    ((0, 1, 2, 3, 4, 5, 7, 0, 4, 0, 8, 4, 8), (0, 1, 2, 3, 4, 5, 7, 4, 0, 8, 0, 8, 4)), (9, 9)
+)
+_HORODECKI_CORNER = np.ravel_multi_index(((6, 8), (6, 8)), (9, 9))
+_HORODECKI_ROOT = np.ravel_multi_index(((6, 8), (8, 6)), (9, 9))
+
+
+def horodecki_state(upsilon) -> np.ndarray:
+    """The Horodecki 3x3 bound entangled state at parameter upsilon in [0, 1].
+
+    An array of k values gives the stack (k, 9, 9) of their states in one
+    broadcast, each the doubles of its own call.
+    """
+    bad = _outside_unit_interval(upsilon)
+    if bad is not None:
+        raise ValueError(f"upsilon = {bad!r} must lie in [0, 1]")
+    u = np.asarray(upsilon, dtype=float)[..., None]
+    m = np.zeros((*u.shape[:-1], 81), dtype=complex)
+    m[..., _HORODECKI_U] = u
+    m[..., _HORODECKI_CORNER] = (1.0 + u) / 2.0
+    m[..., _HORODECKI_ROOT] = np.sqrt(1.0 - u * u) / 2.0
+    return (m / (1.0 + 8.0 * u)).reshape(*u.shape[:-1], 9, 9)
 
 
 def horodecki_noisy(upsilon: float, q: float) -> np.ndarray:
-    """Horodecki state at upsilon mixed with white noise at weight q."""
+    """Horodecki state at upsilon mixed with white noise at weight q; an
+    array of upsilon gives the stack of their states."""
     return mix_with_white_noise(horodecki_state(upsilon), q)
 
 

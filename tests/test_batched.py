@@ -15,15 +15,17 @@ import pytest
 
 from mumbounds import criteria
 from mumbounds.basis import standard_basis
+from mumbounds.config import TOL
 from mumbounds.criteria import (
     build_correlation_matrix,
     concurrence_lower_bound,
     concurrence_lower_bounds,
     concurrence_lower_bounds_of_states,
+    schmidt_number_lower_bound,
     separability_test,
 )
 from mumbounds.engine import SweepSpec, UsageError, make_state, render_csv, run_sweep
-from mumbounds.mums import build_mums, standard_family
+from mumbounds.mums import build_mums, kappa_of_t, standard_family
 from mumbounds.states import (
     horodecki_noisy,
     mix_with_white_noise,
@@ -215,6 +217,55 @@ def test_single_state_entry_points_reject_a_stack(family):
         with pytest.raises(ValueError, match=r"state must be 9x9, got \(2, 9, 9\)"):
             call()
     assert separability_test(stack[0], fam) == "undetected"
+
+
+def _scalar_fields(row):
+    """The bound columns of one sweep row by the scalar formulas, from its
+    d, kappa and probability trace norm, one point at a time."""
+    d, kappa, norm = row["d"], row["kappa"], row["traceNormP"]
+    excess = norm - (1.0 + kappa)
+    return {
+        "kappa": kappa_of_t(d, row["t"]),
+        "threshold": 1.0 + kappa,
+        "bound_literal": max(0.0, math.sqrt(2.0 * (d - 1.0) / (d * (kappa * d - 1.0))) * excess),
+        "bound_derived": max(0.0, math.sqrt(2.0 * (d - 1.0) / d) * excess / (kappa * d - 1.0)),
+        "schmidt_number_lb": schmidt_number_lower_bound(norm, d, kappa),
+        "verdict": "entangled" if excess > TOL.verdict else "undetected",
+    }
+
+
+def _separable_file(tmp_path):
+    path = tmp_path / "product.json"
+    save_state(np.kron(random_density(3, seed=1), random_density(3, seed=2)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_spec, detected",
+    [
+        (lambda tmp, rng: SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 81, "tiles",
+                                    fixed={"p": 0.99}), 81),
+        (lambda tmp, rng: SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 81, "tiles",
+                                    fixed={"p": 0.8}), 0),
+        (lambda tmp, rng: SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki",
+                                    fixed={"q": 0.995, "t": 0.08}), 33),
+        (lambda tmp, rng: SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 41, "file",
+                                    file=_separable_file(tmp)), 0),
+        (lambda tmp, rng: SweepSpec("p", 0.0, 1.0, 41, "file", fixed={"t": rng.upper},
+                                    file=_separable_file(tmp)), 0),
+    ],
+    ids=["tiles", "tiles-undetected", "horodecki", "separable-t", "separable-p"],
+)
+def test_columns_equal_the_scalar_formulas(make_spec, detected, tmp_path, t_range_of):
+    rows = run_sweep(make_spec(tmp_path, t_range_of(3)))
+    for row in rows:
+        expected = _scalar_fields(row)
+        assert {key: row[key] for key in expected} == expected, row
+        # a negative margin clamps both bounds to +0.0, which prints as 0
+        for key in ("bound_literal", "bound_derived"):
+            assert math.copysign(1.0, row[key]) == 1.0
+    assert sum(row["verdict"] == "entangled" for row in rows) == detected
+    assert ",-0," not in render_csv(rows)
 
 
 def _first_inadmissible(grid):

@@ -418,6 +418,13 @@ class TestIgnoredParameters:
               "--out", "{tmp}/out"), ("--p", "--upsilon")),
             (("gen-state", "--state", "max-entangled", "--d", "3", "--q", "0.5",
               "--out", "{tmp}/out"), ("--q",)),
+            (("gen-state", "--state", "tiles", "--p", "0.9", "--d", "5", "--out", "{tmp}/out"),
+             ("the tiles family does not take --d",)),
+            (("gen-state", "--state", "horodecki", "--upsilon", "0.3", "--q", "0.9", "--d", "3",
+              "--seed", "2", "--out", "{tmp}/out"),
+             ("the horodecki family does not take --d, --seed",)),
+            (("gen-state", "--state", "max-entangled", "--d", "3", "--seed", "1",
+              "--out", "{tmp}/out"), ("the max-entangled family does not take --seed",)),
             (("threshold", "--state", "tiles", "--p", "0.5", "--t", "0.05"),
              ("--p is the searched variable",)),
             (("threshold", "--state", "horodecki", "--upsilon", "0.2", "--q", "0.5",
@@ -430,7 +437,8 @@ class TestIgnoredParameters:
              ("--t is the swept variable",)),
         ],
         ids=["bound", "bound-file", "sweep", "threshold", "gen-state", "gen-state-random",
-             "gen-state-max-entangled", "threshold-searched-p", "threshold-searched-q",
+             "gen-state-max-entangled", "gen-state-tiles-d", "gen-state-horodecki-d-seed",
+             "gen-state-max-entangled-seed", "threshold-searched-p", "threshold-searched-q",
              "sweep-swept-p", "sweep-swept-t"],
     )
     def test_rejected_and_named(self, capsys, tmp_path, argv, named):
@@ -538,6 +546,16 @@ class TestStateFiles:
         assert code == 2
         assert "violation" in out
         assert "status=invalid" in out
+
+    def test_random_state_seed_defaults_to_zero(self, capsys, tmp_path):
+        written = []
+        for seed in ((), ("--seed", "0"), ("--seed", "1")):
+            path = tmp_path / f"random{len(written)}.json"
+            code, _, err = run(capsys, "gen-state", "--state", "random", "--d", "2", *seed,
+                               "--out", str(path))
+            assert code == 0, err
+            written.append(path.read_bytes())
+        assert written[0] == written[1] != written[2]
 
     def test_gen_state_requires_dimension(self, capsys, tmp_path):
         code, _, err = run(

@@ -16,7 +16,13 @@ from mumbounds import criteria, engine, mums, states
 from mumbounds.criteria import build_correlation_matrix
 from mumbounds.engine import SweepSpec, ThresholdQuery, UsageError, run_sweep, run_threshold
 from mumbounds.linalg import trace_norm
-from mumbounds.states import mix_with_white_noise, random_density, random_pure, save_state
+from mumbounds.states import (
+    max_entangled,
+    mix_with_white_noise,
+    random_density,
+    random_pure,
+    save_state,
+)
 from mumbounds.threshold import find_threshold
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -263,6 +269,50 @@ def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
             first = {}
 
 
+@pytest.mark.parametrize("points_per_chunk", [None, 10])
+def test_sweeps_build_each_chunk_in_one_broadcast(monkeypatch, points_per_chunk):
+    # one chunk holds a whole d = 3 grid; 10 points a chunk gives 11 and 9 chunks
+    if points_per_chunk is not None:
+        monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(3))
+    step = criteria.chunk_points(3)
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(states, "horodecki_state")
+    count(criteria, "family_effects")
+    count(mums, "_family")
+    getter = mums.MumFamily.effects.fget
+
+    def effects(fam):
+        calls["MumFamily.effects"] += 1
+        return getter(fam)
+
+    monkeypatch.setattr(mums.MumFamily, "effects", property(effects))
+
+    # the upsilon sweep: one state at upsilon = 0 fixes d, then one build per
+    # chunk; its one family and that family's effects are built once
+    run_sweep(SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08}))
+    assert calls == {
+        "horodecki_state": 1 + math.ceil(101 / step),
+        "_family": 1,
+        "MumFamily.effects": 1,
+    }
+    # the t-sweep: no family object per t, and one broadcast of the effects
+    # per chunk
+    calls.clear()
+    rng = mums.standard_t_range(3)
+    run_sweep(SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 81, "tiles", fixed={"p": 0.99}))
+    assert calls == {"family_effects": math.ceil(81 / step)}
+
+
 def test_an_invalid_file_state_is_decided_by_eigvalsh(monkeypatch, tmp_path):
     # a failed certificate falls back to one eigen-check, which names the
     # eigenvalue; the query stops at the file check
@@ -348,6 +398,46 @@ def test_figure_data_script(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0].startswith("var,traceNormP,")
         assert len(lines) == rows + 1
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_isotropic_states_are_detected_exactly_above_one_over_d_plus_one(d, tmp_path, t_range_of):
+    # w*|Phi><Phi| + (1 - w)*I/d^2 is entangled exactly for w > 1/(d+1), and
+    # the criterion detects every one of them, at either sign of t.  The
+    # search may land on the edge itself, where the margin's rounding (of
+    # order 1e-15) decides its sign, so the bracket may miss it by 1e-12.
+    psi = max_entangled(d)
+    path = tmp_path / "max-entangled.json"
+    save_state(np.outer(psi, psi.conj()), path)
+    edge = 1.0 / (d + 1)
+    rng = t_range_of(d)
+    for t in (0.5 * rng.lower, 0.9 * rng.upper):
+        result, _ = run_threshold(
+            ThresholdQuery("file", t, "p", tolerance=1e-9, file=str(path))
+        )
+        lo, hi = result.bracket
+        assert result.found and hi - lo <= 1e-9, (t, result)
+        assert lo - 1e-12 <= edge <= hi + 1e-12, (t, result)
+    # a p-sweep flips its verdict at the first grid point above the edge; the
+    # grid steps by 1/97, so no point lies within 1e-6 of it
+    grid = np.linspace(0.0, 1.0, 98)
+    assert np.abs(grid - edge).min() > 1e-6
+    spec = SweepSpec("p", 0.0, 1.0, 98, "file", fixed={"t": 0.9 * rng.upper}, file=str(path))
+    verdicts = [row["verdict"] for row in run_sweep(spec)]
+    assert verdicts == ["entangled" if p > edge else "undetected" for p in grid]
+
+
+def test_cli_imports_only_numpy_beyond_the_standard_library():
+    # what `import mumbounds.cli` adds to a fresh interpreter, beyond the
+    # modules that its start-up had already loaded
+    code = (
+        "import sys; before = set(sys.modules); import mumbounds.cli; "
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}; "
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["mumbounds", "numpy"]
 
 
 def test_engine_does_not_import_cli():

@@ -47,6 +47,9 @@ CLI_CORPUS = [
     ("gen_missing_d", "gen-state --state random --out {tmp}/x.json", []),
     ("gen_random_given_p", "gen-state --state random --d 3 --p 0.5 --out {tmp}/x.json", []),
     ("gen_random_d1", "gen-state --state random --d 1 --out {tmp}/x.json", []),
+    ("gen_tiles_given_d", "gen-state --state tiles --p 0.9 --d 5 --out {tmp}/x.json", []),
+    ("gen_max_entangled_given_seed",
+     "gen-state --state max-entangled --d 2 --seed 3 --out {tmp}/x.json", []),
     ("verify_state_ok", "verify-state --file {tmp}/rand.json", []),
     ("verify_state_bad", "verify-state --file {tmp}/bad.json", []),
     ("verify_state_missing", "verify-state --file {tmp}/nope.json", []),
