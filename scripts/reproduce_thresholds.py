@@ -2,15 +2,17 @@
 
 For each state parameter upsilon, locate the white-noise weight q at
 which the trace-norm criterion starts flagging entanglement, and print
-the resulting table together with the criterion margin at q = 1.
+the resulting table together with the criterion margin at q = 1, the
+excess of the trace norm over 1 + kappa.
 
 Run:  python scripts/reproduce_thresholds.py
 """
 
 import numpy as np
 
+from mumbounds.criteria import frame_matrices, margins, reflected_frame
 from mumbounds.engine import ThresholdQuery, run_threshold
-from mumbounds.criteria import build_correlation_matrix
+from mumbounds.mums import kappa_gap
 from mumbounds.states import horodecki_state
 
 UPSILON_GRID = (0.2, 0.4, 0.6, 0.8, 0.9)
@@ -31,11 +33,9 @@ def main() -> None:
                 fixed={"upsilon": upsilon},
             )
         )
-        margin = (
-            build_correlation_matrix(horodecki_state(upsilon), fam).trace_norm
-            - 1.0
-            - fam.kappa
-        )
+        frame = reflected_frame(horodecki_state(upsilon), fam)
+        matrix = frame_matrices(fam.d, frame, fam.t, fam.t)
+        margin = float(margins(fam.d, matrix, kappa_gap(fam.d, fam.t))[0])
         q_star = result.threshold if result.found else np.nan
         print(f"{upsilon:>8.1f}  {q_star:>14.6f}  {margin:>14.3e}")
     if fam is not None:

@@ -16,7 +16,6 @@ from .criteria import (
     pure_concurrence,
     pure_trace_norm_closed_form,
     schmidt_number_lower_bound,
-    separability_test,
 )
 from .linalg import (
     SchmidtData,
@@ -32,10 +31,9 @@ from .mums import (
     TInterval,
     build_f_blocks,
     build_mums,
+    kappa_gap,
     kappa_of_t,
-    load_family,
     optimal_kappa,
-    save_family,
     standard_family,
     standard_t_range,
     swap_operator,
@@ -74,6 +72,7 @@ __all__ = [
     "TInterval",
     "build_f_blocks",
     "build_mums",
+    "kappa_gap",
     "kappa_of_t",
     "optimal_kappa",
     "standard_family",
@@ -82,8 +81,6 @@ __all__ = [
     "t_interval",
     "two_design_residual",
     "verify_mum_relations",
-    "save_family",
-    "load_family",
     "BoundReport",
     "CorrelationMatrix",
     "build_correlation_matrix",
@@ -93,7 +90,6 @@ __all__ = [
     "pure_concurrence",
     "pure_trace_norm_closed_form",
     "schmidt_number_lower_bound",
-    "separability_test",
     "SchmidtData",
     "partial_trace",
     "partial_transpose",

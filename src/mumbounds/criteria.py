@@ -1,36 +1,53 @@
-"""Correlation matrices of paired measurement families and the
-entanglement criteria built on their trace norms.
+"""Entanglement criteria from the correlations of paired measurement
+families.
 
-The correlation matrix of a bipartite state is the d(d+1) x d(d+1)
-matrix of outcome probabilities Tr(rho (P x P)) of the POVM effects.
-Its trace norm obeys the separability threshold 1 + kappa and the
-pure-state closed form, so every bound and verdict here is computed
-from it.  Each report also carries, as a diagnostic, the trace norm of
-the matrix of block expectations Tr(rho (F x F)) of the raw building
-blocks (``BoundReport.trace_norm_f``).
+The probability correlation matrix C_P of a bipartite state holds the
+outcome probabilities Tr(rho (P_r x P_c)) of the effects P = I/d + t*F,
+and the criterion compares its trace norm with 1 + kappa.  With
+n = d(d+1), c0 = (d+1)/d, alpha_r = Tr(rho_A F_r), beta_c = Tr(rho_B F_c)
+and Phi_rc = Tr(rho (F_r x F_c)),
 
-Every matrix is one contraction A @ R @ B^T: A and B are the operator
-stacks of the two families reshaped to (d(d+1), d^2), and R is the
-validated state realigned to d^2 x d^2,
-``rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d*d, d*d)``,
-so that entry (r, c) is Tr(rho (X_r x Y_c)).  Every state passes one
-front door, ``states.validate_density`` with the ``density_*``
-tolerances, and a failure raises ValueError.  A state is validated and
-realigned once however many matrices are contracted from it.
+    C_P = J/d^2 + (t/d)(alpha 1^T + 1 beta^T) + t^2 Phi.
 
-Sweeps are evaluated as columns: ``bound_columns`` takes one state at
-the t grid of one block array (``mums.standard_grid``), so the block
-matrix is contracted once; ``bound_columns_of_states`` takes stacks of
-states at one family pair.  Each chunk of points is one broadcast of its effects or one stack of
-states, one contraction, one imaginary-part check and one batched SVD
-per operator stack; the report fields of the grid are then computed as
-arrays, with the same doubles as one point at a time.  The report
-functions build their ``BoundReport`` objects from those columns:
-``concurrence_lower_bounds`` and ``concurrence_lower_bounds_of_states``,
-whose one-state case is ``concurrence_lower_bound``.
-``build_correlation_matrix`` and ``separability_test`` take exactly one
-state; the verdict of ``separability_test`` is that of
-``concurrence_lower_bound``.
+Forming C_P and subtracting 1 + kappa cancels as t -> 0, so no bound,
+sweep or threshold forms it.  The blocks of each measurement sum to
+zero, so e = (1, ..., 1)/sqrt(n) is orthogonal to alpha and beta and
+Phi e = Phi^T e = 0; one Householder reflection H with He = e_0 gives,
+exactly,
+
+    M = H C_P H = [[c0, (t sqrt(n)/d) beta'^T], [(t sqrt(n)/d) alpha', t^2 Phi']],
+
+where alpha', beta' and Phi' drop the zero first entries of H alpha,
+H beta and H Phi H.  One contraction of the realigned state with the
+rows [vec(I); H F] (``_frame_rows``, a rank-one update of the blocks)
+gives the frame [[Tr rho, beta'^T], [alpha', Phi']]; ``frame_matrices``
+scales it to M, and ``margins`` takes one SVD of M, with singular values
+sigma:
+
+    sigma_1 - c0 = (||M||_F^2 - c0^2 - sum_{i>=2} sigma_i^2) / (sigma_1 + c0),
+    excess = ||C_P||_tr - 1 - kappa = (sigma_1 - c0) + sum_{i>=2} sigma_i - K t^2,
+
+with ||M||_F^2 - c0^2 summed off the corner and K t^2 = kappa - 1/d
+(``mums.kappa_gap``), so that kappa d - 1 = d K t^2.  The bounds, the
+Schmidt bound and the verdict come from the excess; traceNormP is
+c0 + (sigma_1 - c0) + sum_{i>=2} sigma_i and traceNormF is ||Phi'||_tr.
+A validated state has unit trace, so the corner of M is c0.
+
+The state is realigned as
+``rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d*d, d*d)``, so
+that entry (r, c) of A @ R @ B^T is Tr(rho (X_r x Y_c)) for operator rows
+X of A and Y of B.  Every state passes one front door,
+``states.validate_density`` with the ``density_*`` tolerances, and a
+failure raises ValueError.
+
+One evaluator serves every path: a t grid of one state (one frame
+against many t, ``bound_columns``), a stack of states at one family pair
+(``bound_columns_of_states``), and the white-noise weights of a
+threshold search, since w times the frame of rho is the frame of
+w*rho + (1 - w)*I/d^2.  ``_columns`` runs it a chunk of bounded memory
+at a time and computes the report fields as arrays.
+``build_correlation_matrix`` forms C_P by the plain definition, as the
+reference the tests hold the frame against.
 """
 
 from __future__ import annotations
@@ -44,7 +61,7 @@ import numpy as np
 
 from .config import TOL
 from .linalg import SchmidtData, partial_trace, pure_amplitudes
-from .mums import MumFamily, family_effects, kappa_of_t
+from .mums import MumFamily, kappa_gap
 from .states import validate_density
 
 
@@ -55,10 +72,9 @@ _CHUNK_BYTES = 2 << 20
 
 def _point_bytes(d: int) -> int:
     """Bytes one grid point adds to a stacked evaluation: its realigned
-    state, its operator stack, the half product and the complex and real
-    correlation matrices."""
+    state, the half product, its complex frame and its real matrix M."""
     n, dim = d * (d + 1), d * d
-    return 16 * (dim * dim + 2 * n * dim + n * n) + 8 * n * n
+    return 16 * (dim * dim + n * dim + n * n) + 8 * n * n
 
 
 def _check_pair(fam_a: MumFamily, fam_b: MumFamily) -> None:
@@ -83,12 +99,6 @@ def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _stacks(fam_a: MumFamily, fam_b: MumFamily, stack) -> tuple[np.ndarray, ...]:
-    """Operator stacks of a family pair: ``MumFamily.effect_stack`` or ``.block_stack``."""
-    ops_a = stack(fam_a)
-    return ops_a, ops_a if fam_b is fam_a else stack(fam_b)
-
-
 def _realigned(states: np.ndarray, d: int) -> np.ndarray:
     """Validate one d^2 x d^2 state, or a stack (k, d^2, d^2), and realign each."""
     problems = validate_density(states)
@@ -96,6 +106,95 @@ def _realigned(states: np.ndarray, d: int) -> np.ndarray:
         raise ValueError("state is not a density matrix: " + "; ".join(problems))
     realigned = states.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2)
     return realigned.reshape(states.shape)
+
+
+def _contract(realigned: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """The real entries Tr(rho (X_r x Y_c)) of operator rows (m, d^2).
+
+    ``realigned`` is one (d^2, d^2) state or a stack (k, d^2, d^2), and
+    each state's entries are the doubles of its own call.  An imaginary
+    part beyond ``TOL.correlation_imaginary`` raises ValueError.
+    """
+    entries = np.matmul(np.matmul(rows_a, realigned), rows_b.T)
+    imag = float(np.abs(entries.imag).max())
+    if imag > TOL.correlation_imaginary:
+        raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
+    return entries.real
+
+
+def _frame_rows(blocks: np.ndarray) -> np.ndarray:
+    """The operator rows of the reflected frame of a block array: vec(I),
+    then the rows of H F after the first, shape (d(d+1), d^2).
+
+    H = I - 2 v v^T / (v^T v) with v = e - e_0 takes e = (1, ..., 1)/sqrt(n)
+    to e_0; it is applied as one rank-one update of the flattened blocks.
+    """
+    d = blocks.shape[-1]
+    flat = blocks.reshape(-1, d * d)
+    n = len(flat)
+    v = np.full(n, 1.0 / math.sqrt(n))
+    v[0] -= 1.0
+    reflected = flat[1:] - np.outer(v[1:], (2.0 / (v @ v)) * (v @ flat))
+    return np.concatenate([np.eye(d).reshape(1, d * d), reflected])
+
+
+def _pair_rows(fam_a: MumFamily, fam_b: MumFamily) -> tuple[np.ndarray, np.ndarray]:
+    rows_a = _frame_rows(fam_a.f_blocks)
+    return rows_a, rows_a if fam_b is fam_a else _frame_rows(fam_b.f_blocks)
+
+
+def reflected_frame(
+    rho: np.ndarray, fam_a: MumFamily, fam_b: MumFamily | None = None
+) -> np.ndarray:
+    """The frame [[Tr rho, beta'^T], [alpha', Phi']] of one state under a
+    family pair: one density check and one contraction."""
+    fam_b = fam_a if fam_b is None else fam_b
+    _check_pair(fam_a, fam_b)
+    d = fam_a.d
+    return _contract(_realigned(_as_state(rho, d * d), d), *_pair_rows(fam_a, fam_b))
+
+
+def _scales(t, n: int, d: int) -> np.ndarray:
+    """The factors (sqrt(n)/d, t, ..., t) that take a frame's rows or columns to M."""
+    t = np.asarray(t, dtype=float)
+    scales = np.empty((*t.shape, n))
+    scales[..., 0] = math.sqrt(n) / d
+    scales[..., 1:] = t[..., None]
+    return scales
+
+
+def frame_matrices(d: int, frames: np.ndarray, ta, tb) -> np.ndarray:
+    """The matrices M of reflected frames at sharpness ``ta`` of the first
+    family and ``tb`` of the second, with their corner left at zero.
+
+    ``frames`` (..., n, n) broadcasts against ``ta`` and ``tb`` (...), so
+    one frame may meet a grid of t, or a stack of frames one t.
+    """
+    n = d * (d + 1)
+    m = frames * _scales(ta, n, d)[..., :, None] * _scales(tb, n, d)[..., None, :]
+    m[..., 0, 0] = 0.0
+    return m
+
+
+def margins(d: int, m: np.ndarray, gap) -> tuple[np.ndarray, np.ndarray]:
+    """(excess, traceNormP) of matrices M from ``frame_matrices`` at
+    ``gap`` = kappa - 1/d (``mums.kappa_gap``): one batched SVD.
+
+    The corner of ``m`` must be zero; it is set to c0 in place.
+    """
+    c0 = (d + 1.0) / d
+    off_corner = np.einsum("...ij,...ij->...", m, m)  # ||M||_F^2 - c0^2
+    m[..., 0, 0] = c0
+    sigma = np.linalg.svd(m, compute_uv=False)
+    tail = sigma[..., 1:]
+    top = (off_corner - np.einsum("...i,...i->...", tail, tail)) / (sigma[..., 0] + c0)
+    rest = tail.sum(axis=-1)  # top is sigma_1 - c0
+    return top + rest - gap, c0 + top + rest
+
+
+def _norm_f(frames: np.ndarray) -> np.ndarray:
+    """||Phi'||_tr = ||Phi||_tr of each frame."""
+    return np.linalg.svd(frames[..., 1:, 1:], compute_uv=False).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -111,27 +210,6 @@ class CorrelationMatrix:
     trace_norm: float
 
 
-def _correlation(
-    realigned: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contract realigned states with operator stacks; (matrices, singular values).
-
-    ``realigned`` is (d^2, d^2) or a stack (k, d^2, d^2); ``ops_a`` and
-    ``ops_b`` are (d(d+1), d, d) or stacks (k, d(d+1), d, d).  Leading
-    axes broadcast as in ``np.matmul``, and each point's matrix and
-    singular values are the same doubles as its own unstacked call.
-    """
-    d = ops_a.shape[-1]
-    a = ops_a.reshape(*ops_a.shape[:-2], d * d)
-    b = ops_b.reshape(*ops_b.shape[:-2], d * d)
-    entries = np.matmul(np.matmul(a, realigned), b.swapaxes(-1, -2))
-    imag = float(np.abs(entries.imag).max())
-    if imag > TOL.correlation_imaginary:
-        raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
-    matrices = np.ascontiguousarray(entries.real)
-    return matrices, np.linalg.svd(matrices, compute_uv=False)
-
-
 def build_correlation_matrix(
     rho: np.ndarray,
     fam_a: MumFamily,
@@ -139,18 +217,20 @@ def build_correlation_matrix(
 ) -> CorrelationMatrix:
     """Probability correlation matrix with entries Tr(rho (P_r x P_c)).
 
-    P runs over the effects of the two families, which must share the
-    dimension and the sharpness parameter kappa.  Entry (r, c) pairs
-    effect r of ``fam_a`` on the first factor with effect c of ``fam_b``
-    on the second, both flattened measurement-major.
+    The plain definition, kept as the reference for the reflected frame
+    that every report is computed from.  P runs over the effects of the
+    two families, which must share the dimension and the sharpness
+    parameter kappa.  Entry (r, c) pairs effect r of ``fam_a`` on the
+    first factor with effect c of ``fam_b`` on the second, both
+    flattened measurement-major.
     """
     if fam_b is None:
         fam_b = fam_a
     _check_pair(fam_a, fam_b)
     d = fam_a.d
-    matrix, singular_values = _correlation(
-        _realigned(_as_state(rho, d * d), d), *_stacks(fam_a, fam_b, MumFamily.effect_stack)
-    )
+    rows_a, rows_b = (fam.effect_stack().reshape(-1, d * d) for fam in (fam_a, fam_b))
+    matrix = np.ascontiguousarray(_contract(_realigned(_as_state(rho, d * d), d), rows_a, rows_b))
+    singular_values = np.linalg.svd(matrix, compute_uv=False)
     return CorrelationMatrix(
         matrix=matrix,
         singular_values=singular_values,
@@ -198,8 +278,11 @@ class BoundReport:
     ``bound_derived`` carries the proof-consistent coefficient
     sqrt(2(d-1)/d)/(kappa*d - 1), ``bound_literal`` the variant with
     sqrt(2(d-1)/(d(kappa*d - 1))); both clamp at zero, and both are
-    always computed.  The verdict compares the probability correlation
-    trace norm against 1 + kappa plus the verdict tolerance.
+    always computed.  bound_literal = bound_derived * sqrt(kappa*d - 1)
+    and kappa*d - 1 <= 2/d <= 1, so the literal variant is never the
+    larger.  The verdict is "entangled" when the excess of the
+    probability correlation trace norm over 1 + kappa exceeds the
+    verdict tolerance.
     """
 
     d: int
@@ -235,26 +318,27 @@ _COLUMNS = (
 )
 
 
-def _columns(
-    d: int, ts: np.ndarray, norm_p: np.ndarray, norm_f: np.ndarray, tol: float
-) -> dict[str, list]:
-    """The report fields of a grid of points from their t and two trace norms.
+def _columns(d: int, chunks: Iterable[tuple], tol: float) -> dict[str, list]:
+    """The report fields of chunks of points, in order, as columns.
 
-    One list per field, keyed as ``BoundReport.as_dict``.  Each value is
-    the double of the scalar formula at its point: the same IEEE
-    operations in the same order, with max(c, x) taken as x if x > c
-    else c, so that a clamped bound is +0.0 and never -0.0.
+    Each chunk is (frames, norm_f, ta, tb), broadcast against one another
+    as in ``frame_matrices``.  One list per field, keyed as
+    ``BoundReport.as_dict``; a clamped bound is +0.0, never -0.0.
     """
-    kappa = kappa_of_t(d, ts)
-    threshold = 1.0 + kappa
-    excess = norm_p - threshold
-    scale = kappa * d - 1.0
+    parts: list[list[np.ndarray]] = [[], [], [], [], []]
+    for frames, norm_f, ta, tb in chunks:
+        gap = kappa_gap(d, np.asarray(ta, dtype=float))
+        excess, norm_p = margins(d, frame_matrices(d, frames, ta, tb), gap)
+        for part, column in zip(parts, np.broadcast_arrays(ta, gap, excess, norm_p, norm_f)):
+            part.append(column)
+    ts, gap, excess, norm_p, norm_f = (np.concatenate([np.empty(0), *part]) for part in parts)
+    kappa = 1.0 / d + gap  # kappa_of_t
+    scale = d * gap  # kappa d - 1
     derived = np.sqrt(2.0 * (d - 1.0) / d) * excess / scale
     literal = np.sqrt(2.0 * (d - 1.0) / (d * scale)) * excess
-    # the formula of schmidt_number_lower_bound
-    schmidt = 1.0 + (d - 1.0) * (norm_p - 1.0 - kappa) / scale
+    schmidt = 1.0 + (d - 1.0) * excess / scale
     columns = (
-        ts, kappa, norm_p, norm_f, threshold,
+        ts, kappa, norm_p, norm_f, 1.0 + kappa,
         np.where(literal > 0.0, literal, 0.0),
         np.where(derived > 0.0, derived, 0.0),
         np.where(schmidt > 1.0, schmidt, 1.0),
@@ -285,26 +369,18 @@ def bound_columns(
     One list per ``BoundReport`` field after d, keyed as
     ``BoundReport.as_dict``, with one entry per t in order.  Each t must
     be admissible for the blocks, as ``mums.standard_grid`` checks.  The
-    state is validated and realigned once and its block matrix, which
-    does not depend on t, is contracted once.  Each chunk of bounded
-    memory is one broadcast of its effects (``family_effects``), one
-    contraction and one batched SVD; the report fields of the whole grid
-    are then computed as arrays.
+    state is validated and contracted once, since its frame does not
+    depend on t; each chunk of t values is then one batched SVD.
     """
     _check_tol(tol)
     ts = np.asarray(ts, dtype=float)
     d = blocks.shape[-1]
-    realigned = _realigned(_as_state(rho, d * d), d)
-    ops_f = blocks.reshape(-1, d, d)
-    norm_f = _correlation(realigned, ops_f, ops_f)[1].sum()
+    rows = _frame_rows(blocks)
+    frame = _contract(_realigned(_as_state(rho, d * d), d), rows, rows)
+    norm_f = _norm_f(frame)
     step = chunk_points(d)
-    norms_p = []
-    for start in range(0, len(ts), step):
-        chunk = ts[start : start + step]
-        ops_p = family_effects(blocks, chunk).reshape(len(chunk), -1, d, d)
-        norms_p.append(_correlation(realigned, ops_p, ops_p)[1].sum(axis=-1))
-    norm_p = np.concatenate([np.empty(0), *norms_p])
-    return _columns(d, ts, norm_p, np.full(len(ts), norm_f), tol)
+    chunks = (ts[start : start + step] for start in range(0, len(ts), step))
+    return _columns(d, ((frame, norm_f, chunk, chunk) for chunk in chunks), tol)
 
 
 def concurrence_lower_bounds(
@@ -341,29 +417,27 @@ def bound_columns_of_states(
     ``stacks`` is an iterable of state stacks (k, d^2, d^2), taken one at
     a time, so a generator never has more than one stack built; a stack
     of more than ``chunk_points(d)`` states is split into chunks.  Each
-    chunk is one density check, one block and one probability
-    contraction and two batched SVDs.  The columns are keyed as
-    ``BoundReport.as_dict``, one entry per state in order.
+    chunk is one density check, one contraction and two batched SVDs,
+    of Phi' and of M.  The columns are keyed as ``BoundReport.as_dict``,
+    one entry per state in order.
     """
     fam_b = fam_a if fam_b is None else fam_b
     _check_tol(tol)
     _check_pair(fam_a, fam_b)
     d = fam_a.d
-    ops_f = _stacks(fam_a, fam_b, MumFamily.block_stack)
-    ops_p = _stacks(fam_a, fam_b, MumFamily.effect_stack)
+    rows = _pair_rows(fam_a, fam_b)
     step = chunk_points(d)
-    norms_p, norms_f = [], []
-    for stack in stacks:
-        stack = np.asarray(stack, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1:] != (d * d, d * d):
-            raise ValueError(f"a state stack must be (k, {d * d}, {d * d}), got {stack.shape}")
-        for start in range(0, len(stack), step):
-            realigned = _realigned(stack[start : start + step], d)
-            norms_f.append(_correlation(realigned, *ops_f)[1].sum(axis=-1))
-            norms_p.append(_correlation(realigned, *ops_p)[1].sum(axis=-1))
-    norm_p = np.concatenate([np.empty(0), *norms_p])
-    norm_f = np.concatenate([np.empty(0), *norms_f])
-    return _columns(d, np.full(len(norm_p), fam_a.t), norm_p, norm_f, tol)
+
+    def chunks():
+        for stack in stacks:
+            stack = np.asarray(stack, dtype=complex)
+            if stack.ndim != 3 or stack.shape[1:] != (d * d, d * d):
+                raise ValueError(f"a state stack must be (k, {d * d}, {d * d}), got {stack.shape}")
+            for start in range(0, len(stack), step):
+                frames = _contract(_realigned(stack[start : start + step], d), *rows)
+                yield frames, _norm_f(frames), fam_a.t, fam_b.t
+
+    return _columns(d, chunks(), tol)
 
 
 def concurrence_lower_bounds_of_states(
@@ -399,22 +473,9 @@ def concurrence_lower_bound(
 ) -> BoundReport:
     """Evaluate both concurrence bound variants and the separability verdict.
 
-    ``tol`` must be finite and non-negative.  The one-state case of
+    Every separable state stays below 1 + kappa, so "entangled" is
+    conclusive while "undetected" is not.  ``tol`` must be finite and
+    non-negative.  The one-state case of
     ``concurrence_lower_bounds_of_states``.
     """
     return concurrence_lower_bounds_of_states([rho], fam_a, fam_b, tol=tol)[0]
-
-
-def separability_test(
-    rho: np.ndarray,
-    fam_a: MumFamily,
-    fam_b: MumFamily | None = None,
-    tol: float = TOL.verdict,
-) -> str:
-    """Verdict "entangled" or "undetected" from the trace-norm criterion.
-
-    Every separable state stays below 1 + kappa, so "entangled" is
-    conclusive while "undetected" is not.  The verdict of
-    ``concurrence_lower_bound``.
-    """
-    return concurrence_lower_bound(rho, fam_a, fam_b, tol=tol).verdict

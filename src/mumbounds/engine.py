@@ -5,23 +5,22 @@ renders them as CSV; a threshold query locates the white-noise weight at
 which the separability criterion starts detecting.  Invalid requests
 raise ``UsageError``.
 
-Each query touches its state once.  Correlation matrices are one GEMM
-contraction A @ R @ B^T of the realigned state R with the family's
-operator stacks (see ``mumbounds.criteria``).  A sweep is evaluated as
-columns, a chunk of points at a time, and only its rows are built per
-point.  The Gell-Mann blocks and t-interval of a dimension are built on
-its first query and memoised (``mums.standard_family``).  A t-sweep
-checks its grid as one array against them (``mums.standard_grid``),
-validates and realigns the state once, contracts the t-independent block
-matrix once, and the probability matrices of each chunk from one
-broadcast of its effects (``bound_columns``).  A p, q or upsilon sweep builds the states of each
-chunk as one stack, one broadcast of ``mix_with_white_noise`` or
-``horodecki_state``, as the chunk is evaluated at one family
-(``bound_columns_of_states``).
-A threshold query builds the state at weight 1, contracts its
-probability matrix C once, and evaluates every other weight of the
-search as one SVD of w*C + (1 - w)*J/d^2, the exact matrix of the
-mixture with white noise, since every effect has unit trace.
+Each query touches its state once.  Every evaluation goes through the
+reflected frame of ``mumbounds.criteria``: one contraction of the
+realigned state gives [[Tr rho, beta'^T], [alpha', Phi']], and each point
+is one SVD of the matrix M it gives at t, so no path forms the
+probability correlation matrix.  A sweep is evaluated as columns, a
+chunk of points at a time, and only its rows are built per point.  The
+Gell-Mann blocks and t-interval of a dimension are built on its first
+query and memoised (``mums.standard_family``).  A t-sweep checks its
+grid as one array against them (``mums.standard_grid``) and contracts
+its state once (``bound_columns``).  A p, q or upsilon sweep builds the
+states of each chunk as one stack, one broadcast of
+``mix_with_white_noise`` or ``horodecki_state``, and contracts the
+chunk once at its one family (``bound_columns_of_states``).  A
+threshold query contracts the state at weight 1 once; the frame of
+w*rho + (1 - w)*I/d^2 is w times it, since every block is traceless,
+so each weight of the search is one SVD (``criteria.margins``).
 """
 
 from __future__ import annotations
@@ -35,11 +34,12 @@ import numpy as np
 from .criteria import (
     bound_columns,
     bound_columns_of_states,
-    build_correlation_matrix,
     chunk_points,
+    frame_matrices,
+    margins,
+    reflected_frame,
 )
-from .linalg import trace_norm
-from .mums import MumFamily, standard_family, standard_grid
+from .mums import MumFamily, kappa_gap, standard_family, standard_grid
 from .states import horodecki_noisy, load_state, mix_with_white_noise, tiles_noisy
 from .threshold import ThresholdResult, find_threshold
 
@@ -260,12 +260,12 @@ def render_csv(rows: list[dict]) -> str:
 def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     """Locate the detection boundary; returns (result, family).
 
-    The margin is the trace norm of the probability correlation matrix
-    minus 1 + kappa.  It is convex in the white-noise weight w and equals
+    The margin is the excess of the probability correlation trace norm
+    over 1 + kappa.  It is convex in the white-noise weight w and equals
     1/d - kappa < 0 at w = 0, so it crosses zero at most once on [0, 1].
-    The state at weight w has the probability matrix w*C + (1 - w)*J/d^2,
-    where C is the matrix at weight 1, so C is built once per query and
-    its trace norm, already computed with it, is the margin at w = 1.
+    The frame of the state at weight w is w times the frame at weight 1,
+    and so is its matrix M off the corner: M is contracted and scaled
+    once per query, and each evaluation is one SVD.
     """
     query.validate()
     if query.t == 0.0:
@@ -274,13 +274,10 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
         query.state_family, query.file, {**query.fixed, query.search_variable: 1.0}
     )
     fam = family_for(infer_d(rho.shape[0]), query.t)
-    corr = build_correlation_matrix(rho, fam)
-    dim = rho.shape[0]
-    threshold = 1.0 + fam.kappa
+    matrix = frame_matrices(fam.d, reflected_frame(rho, fam), fam.t, fam.t)
+    gap = kappa_gap(fam.d, fam.t)
 
     def margin(w: float) -> float:
-        if w == 1.0:
-            return corr.trace_norm - threshold
-        return trace_norm(w * corr.matrix + (1.0 - w) / dim) - threshold
+        return float(margins(fam.d, w * matrix, gap)[0])
 
     return find_threshold(margin, tol=query.tolerance), fam

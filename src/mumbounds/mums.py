@@ -6,24 +6,27 @@ d+1 POVMs with effects I/d + t*F.  A family is the triple (t, blocks,
 interval): d, kappa(t) and the effects are derived from it, never
 stored.  The Gell-Mann blocks and interval are built once per dimension
 and memoised, so the families of a grid of t values share one block
-array and one interval; a grid of t is checked as one array
-(``standard_grid``) and its effects are one broadcast
-(``family_effects``).  The defining trace relations and the
-2-design property of the effects are verifiable numerically.
+array and one interval, and a grid of t is checked as one array
+(``standard_grid``).  The criteria need only the blocks and t
+(``mumbounds.criteria``); the effects are formed for the defining trace
+relations and the 2-design property, which are verifiable numerically.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .basis import OperatorBasis, standard_basis
 from .config import TOL
+
+
+def kappa_gap(d: int, t: float) -> float:
+    """kappa - 1/d = (1 + sqrt(d))^2 (d - 1) t^2, computed without
+    subtracting 1/d from kappa; an array of t gives an array."""
+    return t * t * (1.0 + np.sqrt(d)) ** 2 * (d - 1)
 
 
 def kappa_of_t(d: int, t: float) -> float:
@@ -33,7 +36,7 @@ def kappa_of_t(d: int, t: float) -> float:
     family is no longer a MUM.  An array of t gives the array of kappa,
     each the double that its t alone gives.
     """
-    return 1.0 / d + t * t * (1.0 + np.sqrt(d)) ** 2 * (d - 1)
+    return 1.0 / d + kappa_gap(d, t)
 
 
 def optimal_kappa(d: int) -> float:
@@ -111,7 +114,8 @@ class MumFamily:
     @property
     def effects(self) -> np.ndarray:
         """The effects I/d + t*F, shape (d+1, d, d, d), a new read-only array."""
-        effects = family_effects(self.f_blocks, self.t)
+        effects = self.t * self.f_blocks
+        effects += np.eye(self.d, dtype=complex) / self.d
         effects.setflags(write=False)
         return effects
 
@@ -122,21 +126,6 @@ class MumFamily:
     def effect_stack(self) -> np.ndarray:
         """Effects flattened to (d*(d+1), d, d), measurement-major."""
         return self.effects.reshape(-1, self.d, self.d)
-
-
-def family_effects(blocks: np.ndarray, ts) -> np.ndarray:
-    """The effects I/d + t*F of one block array at each t of ``ts``.
-
-    ``ts`` is one t, giving shape (d+1, d, d, d), or an array of them,
-    giving (len(ts), d+1, d, d, d).  One broadcast: t*F for every t,
-    then I/d added in place, so each t gets the doubles of its own call;
-    ``MumFamily.effects`` is the one-t case.  The t values are not
-    checked for admissibility.
-    """
-    d = blocks.shape[-1]
-    effects = np.asarray(ts, dtype=float)[..., None, None, None, None] * blocks
-    effects += np.eye(d, dtype=complex) / d
-    return effects
 
 
 class InadmissibleTError(ValueError):
@@ -284,68 +273,3 @@ def two_design_residual(fam: MumFamily) -> float:
         (fam.kappa * d - 1.0) / (d - 1)
     ) * swap_operator(d)
     return float(np.abs(total - expected).max())
-
-
-def _complex_to_parts(arr: np.ndarray) -> dict:
-    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
-
-
-def _parts_to_complex(parts: dict) -> np.ndarray:
-    return np.asarray(parts["re"], dtype=float) + 1j * np.asarray(parts["im"], dtype=float)
-
-
-def save_family(fam: MumFamily, path: str | Path) -> None:
-    """Write a family to a JSON file for inspection or reuse.
-
-    Layout: d, t, kappa, t_range, and f_blocks as nested
-    [measurement][outcome] real/imag arrays.  Everything but t and the
-    blocks is derived and is checked again by ``load_family``; the
-    effects t*F + I/d are not written.
-    """
-    payload = {
-        "format": "mum-family",
-        "version": 1,
-        "d": fam.d,
-        "t": fam.t,
-        "kappa": fam.kappa,
-        "t_range": {"lower": fam.t_range.lower, "upper": fam.t_range.upper},
-        "f_blocks": _complex_to_parts(fam.f_blocks),
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
-
-
-def load_family(path: str | Path) -> MumFamily:
-    """Read a family back from the JSON layout written by save_family.
-
-    The family is rebuilt from t and the blocks through the checks of
-    ``build_mums`` and must pass ``verify_mum_relations``.  Stored
-    ``kappa`` must match it within ``TOL.kappa_match``, and ``t_range``
-    within the relative ``TOL.t_endpoint_slack``.  Any other field, such
-    as the effects that older versions wrote, is ignored.
-    """
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "mum-family":
-        raise ValueError(f"{path}: not a mum-family file")
-    for key in ("d", "t", "kappa", "t_range", "f_blocks"):
-        if key not in payload:
-            raise ValueError(f"{path}: missing field {key!r}")
-    d = int(payload["d"])
-    blocks = _parts_to_complex(payload["f_blocks"])
-    if blocks.shape != (d + 1, d, d, d):
-        raise ValueError(f"{path}: f_blocks shape does not match d = {d}")
-    blocks.setflags(write=False)
-    fam = _family(float(payload["t"]), blocks, t_interval(blocks, d))
-    stored, rng = TInterval(**payload["t_range"]), fam.t_range
-    agrees = {
-        "kappa": abs(float(payload["kappa"]) - fam.kappa) <= TOL.kappa_match,
-        "t_range": all(
-            math.isclose(getattr(stored, end), getattr(rng, end), rel_tol=TOL.t_endpoint_slack)
-            for end in ("lower", "upper")
-        ),
-    }
-    if not all(agrees.values()):
-        wrong = ", ".join(name for name, ok in agrees.items() if not ok)
-        raise ValueError(f"{path}: stored {wrong} disagree with what t and the blocks give")
-    if not verify_mum_relations(fam).passed:
-        raise ValueError(f"{path}: the blocks do not give a mutually unbiased measurement")
-    return fam

@@ -2,10 +2,10 @@
 
 The reference below builds every family with ``build_mums`` and every
 state as the sweep engine does, and evaluates each point on its own with
-``concurrence_lower_bound``, whose trace norms it also checks against
-``build_correlation_matrix`` and one unstacked contraction of the
-blocks.  Every report field and every CSV byte must be equal, not merely
-close.
+``concurrence_lower_bound``, whose trace norms it also checks, to 1e-12
+relative plus 1e-15, against ``build_correlation_matrix`` and one unstacked
+contraction of the blocks.  Every report field and every CSV byte of a
+batch must equal those of the points on their own, not merely be close.
 """
 
 import math
@@ -21,11 +21,9 @@ from mumbounds.criteria import (
     concurrence_lower_bound,
     concurrence_lower_bounds,
     concurrence_lower_bounds_of_states,
-    schmidt_number_lower_bound,
-    separability_test,
 )
 from mumbounds.engine import SweepSpec, UsageError, make_state, render_csv, run_sweep
-from mumbounds.mums import build_mums, kappa_of_t, standard_family
+from mumbounds.mums import build_mums, kappa_gap, kappa_of_t, standard_family
 from mumbounds.states import (
     horodecki_noisy,
     mix_with_white_noise,
@@ -38,16 +36,14 @@ from mumbounds.states import (
 
 def _reference_report(rho, fam):
     report = concurrence_lower_bound(rho, fam)
-    assert report.trace_norm_p == build_correlation_matrix(rho, fam).trace_norm
+    norm_p = build_correlation_matrix(rho, fam).trace_norm
+    assert abs(report.trace_norm_p - norm_p) <= 1e-12 * norm_p + 1e-15
     realigned = criteria._realigned(np.asarray(rho, dtype=complex), fam.d)
-    blocks = fam.block_stack()
-    assert report.trace_norm_f == criteria._correlation(realigned, blocks, blocks)[1].sum()
+    blocks = fam.block_stack().reshape(-1, fam.d * fam.d)
+    plain = criteria._contract(realigned, blocks, blocks)
+    norm_f = np.linalg.svd(plain, compute_uv=False).sum()
+    assert abs(report.trace_norm_f - norm_f) <= 1e-12 * norm_f + 1e-15
     return report
-
-
-def _label(ops):
-    """"P" for a stack of effects (unit trace), "F" for one of blocks (traceless)."""
-    return "P" if abs(np.trace(ops.reshape(-1, *ops.shape[-2:])[0]) - 1.0) < 1e-9 else "F"
 
 
 def _reference_points(spec):
@@ -147,13 +143,13 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     # 7 points split into chunks of 1, 2 and 3, with a short last chunk
     monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(3))
     contractions = []
-    original = criteria._correlation
+    original = criteria._contract
 
-    def counted(realigned, ops_a, ops_b):
-        contractions.append(_label(ops_a))
-        return original(realigned, ops_a, ops_b)
+    def counted(realigned, rows_a, rows_b):
+        contractions.append(len(realigned) if realigned.ndim == 3 else 1)
+        return original(realigned, rows_a, rows_b)
 
-    monkeypatch.setattr(criteria, "_correlation", counted)
+    monkeypatch.setattr(criteria, "_contract", counted)
     chunks = math.ceil(7 / points_per_chunk)
 
     grid = _tiles_grid(t_range_of, 7)
@@ -162,14 +158,16 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     expected = [_reference_report(rho, build_mums(basis, float(t))) for t in grid]
     contractions.clear()
     assert concurrence_lower_bounds(rho, [standard_family(3, t) for t in grid]) == expected
-    assert contractions.count("P") == chunks and contractions.count("F") == 1
+    # the frame of the state does not depend on t: one contraction
+    assert contractions == [1]
 
     fam = build_mums(basis, 0.08)
     states = [horodecki_noisy(float(v), 0.995) for v in np.linspace(0.0, 1.0, 7)]
     expected = [_reference_report(state, fam) for state in states]
     contractions.clear()
     assert concurrence_lower_bounds_of_states(np.stack(states), fam) == expected
-    assert contractions.count("P") == chunks and contractions.count("F") == chunks
+    # one contraction per chunk of states
+    assert len(contractions) == chunks and sum(contractions) == 7
 
     # a generator is consumed one chunk at a time
     yielded = []
@@ -181,7 +179,7 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
 
     contractions.clear()
     assert concurrence_lower_bounds_of_states(generated(), fam) == expected
-    assert yielded == [2 * (i // points_per_chunk) for i in range(7)]
+    assert yielded == [i // points_per_chunk for i in range(7)]
 
     _assert_sweep_matches(SweepSpec("t", grid[0], grid[-1], 7, "tiles", fixed={"p": 0.99}))
     _assert_sweep_matches(SweepSpec("q", 0.0, 1.0, 7, "horodecki", fixed={"upsilon": 0.4, "t": 0.08}))
@@ -209,27 +207,29 @@ def test_single_state_entry_points_reject_a_stack(family):
     stack = np.stack([np.eye(9, dtype=complex) / 9.0] * 2)
     for call in (
         lambda: build_correlation_matrix(stack, fam),
-        lambda: separability_test(stack, fam),
         lambda: concurrence_lower_bound(stack, fam),
         lambda: concurrence_lower_bounds(stack, [fam]),
         lambda: concurrence_lower_bounds(list(stack), [fam]),
     ):
         with pytest.raises(ValueError, match=r"state must be 9x9, got \(2, 9, 9\)"):
             call()
-    assert separability_test(stack[0], fam) == "undetected"
+    assert concurrence_lower_bound(stack[0], fam).verdict == "undetected"
 
 
-def _scalar_fields(row):
+def _scalar_fields(row, rho, fam):
     """The bound columns of one sweep row by the scalar formulas, from its
-    d, kappa and probability trace norm, one point at a time."""
-    d, kappa, norm = row["d"], row["kappa"], row["traceNormP"]
-    excess = norm - (1.0 + kappa)
+    d and t and the excess of its state on its own."""
+    d, t = row["d"], row["t"]
+    m = criteria.frame_matrices(d, criteria.reflected_frame(rho, fam), t, t)
+    excess = float(criteria.margins(d, m, kappa_gap(d, t))[0])
+    kappa = kappa_of_t(d, t)
+    scale = d * kappa_gap(d, t)  # kappa d - 1
     return {
-        "kappa": kappa_of_t(d, row["t"]),
+        "kappa": kappa,
         "threshold": 1.0 + kappa,
-        "bound_literal": max(0.0, math.sqrt(2.0 * (d - 1.0) / (d * (kappa * d - 1.0))) * excess),
-        "bound_derived": max(0.0, math.sqrt(2.0 * (d - 1.0) / d) * excess / (kappa * d - 1.0)),
-        "schmidt_number_lb": schmidt_number_lower_bound(norm, d, kappa),
+        "bound_literal": max(0.0, math.sqrt(2.0 * (d - 1.0) / (d * scale)) * excess),
+        "bound_derived": max(0.0, math.sqrt(2.0 * (d - 1.0) / d) * excess / scale),
+        "schmidt_number_lb": max(1.0, 1.0 + (d - 1.0) * excess / scale),
         "verdict": "entangled" if excess > TOL.verdict else "undetected",
     }
 
@@ -257,9 +257,10 @@ def _separable_file(tmp_path):
     ids=["tiles", "tiles-undetected", "horodecki", "separable-t", "separable-p"],
 )
 def test_columns_equal_the_scalar_formulas(make_spec, detected, tmp_path, t_range_of):
-    rows = run_sweep(make_spec(tmp_path, t_range_of(3)))
-    for row in rows:
-        expected = _scalar_fields(row)
+    spec = make_spec(tmp_path, t_range_of(3))
+    rows = run_sweep(spec)
+    for row, (rho, fam) in zip(rows, _reference_points(spec)[1], strict=True):
+        expected = _scalar_fields(row, rho, fam)
         assert {key: row[key] for key in expected} == expected, row
         # a negative margin clamps both bounds to +0.0, which prints as 0
         for key in ("bound_literal", "bound_derived"):

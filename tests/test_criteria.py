@@ -17,10 +17,9 @@ from mumbounds.criteria import (
     pure_concurrence,
     pure_trace_norm_closed_form,
     schmidt_number_lower_bound,
-    separability_test,
 )
 from mumbounds.linalg import partial_trace, schmidt_decompose
-from mumbounds.mums import build_mums, standard_family
+from mumbounds.mums import build_mums, kappa_gap, standard_family
 from mumbounds.states import (
     max_entangled,
     random_density,
@@ -152,14 +151,18 @@ class TestCorrelationMatrix:
             build_correlation_matrix(bad, fam)
 
     def test_imaginary_cutoff_is_a_named_tolerance(self, family, monkeypatch):
-        ops = family(3, 0.05).effect_stack()
-        # every entry of I/9 is 1/9; a phase of 1e-6 adds an imaginary part of ~1.1e-7
+        fam = family(3, 0.05)
+        rows = criteria._frame_rows(fam.f_blocks)
+        # a phase of 1e-6 on I/9 gives the Tr(rho) entry of the frame an
+        # imaginary part of 1e-6
         realigned = criteria._realigned(np.eye(9) / 9.0, 3) * (1.0 + 1e-6j)
         with pytest.raises(ValueError, match="imaginary part"):
-            criteria._correlation(realigned, ops, ops)
-        monkeypatch.setattr(criteria, "TOL", replace(TOL, correlation_imaginary=1e-6))
-        _, singular_values = criteria._correlation(realigned, ops, ops)
-        assert singular_values.sum() == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
+            criteria._contract(realigned, rows, rows)
+        monkeypatch.setattr(criteria, "TOL", replace(TOL, correlation_imaginary=1e-5))
+        frame = criteria._contract(realigned, rows, rows)
+        m = criteria.frame_matrices(3, frame, fam.t, fam.t)
+        _, norm_p = criteria.margins(3, m, kappa_gap(3, fam.t))
+        assert norm_p == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
 
 
 class TestClosedForm:
@@ -283,8 +286,6 @@ class TestConcurrenceBound:
                 concurrence_lower_bound(rho, fam, tol=tol)
             with pytest.raises(ValueError, match="tolerance"):
                 concurrence_lower_bounds(rho, [fam], tol=tol)
-            with pytest.raises(ValueError, match="tolerance"):
-                separability_test(rho, fam, tol=tol)
         assert concurrence_lower_bound(rho, fam, tol=0.0).verdict == "undetected"
 
 
@@ -296,7 +297,6 @@ class TestFrontDoor:
         return (
             lambda: concurrence_lower_bound(rho, fam),
             lambda: build_correlation_matrix(rho, fam),
-            lambda: separability_test(rho, fam),
             lambda: concurrence_lower_bounds(rho, [fam]),
             lambda: concurrence_lower_bounds_of_states([rho], fam),
         )
@@ -361,18 +361,18 @@ class TestBatchedBounds:
 
 class TestSeparability:
     def test_maximally_mixed_undetected(self, family):
-        assert separability_test(np.eye(9) / 9.0, family(3, 0.05)) == "undetected"
+        assert concurrence_lower_bound(np.eye(9) / 9.0, family(3, 0.05)).verdict == "undetected"
 
     def test_max_entangled_detected(self, family, t_range_of):
         fam = family(3, t_range_of(3).upper)
-        assert separability_test(_pure_density(max_entangled(3)), fam) == "entangled"
+        assert concurrence_lower_bound(_pure_density(max_entangled(3)), fam).verdict == "entangled"
 
     def test_tiles_golden_value(self, family):
         # bound entangled, yet detected at t = 0.01
         fam = family(3, 0.01)
         corr = build_correlation_matrix(tiles_noisy(1.0), fam)
         assert corr.trace_norm == pytest.approx(TILES_P1_T001_NORM, abs=1e-9)
-        assert separability_test(tiles_noisy(1.0), fam) == "entangled"
+        assert concurrence_lower_bound(tiles_noisy(1.0), fam).verdict == "entangled"
 
     def test_verdict_stable_under_tolerance_scaling(self, family):
         # margins 0.002 away from each reference threshold are far above 1e-9
@@ -384,7 +384,7 @@ class TestSeparability:
             for q, expect in ((q_star - 0.002, "undetected"), (min(1.0, q_star + 0.002), "entangled")):
                 rho = horodecki_noisy(upsilon, q)
                 for tol in (0.0, 1e-9):
-                    assert separability_test(rho, fam, tol=tol) == expect
+                    assert concurrence_lower_bound(rho, fam, tol=tol).verdict == expect
 
     def test_mixing_convexity(self, family):
         fam = family(3, 0.08)

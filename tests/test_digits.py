@@ -20,6 +20,7 @@ sweeps of both scripts and of the golden CLI corpus
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 
 import mpmath
@@ -34,6 +35,15 @@ from mumbounds.states import mix_with_white_noise
 
 REL, ABS = 5e-12, 1e-15
 FIELDS = ("traceNormP", "traceNormF", "bound_literal", "bound_derived", "schmidt_number_lb")
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_norm_40(entries: bytes, n: int):
+    """The trace norm at 40 digits of the float64 (n, n) matrix with these
+    bytes; a t-sweep's rows share one Phi."""
+    matrix = np.frombuffer(entries).reshape(n, n)
+    with mpmath.mp.workdps(40):
+        return mpmath.mp.fsum(mpmath.mp.svd_r(mpmath.mp.matrix(matrix.tolist()), compute_uv=False))
 
 
 def reference(rho: np.ndarray, blocks: np.ndarray, t: float) -> dict[str, object]:
@@ -56,7 +66,7 @@ def reference(rho: np.ndarray, blocks: np.ndarray, t: float) -> dict[str, object
                     + t * t * mp.mpf(phi[r, c])
                 )
         norm_p = mp.fsum(mp.svd_r(corr, compute_uv=False))
-        norm_f = mp.fsum(mp.svd_r(mp.matrix(phi.tolist()), compute_uv=False))
+        norm_f = _trace_norm_40(np.ascontiguousarray(phi).tobytes(), n)
         gap = t * t * (1 + mp.sqrt(d)) ** 2 * (d - 1)  # kappa - 1/d
         excess = norm_p - 1 - (mp.mpf(1) / d + gap)
         scale = d * gap  # kappa d - 1
@@ -157,3 +167,24 @@ def test_bounds_carry_exact_digits(name, files):
     report = concurrence_lower_bound(rho, standard_family(d, t))
     failed = misses({"d": d, **report.as_dict()}, rho, t)
     assert not failed, "\n".join(failed)
+
+
+def isotropic(d: int, fidelity: float) -> np.ndarray:
+    """F |Phi+><Phi+| + (1 - F)/(d^2 - 1) (I - |Phi+><Phi+|)."""
+    psi = np.eye(d).reshape(d * d) / np.sqrt(d)
+    proj = np.outer(psi, psi)
+    return fidelity * proj + (1.0 - fidelity) / (d * d - 1) * (np.eye(d * d) - proj)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_isotropic_bound_equals_its_concurrence(d):
+    # C(rho_F) = sqrt(2d/(d - 1)) (F - 1/d) for F >= 1/d (Rungta and Caves,
+    # PRA 67, 012307, 2003), and bound_derived attains it at every t
+    rng = standard_t_range(d)
+    ts = (0.9 * rng.lower, 1e-3 * rng.lower, 1e-5 * rng.upper, 1e-3 * rng.upper,
+          0.5 * rng.upper, rng.upper)
+    for fidelity in 1.0 / d + (1.0 - 1.0 / d) * np.array([1e-3, 0.1, 0.5, 0.9, 1.0]):
+        exact = np.sqrt(2.0 * d / (d - 1.0)) * (fidelity - 1.0 / d)
+        for t in ts:
+            report = concurrence_lower_bound(isotropic(d, fidelity), standard_family(d, t))
+            assert abs(report.bound_derived - exact) <= 1e-12 * exact, (fidelity, t, report)

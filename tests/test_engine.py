@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 
 from mumbounds import criteria, engine, mums, states
-from mumbounds.criteria import build_correlation_matrix
+from mumbounds.criteria import (
+    build_correlation_matrix,
+    frame_matrices,
+    margins,
+    reflected_frame,
+)
 from mumbounds.engine import SweepSpec, ThresholdQuery, UsageError, run_sweep, run_threshold
-from mumbounds.linalg import trace_norm
 from mumbounds.states import (
     max_entangled,
     mix_with_white_noise,
@@ -57,14 +61,14 @@ def test_margin_is_midpoint_convex_in_weight(family, t_range_of):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_affine_margin_matches_mixed_state_definition(d, family, t_range_of, tmp_path):
-    # the probability matrix of w*rho + (1-w)*I/d^2 is w*C + (1-w)*J/d^2
+    # the reflected frame of w*rho + (1-w)*I/d^2 is w times that of rho
     t = 0.9 * t_range_of(d).upper
     fam = family(d, t)
     psi = random_pure(d, d, seed=d)
     rho = np.outer(psi, psi.conj())
-    corr = build_correlation_matrix(rho, fam).matrix
+    frame = reflected_frame(rho, fam)
     for w in np.linspace(0.0, 1.0, 11):
-        affine = trace_norm(w * corr + (1.0 - w) / (d * d)) - 1.0 - fam.kappa
+        affine = float(margins(d, frame_matrices(d, w * frame, t, t), mums.kappa_gap(d, t))[0])
         assert affine == pytest.approx(_margin(rho, fam, w), abs=1e-12)
 
     path = tmp_path / "pure.json"
@@ -132,20 +136,22 @@ def test_threshold_search_matches_plain_halving(monkeypatch, tmp_path, t_range_o
     assert found >= 10
 
 
-def test_weight_one_reuses_the_contracted_trace_norm(monkeypatch, tmp_path):
+def test_each_threshold_evaluation_is_one_svd(monkeypatch, tmp_path):
     path = _state_file(tmp_path)
     svds = []
+    original = np.linalg.svd
 
-    def counted(m):
+    def counted(m, *args, **kwargs):
         svds.append(m.shape)
-        return trace_norm(m)
+        return original(m, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "trace_norm", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     result, _ = run_threshold(
         ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
     )
     assert result.found
-    assert len(svds) == result.evaluations - 1
+    # the 12 x 12 matrix M of each weight, and no other
+    assert svds == [(12, 12)] * result.evaluations
 
 
 def test_sweep_rejects_non_finite_ends():
@@ -153,13 +159,6 @@ def test_sweep_rejects_non_finite_ends():
         spec = SweepSpec("p", start, stop, 3, "tiles", fixed={"t": 0.01})
         with pytest.raises(UsageError, match="finite"):
             run_sweep(spec)
-
-
-def _contraction(realigned, ops_a, ops_b):
-    """Label a contraction by its operands: effects have unit trace ("P"),
-    building blocks are traceless ("F")."""
-    first = ops_a.reshape(-1, *ops_a.shape[-2:])[0]
-    return "contract.P" if abs(np.trace(first) - 1.0) < 1e-9 else "contract.F"
 
 
 def test_specs_reject_a_value_for_their_own_variable():
@@ -186,12 +185,12 @@ class _Counts:
             (engine, "load_state", "load_state"),
             (states, "validate_density", "validate_density"),
             (criteria, "validate_density", "front_door"),
-            (engine, "build_correlation_matrix", "build_correlation_matrix"),
+            (criteria, "build_correlation_matrix", "build_correlation_matrix"),
+            (criteria, "_contract", "contract"),
             (mums, "build_f_blocks", "build_f_blocks"),
             (mums, "t_interval", "t_interval"),
         ):
             self._count(module, name, lambda *args, label=label: label)
-        self._count(criteria, "_correlation", _contraction)
         for name in ("cholesky", "eigvalsh"):
             self._count(
                 np.linalg,
@@ -228,7 +227,8 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
     assert result.found and result.evaluations == 6
     # one load and its file check, one family (blocks and interval built on
     # this first query at d = 3), one check at the correlation front door,
-    # one probability contraction; every evaluation reuses it.  A valid
+    # one contraction of the reflected frame; every evaluation reuses it,
+    # and the probability correlation matrix is never formed.  A valid
     # state is certified by Cholesky and never reaches eigvalsh.
     assert counts.calls == {
         "load_state": 1,
@@ -237,24 +237,22 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
         "t_interval": 1,
         "front_door": 1,
         "density_cholesky": 2,
-        "build_correlation_matrix": 1,
-        "contract.P": 1,
+        "contract": 1,
     }
 
 
 def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
     path = _state_file(tmp_path)
     counts = _Counts(monkeypatch, 9)
-    # at d = 3 the whole grid is one chunk: one density check, one block and
-    # one probability contraction, and a stack of mixed states is checked
-    # and contracted once; valid states are certified by Cholesky alone
+    # at d = 3 the whole grid is one chunk: one density check and one
+    # contraction, and a stack of mixed states is checked and contracted
+    # once; valid states are certified by Cholesky alone
     expected = {
         "load_state": 1,
         "validate_density": 1,
         "front_door": 1,
         "density_cholesky": 2,
-        "contract.F": 1,
-        "contract.P": 1,
+        "contract": 1,
     }
     # blocks and t-interval on the first sweep only: later ones reuse the memo
     first = {"build_f_blocks": 1, "t_interval": 1}
@@ -270,7 +268,7 @@ def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("points_per_chunk", [None, 10])
-def test_sweeps_build_each_chunk_in_one_broadcast(monkeypatch, points_per_chunk):
+def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk):
     # one chunk holds a whole d = 3 grid; 10 points a chunk gives 11 and 9 chunks
     if points_per_chunk is not None:
         monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(3))
@@ -287,7 +285,9 @@ def test_sweeps_build_each_chunk_in_one_broadcast(monkeypatch, points_per_chunk)
         monkeypatch.setattr(module, name, counted)
 
     count(states, "horodecki_state")
-    count(criteria, "family_effects")
+    count(criteria, "_contract")
+    count(criteria, "margins")
+    count(criteria, "build_correlation_matrix")
     count(mums, "_family")
     getter = mums.MumFamily.effects.fget
 
@@ -297,20 +297,19 @@ def test_sweeps_build_each_chunk_in_one_broadcast(monkeypatch, points_per_chunk)
 
     monkeypatch.setattr(mums.MumFamily, "effects", property(effects))
 
-    # the upsilon sweep: one state at upsilon = 0 fixes d, then one build per
-    # chunk; its one family and that family's effects are built once
+    # the upsilon sweep: one state at upsilon = 0 fixes d, then one build,
+    # one contraction and one evaluation per chunk at its one family; no
+    # effect is ever formed
     run_sweep(SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08}))
-    assert calls == {
-        "horodecki_state": 1 + math.ceil(101 / step),
-        "_family": 1,
-        "MumFamily.effects": 1,
-    }
-    # the t-sweep: no family object per t, and one broadcast of the effects
-    # per chunk
+    chunks = math.ceil(101 / step)
+    assert calls == {"horodecki_state": 1 + chunks, "_family": 1, "_contract": chunks,
+                     "margins": chunks}
+    # the t-sweep: no family object per t, one contraction of its one state,
+    # and one evaluation per chunk of t
     calls.clear()
     rng = mums.standard_t_range(3)
     run_sweep(SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 81, "tiles", fixed={"p": 0.99}))
-    assert calls == {"family_effects": math.ceil(81 / step)}
+    assert calls == {"_contract": 1, "margins": math.ceil(81 / step)}
 
 
 def test_an_invalid_file_state_is_decided_by_eigvalsh(monkeypatch, tmp_path):

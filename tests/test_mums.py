@@ -1,6 +1,4 @@
 import dataclasses
-import json
-import math
 
 import numpy as np
 import pytest
@@ -13,9 +11,7 @@ from mumbounds.mums import (
     build_f_blocks,
     build_mums,
     kappa_of_t,
-    load_family,
     optimal_kappa,
-    save_family,
     standard_family,
     swap_operator,
     t_interval,
@@ -259,110 +255,3 @@ class TestTwoDesign:
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
         assert np.allclose(f @ np.kron(x, y), np.kron(y, x), atol=1e-14)
-
-
-class TestSerialization:
-    def test_roundtrip(self, family, tmp_path):
-        fam = family(3, 0.08)
-        path = tmp_path / "family.json"
-        save_family(fam, path)
-        loaded = load_family(path)
-        assert loaded.d == fam.d
-        assert loaded.t == fam.t
-        assert loaded.kappa == fam.kappa
-        assert loaded.t_range == fam.t_range
-        assert np.array_equal(loaded.f_blocks, fam.f_blocks)
-        assert np.array_equal(loaded.effects, fam.effects)
-        assert verify_mum_relations(loaded).passed
-
-    @staticmethod
-    def _edited(fam, path, edit):
-        save_family(fam, path)
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        return path
-
-    @staticmethod
-    def _store_effects(fam, payload):
-        """Add the effects to a payload, as older versions of save_family did."""
-        payload["effects"] = {"re": fam.effects.real.tolist(), "im": fam.effects.imag.tolist()}
-
-    def test_does_not_write_the_derived_effects(self, family, tmp_path):
-        path = tmp_path / "family.json"
-        save_family(family(3, 0.08), path)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"format", "version", "d", "t", "kappa", "t_range", "f_blocks"}
-
-    def test_loads_an_older_file_that_stores_the_effects(self, family, tmp_path):
-        fam = family(3, 0.08)
-        path = self._edited(fam, tmp_path / "family.json", lambda p: self._store_effects(fam, p))
-        loaded = load_family(path)
-        assert loaded.t == fam.t and loaded.t_range == fam.t_range
-        assert np.array_equal(loaded.effects, fam.effects)
-
-        def store_wrong_effects(payload):
-            # stored effects are ignored: the family is the one its blocks give
-            self._store_effects(fam, payload)
-            payload["effects"]["re"][1][2][0][0] += 0.5
-            del payload["effects"]["im"][-1]
-
-        path = self._edited(fam, tmp_path / "wrong.json", store_wrong_effects)
-        loaded = load_family(path)
-        assert loaded.t == fam.t and loaded.t_range == fam.t_range
-        assert np.array_equal(loaded.effects, fam.effects)
-
-    def test_rejects_blocks_of_another_shape(self, family, tmp_path):
-        def truncate(payload):
-            del payload["f_blocks"]["re"][-1], payload["f_blocks"]["im"][-1]
-
-        path = self._edited(family(3, 0.08), tmp_path / "family.json", truncate)
-        with pytest.raises(ValueError, match="f_blocks shape does not match d = 3"):
-            load_family(path)
-
-    @pytest.mark.parametrize(
-        "keys",
-        [("kappa",), ("t_range", "upper")],
-        ids=["kappa", "t_range"],
-    )
-    def test_rejects_stored_values_that_disagree(self, keys, family, tmp_path):
-        fam = family(3, 0.08)
-
-        def nudge(payload):
-            *outer, last = keys
-            for key in outer:
-                payload = payload[key]
-            payload[last] += 1e-9
-
-        path = self._edited(fam, tmp_path / "family.json", nudge)
-        name = keys[0]
-        with pytest.raises(ValueError, match=f"stored {name} disagree with what t and the blocks"):
-            load_family(path)
-
-    @pytest.mark.parametrize("t, match", [(0.0, "1/d"), (0.2, "outside"), (math.nan, "outside")])
-    def test_rejects_an_inadmissible_t(self, t, match, family, tmp_path):
-        path = self._edited(family(3, 0.08), tmp_path / "family.json", lambda p: p.update(t=t))
-        with pytest.raises(InadmissibleTError, match=match):
-            load_family(path)
-
-    def test_rejects_blocks_that_give_no_mum(self, family, tmp_path):
-        # twice the blocks: kappa(t) no longer matches their overlaps
-        fam = family(3, 0.01)
-        blocks = 2.0 * fam.f_blocks
-        scaled = dataclasses.replace(fam, f_blocks=blocks, t_range=t_interval(blocks, 3))
-        path = self._edited(scaled, tmp_path / "family.json", lambda p: None)
-        with pytest.raises(ValueError, match="not give a mutually unbiased measurement"):
-            load_family(path)
-
-    @pytest.mark.parametrize("name", ["f_blocks", "t", "t_range", "kappa", "d"])
-    def test_names_a_missing_field(self, name, family, tmp_path):
-        path = self._edited(family(3, 0.08), tmp_path / "family.json", lambda p: p.pop(name))
-        with pytest.raises(ValueError) as raised:
-            load_family(path)
-        assert str(raised.value) == f"{path}: missing field '{name}'"
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError, match="not a mum-family"):
-            load_family(path)
