@@ -10,9 +10,8 @@ Run:  python scripts/reproduce_thresholds.py
 
 import numpy as np
 
-from mumbounds.criteria import frame_matrices, margins, reflected_frame
+from mumbounds.criteria import white_noise_margin
 from mumbounds.engine import ThresholdQuery, run_threshold
-from mumbounds.mums import kappa_gap
 from mumbounds.states import horodecki_state
 
 UPSILON_GRID = (0.2, 0.4, 0.6, 0.8, 0.9)
@@ -33,9 +32,7 @@ def main() -> None:
                 fixed={"upsilon": upsilon},
             )
         )
-        frame = reflected_frame(horodecki_state(upsilon), fam)
-        matrix = frame_matrices(fam.d, frame, fam.t, fam.t)
-        margin = float(margins(fam.d, matrix, kappa_gap(fam.d, fam.t))[0])
+        margin = white_noise_margin(horodecki_state(upsilon), fam)(1.0)
         q_star = result.threshold if result.found else np.nan
         print(f"{upsilon:>8.1f}  {q_star:>14.6f}  {margin:>14.3e}")
     if fam is not None:

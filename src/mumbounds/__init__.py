@@ -31,7 +31,6 @@ from .mums import (
     TInterval,
     build_f_blocks,
     build_mums,
-    kappa_gap,
     kappa_of_t,
     optimal_kappa,
     standard_family,
@@ -72,7 +71,6 @@ __all__ = [
     "TInterval",
     "build_f_blocks",
     "build_mums",
-    "kappa_gap",
     "kappa_of_t",
     "optimal_kappa",
     "standard_family",

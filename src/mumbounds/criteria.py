@@ -20,8 +20,8 @@ exactly,
 where alpha', beta' and Phi' drop the zero first entries of H alpha,
 H beta and H Phi H.  One contraction of the realigned state with the
 rows [vec(I); H F] (``_frame_rows``, a rank-one update of the blocks)
-gives the frame [[Tr rho, beta'^T], [alpha', Phi']]; ``frame_matrices``
-scales it to M, and ``margins`` takes one SVD of M, with singular values
+gives the frame [[Tr rho, beta'^T], [alpha', Phi']]; ``_frame_matrices``
+scales it to M, and ``_margins`` takes one SVD of M, with singular values
 sigma:
 
     sigma_1 - c0 = (||M||_F^2 - c0^2 - sum_{i>=2} sigma_i^2) / (sigma_1 + c0),
@@ -43,8 +43,8 @@ failure raises ValueError.
 One evaluator serves every path: a t grid of one state (one frame
 against many t, ``bound_columns``), a stack of states at one family pair
 (``bound_columns_of_states``), and the white-noise weights of a
-threshold search, since w times the frame of rho is the frame of
-w*rho + (1 - w)*I/d^2.  ``_columns`` runs it a chunk of bounded memory
+threshold search (``white_noise_margin``), since w times the frame of
+rho is the frame of w*rho + (1 - w)*I/d^2.  ``_columns`` runs it a chunk of bounded memory
 at a time and computes the report fields as arrays.
 ``build_correlation_matrix`` forms C_P by the plain definition, as the
 reference the tests hold the frame against.
@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -138,22 +138,6 @@ def _frame_rows(blocks: np.ndarray) -> np.ndarray:
     return np.concatenate([np.eye(d).reshape(1, d * d), reflected])
 
 
-def _pair_rows(fam_a: MumFamily, fam_b: MumFamily) -> tuple[np.ndarray, np.ndarray]:
-    rows_a = _frame_rows(fam_a.f_blocks)
-    return rows_a, rows_a if fam_b is fam_a else _frame_rows(fam_b.f_blocks)
-
-
-def reflected_frame(
-    rho: np.ndarray, fam_a: MumFamily, fam_b: MumFamily | None = None
-) -> np.ndarray:
-    """The frame [[Tr rho, beta'^T], [alpha', Phi']] of one state under a
-    family pair: one density check and one contraction."""
-    fam_b = fam_a if fam_b is None else fam_b
-    _check_pair(fam_a, fam_b)
-    d = fam_a.d
-    return _contract(_realigned(_as_state(rho, d * d), d), *_pair_rows(fam_a, fam_b))
-
-
 def _scales(t, n: int, d: int) -> np.ndarray:
     """The factors (sqrt(n)/d, t, ..., t) that take a frame's rows or columns to M."""
     t = np.asarray(t, dtype=float)
@@ -163,7 +147,7 @@ def _scales(t, n: int, d: int) -> np.ndarray:
     return scales
 
 
-def frame_matrices(d: int, frames: np.ndarray, ta, tb) -> np.ndarray:
+def _frame_matrices(d: int, frames: np.ndarray, ta, tb) -> np.ndarray:
     """The matrices M of reflected frames at sharpness ``ta`` of the first
     family and ``tb`` of the second, with their corner left at zero.
 
@@ -176,8 +160,8 @@ def frame_matrices(d: int, frames: np.ndarray, ta, tb) -> np.ndarray:
     return m
 
 
-def margins(d: int, m: np.ndarray, gap) -> tuple[np.ndarray, np.ndarray]:
-    """(excess, traceNormP) of matrices M from ``frame_matrices`` at
+def _margins(d: int, m: np.ndarray, gap) -> tuple[np.ndarray, np.ndarray]:
+    """(excess, traceNormP) of matrices M from ``_frame_matrices`` at
     ``gap`` = kappa - 1/d (``mums.kappa_gap``): one batched SVD.
 
     The corner of ``m`` must be zero; it is set to c0 in place.
@@ -190,6 +174,22 @@ def margins(d: int, m: np.ndarray, gap) -> tuple[np.ndarray, np.ndarray]:
     top = (off_corner - np.einsum("...i,...i->...", tail, tail)) / (sigma[..., 0] + c0)
     rest = tail.sum(axis=-1)  # top is sigma_1 - c0
     return top + rest - gap, c0 + top + rest
+
+
+def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], float]:
+    """The margin of w*rho + (1 - w)*I/d^2 as a function of the weight w:
+    the excess of its probability correlation trace norm over 1 + kappa.
+
+    The state is validated and contracted once.  Every block is
+    traceless, so the frame of weight w is w times that of rho, and so is
+    its matrix M off the corner: each call is one SVD.
+    """
+    d = fam.d
+    rows = _frame_rows(fam.f_blocks)
+    frame = _contract(_realigned(_as_state(rho, d * d), d), rows, rows)
+    m = _frame_matrices(d, frame, fam.t, fam.t)
+    gap = kappa_gap(d, fam.t)
+    return lambda w: float(_margins(d, w * m, gap)[0])
 
 
 def _norm_f(frames: np.ndarray) -> np.ndarray:
@@ -322,13 +322,13 @@ def _columns(d: int, chunks: Iterable[tuple], tol: float) -> dict[str, list]:
     """The report fields of chunks of points, in order, as columns.
 
     Each chunk is (frames, norm_f, ta, tb), broadcast against one another
-    as in ``frame_matrices``.  One list per field, keyed as
+    as in ``_frame_matrices``.  One list per field, keyed as
     ``BoundReport.as_dict``; a clamped bound is +0.0, never -0.0.
     """
     parts: list[list[np.ndarray]] = [[], [], [], [], []]
     for frames, norm_f, ta, tb in chunks:
         gap = kappa_gap(d, np.asarray(ta, dtype=float))
-        excess, norm_p = margins(d, frame_matrices(d, frames, ta, tb), gap)
+        excess, norm_p = _margins(d, _frame_matrices(d, frames, ta, tb), gap)
         for part, column in zip(parts, np.broadcast_arrays(ta, gap, excess, norm_p, norm_f)):
             part.append(column)
     ts, gap, excess, norm_p, norm_f = (np.concatenate([np.empty(0), *part]) for part in parts)
@@ -425,7 +425,8 @@ def bound_columns_of_states(
     _check_tol(tol)
     _check_pair(fam_a, fam_b)
     d = fam_a.d
-    rows = _pair_rows(fam_a, fam_b)
+    rows_a = _frame_rows(fam_a.f_blocks)
+    rows_b = rows_a if fam_b is fam_a else _frame_rows(fam_b.f_blocks)
     step = chunk_points(d)
 
     def chunks():
@@ -434,7 +435,7 @@ def bound_columns_of_states(
             if stack.ndim != 3 or stack.shape[1:] != (d * d, d * d):
                 raise ValueError(f"a state stack must be (k, {d * d}, {d * d}), got {stack.shape}")
             for start in range(0, len(stack), step):
-                frames = _contract(_realigned(stack[start : start + step], d), *rows)
+                frames = _contract(_realigned(stack[start : start + step], d), rows_a, rows_b)
                 yield frames, _norm_f(frames), fam_a.t, fam_b.t
 
     return _columns(d, chunks(), tol)

@@ -20,7 +20,7 @@ states of each chunk as one stack, one broadcast of
 chunk once at its one family (``bound_columns_of_states``).  A
 threshold query contracts the state at weight 1 once; the frame of
 w*rho + (1 - w)*I/d^2 is w times it, since every block is traceless,
-so each weight of the search is one SVD (``criteria.margins``).
+so each weight of the search is one SVD (``criteria.white_noise_margin``).
 """
 
 from __future__ import annotations
@@ -31,15 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import (
-    bound_columns,
-    bound_columns_of_states,
-    chunk_points,
-    frame_matrices,
-    margins,
-    reflected_frame,
-)
-from .mums import MumFamily, kappa_gap, standard_family, standard_grid
+from .criteria import bound_columns, bound_columns_of_states, chunk_points, white_noise_margin
+from .mums import MumFamily, standard_family, standard_grid
 from .states import horodecki_noisy, load_state, mix_with_white_noise, tiles_noisy
 from .threshold import ThresholdResult, find_threshold
 
@@ -263,9 +256,8 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     The margin is the excess of the probability correlation trace norm
     over 1 + kappa.  It is convex in the white-noise weight w and equals
     1/d - kappa < 0 at w = 0, so it crosses zero at most once on [0, 1].
-    The frame of the state at weight w is w times the frame at weight 1,
-    and so is its matrix M off the corner: M is contracted and scaled
-    once per query, and each evaluation is one SVD.
+    The state at weight 1 is contracted once per query, and each
+    evaluation is one SVD (``criteria.white_noise_margin``).
     """
     query.validate()
     if query.t == 0.0:
@@ -274,10 +266,4 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
         query.state_family, query.file, {**query.fixed, query.search_variable: 1.0}
     )
     fam = family_for(infer_d(rho.shape[0]), query.t)
-    matrix = frame_matrices(fam.d, reflected_frame(rho, fam), fam.t, fam.t)
-    gap = kappa_gap(fam.d, fam.t)
-
-    def margin(w: float) -> float:
-        return float(margins(fam.d, w * matrix, gap)[0])
-
-    return find_threshold(margin, tol=query.tolerance), fam
+    return find_threshold(white_noise_margin(rho, fam), tol=query.tolerance), fam

@@ -220,8 +220,7 @@ def _scalar_fields(row, rho, fam):
     """The bound columns of one sweep row by the scalar formulas, from its
     d and t and the excess of its state on its own."""
     d, t = row["d"], row["t"]
-    m = criteria.frame_matrices(d, criteria.reflected_frame(rho, fam), t, t)
-    excess = float(criteria.margins(d, m, kappa_gap(d, t))[0])
+    excess = criteria.white_noise_margin(rho, fam)(1.0)
     kappa = kappa_of_t(d, t)
     scale = d * kappa_gap(d, t)  # kappa d - 1
     return {

@@ -160,8 +160,8 @@ class TestCorrelationMatrix:
             criteria._contract(realigned, rows, rows)
         monkeypatch.setattr(criteria, "TOL", replace(TOL, correlation_imaginary=1e-5))
         frame = criteria._contract(realigned, rows, rows)
-        m = criteria.frame_matrices(3, frame, fam.t, fam.t)
-        _, norm_p = criteria.margins(3, m, kappa_gap(3, fam.t))
+        m = criteria._frame_matrices(3, frame, fam.t, fam.t)
+        _, norm_p = criteria._margins(3, m, kappa_gap(3, fam.t))
         assert norm_p == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
 
 

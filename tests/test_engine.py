@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from mumbounds import criteria, engine, mums, states
-from mumbounds.criteria import (
-    build_correlation_matrix,
-    frame_matrices,
-    margins,
-    reflected_frame,
-)
+from mumbounds.criteria import build_correlation_matrix, white_noise_margin
 from mumbounds.engine import SweepSpec, ThresholdQuery, UsageError, run_sweep, run_threshold
 from mumbounds.states import (
     max_entangled,
@@ -66,10 +61,9 @@ def test_affine_margin_matches_mixed_state_definition(d, family, t_range_of, tmp
     fam = family(d, t)
     psi = random_pure(d, d, seed=d)
     rho = np.outer(psi, psi.conj())
-    frame = reflected_frame(rho, fam)
+    margin = white_noise_margin(rho, fam)
     for w in np.linspace(0.0, 1.0, 11):
-        affine = float(margins(d, frame_matrices(d, w * frame, t, t), mums.kappa_gap(d, t))[0])
-        assert affine == pytest.approx(_margin(rho, fam, w), abs=1e-12)
+        assert margin(w) == pytest.approx(_margin(rho, fam, w), abs=1e-12)
 
     path = tmp_path / "pure.json"
     save_state(rho, path)
@@ -286,7 +280,7 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk):
 
     count(states, "horodecki_state")
     count(criteria, "_contract")
-    count(criteria, "margins")
+    count(criteria, "_margins")
     count(criteria, "build_correlation_matrix")
     count(mums, "_family")
     getter = mums.MumFamily.effects.fget
@@ -303,13 +297,13 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk):
     run_sweep(SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08}))
     chunks = math.ceil(101 / step)
     assert calls == {"horodecki_state": 1 + chunks, "_family": 1, "_contract": chunks,
-                     "margins": chunks}
+                     "_margins": chunks}
     # the t-sweep: no family object per t, one contraction of its one state,
     # and one evaluation per chunk of t
     calls.clear()
     rng = mums.standard_t_range(3)
     run_sweep(SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 81, "tiles", fixed={"p": 0.99}))
-    assert calls == {"_contract": 1, "margins": math.ceil(81 / step)}
+    assert calls == {"_contract": 1, "_margins": math.ceil(81 / step)}
 
 
 def test_an_invalid_file_state_is_decided_by_eigvalsh(monkeypatch, tmp_path):
