@@ -127,15 +127,14 @@ def _frame_rows(blocks: np.ndarray) -> np.ndarray:
     then the rows of H F after the first, shape (d(d+1), d^2).
 
     H = I - 2 v v^T / (v^T v) with v = e - e_0 takes e = (1, ..., 1)/sqrt(n)
-    to e_0; it is applied as one rank-one update of the flattened blocks.
+    to e_0.  Its rows r >= 1 are a rank-one update of the blocks:
+    (H F)_r = F_r - (v^T F)/(sqrt(n) - 1).
     """
     d = blocks.shape[-1]
     flat = blocks.reshape(-1, d * d)
-    n = len(flat)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    v[0] -= 1.0
-    reflected = flat[1:] - np.outer(v[1:], (2.0 / (v @ v)) * (v @ flat))
-    return np.concatenate([np.eye(d).reshape(1, d * d), reflected])
+    root = math.sqrt(len(flat))
+    v_flat = flat.sum(axis=0) / root - flat[0]
+    return np.concatenate([np.eye(d).reshape(1, d * d), flat[1:] - v_flat / (root - 1.0)])
 
 
 def _scales(t, n: int, d: int) -> np.ndarray:
