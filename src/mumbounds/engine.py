@@ -6,21 +6,20 @@ which the separability criterion starts detecting.  Invalid requests
 raise ``UsageError``.
 
 Each query touches its state once.  Every evaluation goes through the
-reflected frame of ``mumbounds.criteria``: one contraction of the
-realigned state gives [[Tr rho, beta'^T], [alpha', Phi']], and each point
-is one SVD of the matrix M it gives at t, so no path forms the
-probability correlation matrix.  A sweep is evaluated as columns, a
-chunk of points at a time, and only its rows are built per point.  The
-Gell-Mann blocks and t-interval of a dimension are built on its first
-query and memoised (``mums.standard_family``).  A t-sweep checks its
-grid as one array against them (``mums.standard_grid``) and contracts
-its state once (``bound_columns``).  A p, q or upsilon sweep builds the
-states of each chunk as one stack, one broadcast of
-``mix_with_white_noise`` or ``horodecki_state``, and contracts the
-chunk once at its one family (``bound_columns_of_states``).  A
-threshold query contracts the state at weight 1 once; the frame of
-w*rho + (1 - w)*I/d^2 is w times it, since every block is traceless,
-so each weight of the search is one SVD (``criteria.white_noise_margin``).
+reflected frame of ``mumbounds.criteria``: one contraction per state and
+one SVD per point, and no path forms the probability correlation
+matrix.  A sweep is evaluated as columns, a chunk of points at a time,
+and only its rows are built per point.  The Gell-Mann blocks and
+t-interval of a dimension are built on its first query and memoised
+(``mums.standard_family``).  A t-sweep checks its grid as one array
+against them (``mums.standard_grid``) and contracts its state once
+(``bound_columns``).  A p, q or upsilon sweep builds the states of each
+chunk as one stack, one broadcast of ``mix_with_white_noise`` or
+``horodecki_state``, and contracts the chunk once at its one family
+(``bound_columns_of_states``).  A threshold query contracts the state at
+weight 1 once; the frame of w*rho + (1 - w)*I/d^2 is w times it, since
+every block is traceless, so each weight of the search is one SVD
+(``criteria.white_noise_margin``).
 """
 
 from __future__ import annotations
