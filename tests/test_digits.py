@@ -146,7 +146,8 @@ def test_sweep_rows_carry_exact_digits(name, files):
     spec = {**_script_specs(), **_cli_specs(files)}[name]
     failed = []
     for row in run_sweep(spec):
-        failed += misses(row, _point_state(spec, row["var"]), row["t"])
+        point = _point_state(spec, row["var"])
+        failed += [f"var={row['var']!r} {miss}" for miss in misses(row, point, row["t"])]
     assert not failed, "\n".join(failed)
 
 
