@@ -11,18 +11,14 @@ from .criteria import (
     CorrelationMatrix,
     build_correlation_matrix,
     concurrence_lower_bound,
-    concurrence_lower_bounds,
-    concurrence_lower_bounds_of_states,
     pure_concurrence,
     pure_trace_norm_closed_form,
-    schmidt_number_lower_bound,
 )
 from .linalg import (
     SchmidtData,
     partial_trace,
     partial_transpose,
     schmidt_decompose,
-    trace_norm,
 )
 from .mums import (
     InadmissibleTError,
@@ -83,16 +79,12 @@ __all__ = [
     "CorrelationMatrix",
     "build_correlation_matrix",
     "concurrence_lower_bound",
-    "concurrence_lower_bounds",
-    "concurrence_lower_bounds_of_states",
     "pure_concurrence",
     "pure_trace_norm_closed_form",
-    "schmidt_number_lower_bound",
     "SchmidtData",
     "partial_trace",
     "partial_transpose",
     "schmidt_decompose",
-    "trace_norm",
     "StateFileError",
     "horodecki_noisy",
     "horodecki_state",

@@ -29,9 +29,16 @@ sigma:
 
 with ||M||_F^2 - c0^2 summed off the corner and K t^2 = kappa - 1/d
 (``mums.kappa_gap``), so that kappa d - 1 = d K t^2.  The bounds, the
-Schmidt bound and the verdict come from the excess; traceNormP is
+Schmidt bound and the verdict come from the excess; the verdict is
+"entangled" when the excess exceeds tol * (kappa d - 1), so that it
+agrees with a positive bound at every t.  traceNormP is
 c0 + (sigma_1 - c0) + sum_{i>=2} sigma_i and traceNormF is ||Phi'||_tr.
 A validated state has unit trace, so the corner of M is c0.
+
+Every block is traceless, so the frame of w*rho + (1 - w)*I/d^2 is w
+times the frame of rho, apart from the corner Tr rho = 1; so are its
+matrix M off the corner and ||Phi'||_tr.  A white-noise weight is
+applied this way alone, and no mixed state is formed.
 
 The state is realigned as
 ``rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d*d, d*d)``, so
@@ -40,29 +47,29 @@ X of A and Y of B.  Every state passes one front door,
 ``states.validate_density`` with the ``density_*`` tolerances, and a
 failure raises ValueError.
 
-One evaluator serves every path: a t grid of one state (one frame
-against many t, ``bound_columns``), a stack of states at one family pair
-(``bound_columns_of_states``), and the white-noise weights of a
-threshold search (``white_noise_margin``), since w times the frame of
-rho is the frame of w*rho + (1 - w)*I/d^2.  ``_columns`` runs it a chunk of bounded memory
-at a time and computes the report fields as arrays.
-``build_correlation_matrix`` forms C_P by the plain definition, as the
-reference the tests hold the frame against.
+Two column evaluators share ``_columns``, which runs a chunk of bounded
+memory at a time and computes the report fields as arrays:
+``bound_columns`` takes one state over a grid of (t, w), validated and
+contracted once at weight 1, and ``bound_columns_of_states`` takes
+stacks of states at one family pair, one contraction per chunk.
+``concurrence_lower_bound`` is the one report of one state, and
+``white_noise_margin`` the margin of one state as a function of w, for
+the threshold search.  ``build_correlation_matrix`` forms C_P by the
+plain definition, as the reference the tests hold the frame against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .config import TOL
 from .linalg import SchmidtData, partial_trace, pure_amplitudes
 from .mums import MumFamily, kappa_gap
-from .states import validate_density
+from .states import check_weight, validate_density
 
 
 # Largest working set of one stacked evaluation: a 101-point sweep at
@@ -179,9 +186,8 @@ def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], flo
     """The margin of w*rho + (1 - w)*I/d^2 as a function of the weight w:
     the excess of its probability correlation trace norm over 1 + kappa.
 
-    The state is validated and contracted once.  Every block is
-    traceless, so the frame of weight w is w times that of rho, and so is
-    its matrix M off the corner: each call is one SVD.
+    The state is validated and contracted once, and each call scales M
+    off the corner by w, as ``bound_columns`` does: one SVD.
     """
     d = fam.d
     rows = _frame_rows(fam.f_blocks)
@@ -256,20 +262,6 @@ def pure_concurrence(psi: np.ndarray, dim_a: int, dim_b: int) -> float:
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
 
 
-def schmidt_number_lower_bound(trace_norm: float, d: int, kappa: float) -> float:
-    """Lower bound on the Schmidt number implied by a trace norm value.
-
-    Inverts the pure-state closed form against 2 sum_{i<j} c_i c_j <= r - 1,
-    giving r >= 1 + (d-1)(trace_norm - 1 - kappa)/(kappa*d - 1); values
-    below 1 clamp to 1.  Equality holds for uniform Schmidt coefficients,
-    so the bound returns d for a maximally entangled state.
-    """
-    if kappa * d <= 1.0:
-        raise ValueError(f"kappa = {kappa!r} must exceed 1/d")
-    bound = 1.0 + (d - 1.0) * (trace_norm - 1.0 - kappa) / (kappa * d - 1.0)
-    return max(1.0, bound)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated criteria for one state and one measurement family pair.
@@ -279,9 +271,12 @@ class BoundReport:
     sqrt(2(d-1)/(d(kappa*d - 1))); both clamp at zero, and both are
     always computed.  bound_literal = bound_derived * sqrt(kappa*d - 1)
     and kappa*d - 1 <= 2/d <= 1, so the literal variant is never the
-    larger.  The verdict is "entangled" when the excess of the
-    probability correlation trace norm over 1 + kappa exceeds the
-    verdict tolerance.
+    larger.  ``schmidt_number_lb`` inverts the pure-state closed form
+    against 2 sum_{i<j} c_i c_j <= r - 1: 1 + (d-1) excess/(kappa*d - 1),
+    clamped at 1, which is d for a maximally entangled state.  The
+    verdict is "entangled" when the excess of the probability
+    correlation trace norm over 1 + kappa exceeds tol * (kappa*d - 1),
+    that is, when bound_derived exceeds sqrt(2(d-1)/d) * tol.
     """
 
     d: int
@@ -320,14 +315,20 @@ _COLUMNS = (
 def _columns(d: int, chunks: Iterable[tuple], tol: float) -> dict[str, list]:
     """The report fields of chunks of points, in order, as columns.
 
-    Each chunk is (frames, norm_f, ta, tb), broadcast against one another
-    as in ``_frame_matrices``.  One list per field, keyed as
-    ``BoundReport.as_dict``; a clamped bound is +0.0, never -0.0.
+    Each chunk is (frames, norm_f, ta, tb, w), broadcast against one
+    another as in ``_frame_matrices``; w is None for weight 1, or the
+    white-noise weights of the points, which scale M off the corner and
+    norm_f.  One list per field, keyed as ``BoundReport.as_dict``; a
+    clamped bound is +0.0, never -0.0.
     """
     parts: list[list[np.ndarray]] = [[], [], [], [], []]
-    for frames, norm_f, ta, tb in chunks:
+    for frames, norm_f, ta, tb, w in chunks:
         gap = kappa_gap(d, np.asarray(ta, dtype=float))
-        excess, norm_p = _margins(d, _frame_matrices(d, frames, ta, tb), gap)
+        m = _frame_matrices(d, frames, ta, tb)
+        if w is not None:
+            m *= w[..., None, None]
+            norm_f = w * norm_f
+        excess, norm_p = _margins(d, m, gap)
         for part, column in zip(parts, np.broadcast_arrays(ta, gap, excess, norm_p, norm_f)):
             part.append(column)
     ts, gap, excess, norm_p, norm_f = (np.concatenate([np.empty(0), *part]) for part in parts)
@@ -341,13 +342,9 @@ def _columns(d: int, chunks: Iterable[tuple], tol: float) -> dict[str, list]:
         np.where(literal > 0.0, literal, 0.0),
         np.where(derived > 0.0, derived, 0.0),
         np.where(schmidt > 1.0, schmidt, 1.0),
-        np.where(excess > tol, "entangled", "undetected"),
+        np.where(excess > tol * scale, "entangled", "undetected"),
     )
     return {name: column.tolist() for name, column in zip(_COLUMNS, columns)}
-
-
-def _reports(d: int, columns: dict[str, list]) -> list[BoundReport]:
-    return [BoundReport(d, *fields) for fields in zip(*columns.values())]
 
 
 def chunk_points(d: int) -> int:
@@ -361,48 +358,39 @@ def bound_columns(
     blocks: np.ndarray,
     ts,
     tol: float = TOL.verdict,
+    weights=None,
 ) -> dict[str, list]:
-    """The reports of one state at the family (t, ``blocks``) of each t of
-    ``ts``, as columns.
+    """The reports of w*rho + (1 - w)*I/d^2 at the family (t, ``blocks``)
+    for each pair (t, w) of ``ts`` and ``weights``, as columns.
 
+    ``ts`` and ``weights`` broadcast to one axis of points, and None is
+    weight 1, rho itself; each weight must lie in [0, 1]
+    (``states.check_weight``).
     One list per ``BoundReport`` field after d, keyed as
-    ``BoundReport.as_dict``, with one entry per t in order.  Each t must
-    be admissible for the blocks, as ``mums.standard_grid`` checks.  The
-    state is validated and contracted once, since its frame does not
-    depend on t; each chunk of t values is then one batched SVD.
+    ``BoundReport.as_dict``, with one entry per pair in order.  Each t
+    must be admissible for the blocks, as ``mums.standard_grid`` checks.
+    The state is validated and contracted once, at weight 1, since its
+    frame does not depend on t and is scaled by w; each chunk of points
+    is then one batched SVD.
     """
     _check_tol(tol)
     ts = np.asarray(ts, dtype=float)
+    if weights is not None:
+        check_weight(weights)
+        ts, weights = np.broadcast_arrays(ts, np.asarray(weights, dtype=float))
     d = blocks.shape[-1]
     rows = _frame_rows(blocks)
     frame = _contract(_realigned(_as_state(rho, d * d), d), rows, rows)
     norm_f = _norm_f(frame)
     step = chunk_points(d)
-    chunks = (ts[start : start + step] for start in range(0, len(ts), step))
-    return _columns(d, ((frame, norm_f, chunk, chunk) for chunk in chunks), tol)
 
+    def chunks():
+        for start in range(0, len(ts), step):
+            chunk = ts[start : start + step]
+            w = None if weights is None else weights[start : start + step]
+            yield frame, norm_f, chunk, chunk, w
 
-def concurrence_lower_bounds(
-    rho: np.ndarray,
-    families: Sequence[MumFamily],
-    tol: float = TOL.verdict,
-) -> list[BoundReport]:
-    """Evaluate ``concurrence_lower_bound`` for one state at a grid of families.
-
-    The families must share one block array, as ``standard_family``
-    calls of one d do; any other input raises ValueError.  The reports
-    equal one ``concurrence_lower_bound`` call per family, in order, and
-    are built from ``bound_columns``.
-    """
-    _check_tol(tol)
-    families = list(families)
-    if not families:
-        raise ValueError("at least one family is required")
-    blocks = getattr(families[0], "f_blocks", None)
-    if not all(isinstance(fam, MumFamily) and fam.f_blocks is blocks for fam in families):
-        raise ValueError("families must share one block array; build them with standard_family")
-    columns = bound_columns(rho, blocks, [fam.t for fam in families], tol)
-    return _reports(families[0].d, columns)
+    return _columns(d, chunks(), tol)
 
 
 def bound_columns_of_states(
@@ -411,14 +399,15 @@ def bound_columns_of_states(
     fam_b: MumFamily | None = None,
     tol: float = TOL.verdict,
 ) -> dict[str, list]:
-    """The reports of ``concurrence_lower_bounds_of_states`` as columns.
+    """The reports of many states at one family pair, as columns.
 
     ``stacks`` is an iterable of state stacks (k, d^2, d^2), taken one at
     a time, so a generator never has more than one stack built; a stack
     of more than ``chunk_points(d)`` states is split into chunks.  Each
     chunk is one density check, one contraction and two batched SVDs,
     of Phi' and of M.  The columns are keyed as ``BoundReport.as_dict``,
-    one entry per state in order.
+    one entry per state in order, each the report of
+    ``concurrence_lower_bound`` for that state.
     """
     fam_b = fam_a if fam_b is None else fam_b
     _check_tol(tol)
@@ -435,34 +424,9 @@ def bound_columns_of_states(
                 raise ValueError(f"a state stack must be (k, {d * d}, {d * d}), got {stack.shape}")
             for start in range(0, len(stack), step):
                 frames = _contract(_realigned(stack[start : start + step], d), rows_a, rows_b)
-                yield frames, _norm_f(frames), fam_a.t, fam_b.t
+                yield frames, _norm_f(frames), fam_a.t, fam_b.t, None
 
     return _columns(d, chunks(), tol)
-
-
-def concurrence_lower_bounds_of_states(
-    states: Iterable[np.ndarray],
-    fam_a: MumFamily,
-    fam_b: MumFamily | None = None,
-    tol: float = TOL.verdict,
-) -> list[BoundReport]:
-    """Evaluate ``concurrence_lower_bound`` for many states at one family pair.
-
-    ``states`` is any iterable of d^2 x d^2 states, such as a list, an
-    (n, d^2, d^2) array or a generator.  The reports equal one
-    ``concurrence_lower_bound`` call per state, in order.  The states are
-    taken a chunk of bounded memory at a time, so a generator never has
-    more than one chunk built, and evaluated by ``bound_columns_of_states``.
-    """
-    dim = fam_a.d * fam_a.d
-    step = chunk_points(fam_a.d)
-    states = iter(states)
-
-    def stacks():
-        while chunk := [_as_state(rho, dim) for rho in itertools.islice(states, step)]:
-            yield np.stack(chunk)
-
-    return _reports(fam_a.d, bound_columns_of_states(stacks(), fam_a, fam_b, tol))
 
 
 def concurrence_lower_bound(
@@ -475,7 +439,8 @@ def concurrence_lower_bound(
 
     Every separable state stays below 1 + kappa, so "entangled" is
     conclusive while "undetected" is not.  ``tol`` must be finite and
-    non-negative.  The one-state case of
-    ``concurrence_lower_bounds_of_states``.
+    non-negative.  The one-state case of ``bound_columns_of_states``.
     """
-    return concurrence_lower_bounds_of_states([rho], fam_a, fam_b, tol=tol)[0]
+    stack = _as_state(rho, fam_a.d * fam_a.d)[None]
+    columns = bound_columns_of_states([stack], fam_a, fam_b, tol)
+    return BoundReport(fam_a.d, *(column[0] for column in columns.values()))

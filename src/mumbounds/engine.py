@@ -11,15 +11,17 @@ one SVD per point, and no path forms the probability correlation
 matrix.  A sweep is evaluated as columns, a chunk of points at a time,
 and only its rows are built per point.  The Gell-Mann blocks and
 t-interval of a dimension are built on its first query and memoised
-(``mums.standard_family``).  A t-sweep checks its grid as one array
-against them (``mums.standard_grid``) and contracts its state once
-(``bound_columns``).  A p, q or upsilon sweep builds the states of each
-chunk as one stack, one broadcast of ``mix_with_white_noise`` or
-``horodecki_state``, and contracts the chunk once at its one family
-(``bound_columns_of_states``).  A threshold query contracts the state at
-weight 1 once; the frame of w*rho + (1 - w)*I/d^2 is w times it, since
-every block is traceless, so each weight of the search is one SVD
-(``criteria.white_noise_margin``).
+(``mums.standard_family``).
+
+A t, p or q sweep builds its state once, at weight 1, and contracts it
+once (``criteria.bound_columns``): a t-sweep checks its grid as one
+array against the blocks (``mums.standard_grid``), and a p or q sweep
+passes its grid as the white-noise weights, each of which scales the
+frame.  Only an upsilon sweep builds a stack of states per chunk, one
+broadcast of ``horodecki_state``, and contracts each chunk at its one
+family (``criteria.bound_columns_of_states``).  A threshold query
+contracts the state at weight 1 once, and each weight of the search is
+one SVD (``criteria.white_noise_margin``).
 """
 
 from __future__ import annotations
@@ -193,8 +195,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the sweep grid, ascending: per point, var, d and the other
     ``BoundReport.as_dict()`` fields.
 
-    The grid is evaluated as columns (``bound_columns`` and
-    ``bound_columns_of_states``), and the rows are built from them.
+    The grid is evaluated as columns (``bound_columns``, or
+    ``bound_columns_of_states`` for upsilon), and the rows are built
+    from them.
     """
     spec.validate()
     grid = np.linspace(spec.start, spec.stop, spec.steps)
@@ -211,27 +214,25 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         except ValueError as exc:
             raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
         columns = bound_columns(rho, blocks, ts)
-    else:
-        if spec.variable == "upsilon":
-            # the state at the first point fixes d and checks the fixed
-            # parameters before the family is built
-            probe = state_at({**fixed, "upsilon": float(grid[0])})
-
-            def states(values: np.ndarray) -> np.ndarray:
-                return state_at({**fixed, "upsilon": values})
-        else:
-            # a white-noise weight: every point mixes the state at weight 1
-            probe = state_at({**fixed, spec.variable: 1.0})
-
-            def states(values: np.ndarray) -> np.ndarray:
-                return mix_with_white_noise(probe, values)
-
+    elif spec.variable == "upsilon":
+        # the state at the first point fixes d and checks the fixed
+        # parameters before the family is built
+        probe = state_at({**fixed, "upsilon": float(grid[0])})
         d = infer_d(probe.shape[0])
         fam = family_for(d, fixed["t"])
         step = chunk_points(d)
         # one stack of states per chunk, built as the chunk is evaluated
-        stacks = (states(grid[start : start + step]) for start in range(0, len(grid), step))
+        stacks = (
+            state_at({**fixed, "upsilon": grid[start : start + step]})
+            for start in range(0, len(grid), step)
+        )
         columns = bound_columns_of_states(stacks, fam)
+    else:
+        # a white-noise weight: the grid scales the frame of the state at weight 1
+        rho = state_at({**fixed, spec.variable: 1.0})
+        d = infer_d(rho.shape[0])
+        fam = family_for(d, fixed["t"])
+        columns = bound_columns(rho, fam.f_blocks, fam.t, weights=grid)
 
     names = ("var", "d", *columns)
     return [dict(zip(names, row)) for row in zip(grid.tolist(), [d] * len(grid), *columns.values())]

@@ -1,6 +1,6 @@
 """Dense complex linear algebra primitives.
 
-Partial traces and transposes, trace norms, and Schmidt decomposition
+Partial traces and transposes, and the Schmidt decomposition
 of bipartite pure states.  All functions are pure and operate on plain
 numpy arrays.
 """
@@ -50,18 +50,6 @@ def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int, sub: str = "B") -> 
     raise ValueError("sub must be 'A' or 'B'")
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; accepts rectangular input."""
-    m = np.asarray(m)
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix: {exc}"
-        ) from exc
-    return float(np.sum(s))
-
-
 @dataclass(frozen=True)
 class SchmidtData:
     """Schmidt form of a bipartite pure state.
@@ -76,11 +64,6 @@ class SchmidtData:
     left: np.ndarray
     right: np.ndarray
     rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the amplitude vector sum_m c_m (left_m x right_m)."""
-        amp = np.einsum("m,im,jm->ij", self.coefficients, self.left, self.right)
-        return amp.reshape(-1)
 
 
 def pure_amplitudes(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

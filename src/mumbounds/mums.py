@@ -119,10 +119,6 @@ class MumFamily:
         effects.setflags(write=False)
         return effects
 
-    def block_stack(self) -> np.ndarray:
-        """Blocks flattened to (d*(d+1), d, d), measurement-major."""
-        return self.f_blocks.reshape(-1, self.d, self.d)
-
     def effect_stack(self) -> np.ndarray:
         """Effects flattened to (d*(d+1), d, d), measurement-major."""
         return self.effects.reshape(-1, self.d, self.d)

@@ -102,19 +102,24 @@ def _outside_unit_interval(values) -> float | None:
     return None
 
 
-def mix_with_white_noise(rho: np.ndarray, weight) -> np.ndarray:
-    """Convex mixture weight*rho + (1-weight)*I/dim.
-
-    ``rho`` is one state or a stack (k, dim, dim) and ``weight`` a number
-    or an array of k weights; a stack or an array gives the stack of
-    mixtures in one broadcast, each the doubles of its own call.
-    """
+def check_weight(weight) -> None:
+    """Raise ValueError naming the first of ``weight``, a number or an
+    array of white-noise mixing weights, outside [0, 1]."""
     bad = _outside_unit_interval(weight)
     if bad is not None:
         raise ValueError(f"mixing weight {bad!r} must lie in [0, 1]")
+
+
+def mix_with_white_noise(rho: np.ndarray, weight: float) -> np.ndarray:
+    """Convex mixture weight*rho + (1-weight)*I/dim.
+
+    ``rho`` is one state or a stack (k, dim, dim), each mixed at the one
+    weight, and each the doubles of its own call.
+    """
+    check_weight(weight)
     rho = np.asarray(rho, dtype=complex)
     n = rho.shape[-1]
-    w = np.asarray(weight, dtype=float)[..., None, None]
+    w = float(weight)
     return w * rho + (1.0 - w) * np.eye(n, dtype=complex) / n
 
 

@@ -1,11 +1,14 @@
 """Batched sweeps against one plain evaluation per grid point.
 
 The reference below builds every family with ``build_mums`` and every
-state as the sweep engine does, and evaluates each point on its own with
-``concurrence_lower_bound``, whose trace norms it also checks, to 1e-12
-relative plus 1e-15, against ``build_correlation_matrix`` and one unstacked
-contraction of the blocks.  Every report field and every CSV byte of a
-batch must equal those of the points on their own, not merely be close.
+state on its own, a white-noise weight by ``mix_with_white_noise``, and
+evaluates each point with ``concurrence_lower_bound``, whose trace norms
+it also checks, to 1e-12 relative plus 1e-15, against
+``build_correlation_matrix`` and one unstacked contraction of the blocks.
+Every report field and every CSV byte of a batch must equal those of the
+points on their own, not merely be close.  The one exception is
+traceNormF at weight 0: the sweep scales the frame by 0 and gets exactly
+0, while the mixture I/d^2 contracts to rounding of order 1e-31.
 """
 
 import math
@@ -17,13 +20,14 @@ from mumbounds import criteria
 from mumbounds.basis import standard_basis
 from mumbounds.config import TOL
 from mumbounds.criteria import (
+    BoundReport,
+    bound_columns,
+    bound_columns_of_states,
     build_correlation_matrix,
     concurrence_lower_bound,
-    concurrence_lower_bounds,
-    concurrence_lower_bounds_of_states,
 )
 from mumbounds.engine import SweepSpec, UsageError, make_state, render_csv, run_sweep
-from mumbounds.mums import build_mums, kappa_gap, kappa_of_t, standard_family
+from mumbounds.mums import build_mums, kappa_gap, kappa_of_t, standard_grid
 from mumbounds.states import (
     horodecki_noisy,
     mix_with_white_noise,
@@ -39,7 +43,7 @@ def _reference_report(rho, fam):
     norm_p = build_correlation_matrix(rho, fam).trace_norm
     assert abs(report.trace_norm_p - norm_p) <= 1e-12 * norm_p + 1e-15
     realigned = criteria._realigned(np.asarray(rho, dtype=complex), fam.d)
-    blocks = fam.block_stack().reshape(-1, fam.d * fam.d)
+    blocks = fam.f_blocks.reshape(-1, fam.d * fam.d)
     plain = criteria._contract(realigned, blocks, blocks)
     norm_f = np.linalg.svd(plain, compute_uv=False).sum()
     assert abs(report.trace_norm_f - norm_f) <= 1e-12 * norm_f + 1e-15
@@ -47,27 +51,30 @@ def _reference_report(rho, fam):
 
 
 def _reference_points(spec):
-    """(state, family) per grid point, built one at a time."""
+    """(state, family, white-noise weight) per grid point, built one at a time."""
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     fixed = dict(spec.fixed)
     if spec.variable == "t":
         rho = make_state(spec.state_family, spec.file, fixed)
         basis = standard_basis(math.isqrt(rho.shape[0]))
-        return grid, [(rho, build_mums(basis, float(t))) for t in grid]
+        return grid, [(rho, build_mums(basis, float(t)), 1.0) for t in grid]
     if spec.variable == "upsilon":
-        states = [make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(v)}) for v in grid]
+        points = [
+            (make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(v)}), 1.0)
+            for v in grid
+        ]
     else:
         probe = make_state(spec.state_family, spec.file, {**fixed, spec.variable: 1.0})
-        states = [mix_with_white_noise(probe, float(v)) for v in grid]
-    fam = build_mums(standard_basis(math.isqrt(states[0].shape[0])), fixed["t"])
-    return grid, [(rho, fam) for rho in states]
+        points = [(probe, float(v)) for v in grid]
+    fam = build_mums(standard_basis(math.isqrt(points[0][0].shape[0])), fixed["t"])
+    return grid, [(rho, fam, w) for rho, w in points]
 
 
-def _reference_csv(spec):
+def _reference_rows(spec):
     grid, points = _reference_points(spec)
     rows = []
-    for value, (rho, fam) in zip(grid, points):
-        report = _reference_report(rho, fam)
+    for value, (rho, fam, w) in zip(grid, points):
+        report = _reference_report(mix_with_white_noise(rho, w), fam)
         rows.append(
             {
                 "var": float(value),
@@ -80,11 +87,22 @@ def _reference_csv(spec):
                 "verdict": report.verdict,
             }
         )
-    return render_csv(rows)
+    return rows
 
 
 def _assert_sweep_matches(spec):
-    assert render_csv(run_sweep(spec)) == _reference_csv(spec)
+    rows, expected = run_sweep(spec), _reference_rows(spec)
+    if spec.variable in ("p", "q"):
+        for row, reference in zip(rows, expected):
+            if row["var"] == 0.0:
+                assert abs(row["traceNormF"] - reference["traceNormF"]) <= 1e-15
+                reference["traceNormF"] = row["traceNormF"]
+    assert render_csv(rows) == render_csv(expected)
+
+
+def _reports(d, columns):
+    """The BoundReports of columns keyed as ``BoundReport.as_dict``."""
+    return [BoundReport(d, *fields) for fields in zip(*columns.values())]
 
 
 def _tiles_grid(t_range_of, steps=81):
@@ -96,7 +114,7 @@ def test_tiles_t_grid(t_range_of):
     grid = _tiles_grid(t_range_of)
     rho = tiles_noisy(0.99)
     basis = standard_basis(3)
-    batched = concurrence_lower_bounds(rho, [standard_family(3, t) for t in grid])
+    batched = _reports(3, bound_columns(rho, *standard_grid(3, grid)))
     assert batched == [_reference_report(rho, build_mums(basis, float(t))) for t in grid]
     _assert_sweep_matches(
         SweepSpec("t", grid[0], grid[-1], 81, "tiles", fixed={"p": 0.99})
@@ -107,7 +125,7 @@ def test_horodecki_upsilon_grid():
     grid = np.linspace(0.0, 1.0, 101)
     fam = build_mums(standard_basis(3), 0.08)
     states = [horodecki_noisy(float(v), 0.995) for v in grid]
-    batched = concurrence_lower_bounds_of_states(np.stack(states), fam)
+    batched = _reports(3, bound_columns_of_states([np.stack(states)], fam))
     assert batched == [_reference_report(rho, fam) for rho in states]
     _assert_sweep_matches(
         SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08})
@@ -157,32 +175,43 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     basis = standard_basis(3)
     expected = [_reference_report(rho, build_mums(basis, float(t))) for t in grid]
     contractions.clear()
-    assert concurrence_lower_bounds(rho, [standard_family(3, t) for t in grid]) == expected
+    assert _reports(3, bound_columns(rho, *standard_grid(3, grid))) == expected
     # the frame of the state does not depend on t: one contraction
+    assert contractions == [1]
+
+    # nor on the white-noise weight, which scales it
+    blocks = build_mums(basis, 0.08).f_blocks
+    weights = np.linspace(0.0, 1.0, 7)
+    expected = [_reports(3, bound_columns(rho, blocks, 0.08, weights=[w]))[0] for w in weights]
+    contractions.clear()
+    assert _reports(3, bound_columns(rho, blocks, 0.08, weights=weights)) == expected
     assert contractions == [1]
 
     fam = build_mums(basis, 0.08)
     states = [horodecki_noisy(float(v), 0.995) for v in np.linspace(0.0, 1.0, 7)]
     expected = [_reference_report(state, fam) for state in states]
     contractions.clear()
-    assert concurrence_lower_bounds_of_states(np.stack(states), fam) == expected
+    assert _reports(3, bound_columns_of_states([np.stack(states)], fam)) == expected
     # one contraction per chunk of states
     assert len(contractions) == chunks and sum(contractions) == 7
 
-    # a generator is consumed one chunk at a time
+    # a generator of stacks is consumed one stack at a time
     yielded = []
 
     def generated():
         for state in states:
             yielded.append(len(contractions))
-            yield state
+            yield state[None]
 
     contractions.clear()
-    assert concurrence_lower_bounds_of_states(generated(), fam) == expected
-    assert yielded == [i // points_per_chunk for i in range(7)]
+    assert _reports(3, bound_columns_of_states(generated(), fam)) == expected
+    assert yielded == list(range(7))
 
     _assert_sweep_matches(SweepSpec("t", grid[0], grid[-1], 7, "tiles", fixed={"p": 0.99}))
     _assert_sweep_matches(SweepSpec("q", 0.0, 1.0, 7, "horodecki", fixed={"upsilon": 0.4, "t": 0.08}))
+    _assert_sweep_matches(
+        SweepSpec("upsilon", 0.0, 1.0, 7, "horodecki", fixed={"q": 0.995, "t": 0.08})
+    )
 
 
 def test_invalid_state_in_a_stack_is_reported(family):
@@ -192,12 +221,10 @@ def test_invalid_state_in_a_stack_is_reported(family):
     bad[0, 0], bad[1, 1] = -1.0 / 9.0, 3.0 / 9.0  # unit trace, one negative eigenvalue
     for state, match in ((np.eye(9) / 4.0, "trace"), (bad, "negative eigenvalue")):
         with pytest.raises(ValueError, match=match):
-            concurrence_lower_bounds_of_states(np.stack([good, state, good]), fam)
-    with pytest.raises(ValueError, match="9x9"):
-        concurrence_lower_bounds_of_states([good, np.eye(4) / 4.0], fam)
-    with pytest.raises(ValueError, match="9x9"):
-        concurrence_lower_bounds_of_states([np.stack([good, good])], fam)
-    assert concurrence_lower_bounds_of_states([], fam) == []
+            bound_columns_of_states([np.stack([good, state, good])], fam)
+    for stack, shape in ((np.eye(4)[None] / 4.0, r"\(1, 4, 4\)"), (good, r"\(9, 9\)")):
+        with pytest.raises(ValueError, match=r"a state stack must be \(k, 9, 9\), got " + shape):
+            bound_columns_of_states([good[None], stack], fam)
 
 
 def test_single_state_entry_points_reject_a_stack(family):
@@ -208,19 +235,19 @@ def test_single_state_entry_points_reject_a_stack(family):
     for call in (
         lambda: build_correlation_matrix(stack, fam),
         lambda: concurrence_lower_bound(stack, fam),
-        lambda: concurrence_lower_bounds(stack, [fam]),
-        lambda: concurrence_lower_bounds(list(stack), [fam]),
+        lambda: bound_columns(stack, fam.f_blocks, [fam.t]),
+        lambda: bound_columns(list(stack), fam.f_blocks, [fam.t], weights=[1.0]),
     ):
         with pytest.raises(ValueError, match=r"state must be 9x9, got \(2, 9, 9\)"):
             call()
     assert concurrence_lower_bound(stack[0], fam).verdict == "undetected"
 
 
-def _scalar_fields(row, rho, fam):
+def _scalar_fields(row, rho, fam, w):
     """The bound columns of one sweep row by the scalar formulas, from its
-    d and t and the excess of its state on its own."""
+    d and t and the excess of its state at weight w on its own."""
     d, t = row["d"], row["t"]
-    excess = criteria.white_noise_margin(rho, fam)(1.0)
+    excess = criteria.white_noise_margin(rho, fam)(w)
     kappa = kappa_of_t(d, t)
     scale = d * kappa_gap(d, t)  # kappa d - 1
     return {
@@ -229,7 +256,7 @@ def _scalar_fields(row, rho, fam):
         "bound_literal": max(0.0, math.sqrt(2.0 * (d - 1.0) / (d * scale)) * excess),
         "bound_derived": max(0.0, math.sqrt(2.0 * (d - 1.0) / d) * excess / scale),
         "schmidt_number_lb": max(1.0, 1.0 + (d - 1.0) * excess / scale),
-        "verdict": "entangled" if excess > TOL.verdict else "undetected",
+        "verdict": "entangled" if excess > TOL.verdict * scale else "undetected",
     }
 
 
@@ -248,18 +275,20 @@ def _separable_file(tmp_path):
                                     fixed={"p": 0.8}), 0),
         (lambda tmp, rng: SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki",
                                     fixed={"q": 0.995, "t": 0.08}), 33),
+        (lambda tmp, rng: SweepSpec("q", 0.99, 1.0, 41, "horodecki",
+                                    fixed={"upsilon": 0.2, "t": 0.01}), 24),
         (lambda tmp, rng: SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 41, "file",
                                     file=_separable_file(tmp)), 0),
         (lambda tmp, rng: SweepSpec("p", 0.0, 1.0, 41, "file", fixed={"t": rng.upper},
                                     file=_separable_file(tmp)), 0),
     ],
-    ids=["tiles", "tiles-undetected", "horodecki", "separable-t", "separable-p"],
+    ids=["tiles", "tiles-undetected", "horodecki", "horodecki-q", "separable-t", "separable-p"],
 )
 def test_columns_equal_the_scalar_formulas(make_spec, detected, tmp_path, t_range_of):
     spec = make_spec(tmp_path, t_range_of(3))
     rows = run_sweep(spec)
-    for row, (rho, fam) in zip(rows, _reference_points(spec)[1], strict=True):
-        expected = _scalar_fields(row, rho, fam)
+    for row, (rho, fam, w) in zip(rows, _reference_points(spec)[1], strict=True):
+        expected = _scalar_fields(row, rho, fam, w)
         assert {key: row[key] for key in expected} == expected, row
         # a negative margin clamps both bounds to +0.0, which prints as 0
         for key in ("bound_literal", "bound_derived"):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mumbounds import criteria
 from mumbounds.cli import main
 from mumbounds.engine import (
     MAX_SWEEP_STEPS,
@@ -107,6 +108,15 @@ class TestBound:
         )
         assert code == 0
         assert parse_kv(out)["verdict"] == "undetected"
+
+    def test_small_t_verdict_agrees_with_the_bound(self, capsys):
+        # the excess shrinks like kappa d - 1, so an absolute margin of 1e-9
+        # called this state undetected while its bound was positive
+        code, out, _ = run(capsys, "bound", "--state", "tiles", "--p", "1", "--t", "1e-5")
+        assert code == 0
+        values = parse_kv(out)
+        assert float(values["bound_derived"]) == pytest.approx(0.0555476, rel=1e-5)
+        assert values["verdict"] == "entangled"
 
     def test_maximally_mixed_file(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
@@ -281,6 +291,22 @@ class TestSweep:
         )
         assert code == 1
         assert "inadmissible" in err
+
+    def test_weight_outside_unit_interval_rejected(self, capsys, tmp_path, monkeypatch):
+        # the grid's weights are checked before the state is contracted
+        contractions = []
+        original = criteria._contract
+        monkeypatch.setattr(
+            criteria, "_contract", lambda *args: contractions.append(1) or original(*args)
+        )
+        out = tmp_path / "p.csv"
+        code, stdout, err = run(
+            capsys, "sweep", "--state", "tiles", "--var", "p", "--start", "-0.1",
+            "--stop", "1", "--steps", "12", "--t", "0.05", "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: mixing weight -0.1 must lie in [0, 1]\n"
+        assert not out.exists() and contractions == []
 
     def test_upsilon_not_sweepable_for_tiles(self, capsys, tmp_path):
         code, _, err = run(

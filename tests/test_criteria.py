@@ -7,19 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mumbounds import criteria
-from mumbounds.basis import gellmann_generators, partition_basis, standard_basis
+from mumbounds.basis import gellmann_generators, partition_basis
 from mumbounds.config import TOL
 from mumbounds.criteria import (
+    BoundReport,
+    bound_columns,
+    bound_columns_of_states,
     build_correlation_matrix,
     concurrence_lower_bound,
-    concurrence_lower_bounds,
-    concurrence_lower_bounds_of_states,
     pure_concurrence,
     pure_trace_norm_closed_form,
-    schmidt_number_lower_bound,
 )
 from mumbounds.linalg import partial_trace, schmidt_decompose
-from mumbounds.mums import build_mums, kappa_gap, standard_family
+from mumbounds.mums import build_mums, kappa_gap, standard_family, standard_grid
 from mumbounds.states import (
     max_entangled,
     random_density,
@@ -61,14 +61,14 @@ class TestCorrelationMatrix:
         rho = np.eye(9) / 9.0
         corr_p = build_correlation_matrix(rho, fam)
         assert np.abs(corr_p.matrix - 1.0 / 9.0).max() < 1e-14
-        blocks = fam.block_stack()
+        blocks = fam.f_blocks.reshape(-1, fam.d, fam.d)
         assert np.abs(_einsum_reference(rho, blocks, blocks)).max() < 1e-14
 
     def test_kron_definition_oracle(self, family):
         # entry (r, c) is Tr(rho (X_r x X_c)) by definition
         fam = family(2, 0.1)
         rho = random_density(4, seed=11)
-        blocks = fam.block_stack()
+        blocks = fam.f_blocks.reshape(-1, fam.d, fam.d)
         for matrix, stack in (
             (build_correlation_matrix(rho, fam).matrix, fam.effect_stack()),
             (_einsum_reference(rho, blocks, blocks).real, blocks),
@@ -87,7 +87,7 @@ class TestCorrelationMatrix:
         assert np.abs(build_correlation_matrix(rho, fam).matrix - expect.real).max() < 1e-12
         assert np.abs(expect.imag).max() < 1e-12
         # the block matrix behind every report's trace_norm_f
-        blocks = fam.block_stack()
+        blocks = fam.f_blocks.reshape(-1, fam.d, fam.d)
         expect_f = _einsum_reference(rho, blocks, blocks)
         assert np.abs(expect_f.imag).max() < 1e-12
         norm_f = np.linalg.svd(expect_f.real, compute_uv=False).sum()
@@ -102,7 +102,8 @@ class TestCorrelationMatrix:
         corr = build_correlation_matrix(rho, fam_a, fam_b)
         expect = _einsum_reference(rho, fam_a.effect_stack(), fam_b.effect_stack())
         assert np.abs(corr.matrix - expect.real).max() < 1e-12
-        expect_f = _einsum_reference(rho, fam_a.block_stack(), fam_b.block_stack()).real
+        blocks_a, blocks_b = (fam.f_blocks.reshape(-1, 3, 3) for fam in (fam_a, fam_b))
+        expect_f = _einsum_reference(rho, blocks_a, blocks_b).real
         norm_f = np.linalg.svd(expect_f, compute_uv=False).sum()
         report = concurrence_lower_bound(rho, fam_a, fam_b)
         assert abs(report.trace_norm_f - norm_f) < 1e-12 * norm_f
@@ -112,7 +113,7 @@ class TestCorrelationMatrix:
         fam = family(3, 0.05)
         rho = random_density(9, seed=3)
         corr_p = build_correlation_matrix(rho, fam).matrix
-        stack = fam.block_stack()
+        stack = fam.f_blocks.reshape(-1, fam.d, fam.d)
         corr_f = _einsum_reference(rho, stack, stack).real
         rho_a = partial_trace(rho, 3, 3, "A")
         rho_b = partial_trace(rho, 3, 3, "B")
@@ -285,8 +286,22 @@ class TestConcurrenceBound:
             with pytest.raises(ValueError, match="tolerance"):
                 concurrence_lower_bound(rho, fam, tol=tol)
             with pytest.raises(ValueError, match="tolerance"):
-                concurrence_lower_bounds(rho, [fam], tol=tol)
+                bound_columns(rho, fam.f_blocks, [fam.t], tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                bound_columns_of_states([rho[None]], fam, tol=tol)
         assert concurrence_lower_bound(rho, fam, tol=0.0).verdict == "undetected"
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_product_states_stay_undetected_at_small_t(self, d, family, t_range_of):
+        # the verdict's margin tol * (kappa d - 1) shrinks with t like the
+        # excess itself, and a product state's excess is rounding far below it
+        rng = t_range_of(d)
+        for seed in range(4):
+            rho = _pure_density(_product_pure(d, 10 * seed))
+            for t in np.array([1e-7, 1e-5, 1e-3, 0.5]) * rng.upper:
+                for t_signed in (t, t * rng.lower / rng.upper):
+                    report = concurrence_lower_bound(rho, family(d, t_signed))
+                    assert report.verdict == "undetected", (seed, t_signed, report)
 
 
 class TestFrontDoor:
@@ -297,8 +312,9 @@ class TestFrontDoor:
         return (
             lambda: concurrence_lower_bound(rho, fam),
             lambda: build_correlation_matrix(rho, fam),
-            lambda: concurrence_lower_bounds(rho, [fam]),
-            lambda: concurrence_lower_bounds_of_states([rho], fam),
+            lambda: bound_columns(rho, fam.f_blocks, [fam.t]),
+            lambda: bound_columns(rho, fam.f_blocks, fam.t, weights=[0.0, 0.5]),
+            lambda: bound_columns_of_states([rho[None]], fam),
         )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -326,37 +342,56 @@ class TestFrontDoor:
                     call()
 
 
-class TestBatchedBounds:
+def _reports(d, columns):
+    """The BoundReports of columns keyed as ``BoundReport.as_dict``."""
+    return [BoundReport(d, *fields) for fields in zip(*columns.values())]
+
+
+class TestColumns:
     def test_tiles_t_grid_equals_one_call_per_family(self, t_range_of):
         rng = t_range_of(3)
-        fams = [standard_family(3, t) for t in np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81)]
+        blocks, ts = standard_grid(3, np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81))
         rho = tiles_noisy(0.99)
-        assert concurrence_lower_bounds(rho, fams) == [
-            concurrence_lower_bound(rho, fam) for fam in fams
+        assert _reports(3, bound_columns(rho, blocks, ts)) == [
+            concurrence_lower_bound(rho, standard_family(3, t)) for t in ts
         ]
 
-    def test_rejects_pairs_and_families_of_other_block_arrays(self, family, t_range_of):
-        # only the families of one grid, which share one block array, are taken
-        rng = t_range_of(4)
-        fams = [standard_family(4, t) for t in (0.8 * rng.lower, 0.3 * rng.upper)]
-        rebuilt = build_mums(standard_basis(4), fams[1].t)  # equal blocks, another array
-        assert np.array_equal(rebuilt.f_blocks, fams[0].f_blocks)
+    def test_weights_equal_one_weight_at_a_time(self, family, t_range_of):
+        # t and w broadcast against each other, and each point is its own evaluation
         rho = random_density(16, seed=12)
-        for entries in (
-            [*fams, rebuilt],
-            [*fams, _permuted_family(4, -fams[1].t)],
-            [fams[0], (fams[1], fams[1])],
-            [(fams[0], fams[0])],
-            [fams[0], family(3, 0.05)],
-        ):
-            with pytest.raises(ValueError, match="share one block array"):
-                concurrence_lower_bounds(rho, entries)
-        expected = [concurrence_lower_bound(rho, fam) for fam in fams]
-        assert concurrence_lower_bounds(rho, fams) == expected
+        blocks = family(4, 0.05).f_blocks
+        weights = np.linspace(0.0, 1.0, 5)
+        points = [(t, w) for t in (0.8 * t_range_of(4).lower, 0.3 * t_range_of(4).upper)
+                  for w in weights]
+        ts, ws = np.array(points).T
+        assert _reports(4, bound_columns(rho, blocks, ts, weights=ws)) == [
+            _reports(4, bound_columns(rho, blocks, [t], weights=w))[0] for t, w in points
+        ]
+        ts = ts[::5]
+        # weight 1 is the state itself, and weight 0 the maximally mixed state
+        assert bound_columns(rho, blocks, ts, weights=1.0) == bound_columns(rho, blocks, ts)
+        at_zero = _reports(4, bound_columns(rho, blocks, ts, weights=0.0))
+        white = np.eye(16) / 16.0
+        for report, t in zip(at_zero, ts):
+            expect = concurrence_lower_bound(white, standard_family(4, t))
+            assert report.trace_norm_f == 0.0
+            assert report.trace_norm_p == pytest.approx(expect.trace_norm_p, abs=1e-15)
+            assert report.verdict == expect.verdict == "undetected"
 
-    def test_rejects_no_families(self):
-        with pytest.raises(ValueError, match="at least one"):
-            concurrence_lower_bounds(np.eye(9) / 9.0, [])
+    def test_weights_outside_unit_interval_rejected(self, family):
+        fam = family(3, 0.05)
+        for bad in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError, match=r"mixing weight .* must lie in \[0, 1\]"):
+                bound_columns(np.eye(9) / 9.0, fam.f_blocks, fam.t, weights=[0.5, bad])
+
+    def test_empty_input_gives_empty_columns(self, family):
+        fam = family(3, 0.05)
+        rho = np.eye(9) / 9.0
+        empty = {key: [] for key in BoundReport(3, *[0] * 9).as_dict() if key != "d"}
+        assert bound_columns(rho, fam.f_blocks, []) == empty
+        assert bound_columns(rho, fam.f_blocks, fam.t, weights=[]) == empty
+        assert bound_columns_of_states([], fam) == empty
+        assert bound_columns_of_states([np.empty((0, 9, 9))], fam) == empty
 
 
 class TestSeparability:
@@ -400,21 +435,16 @@ class TestSeparability:
 
 class TestSchmidtNumberBound:
     def test_threshold_value_gives_one(self, family):
-        fam = family(3, 0.05)
-        assert schmidt_number_lower_bound(1.0 + fam.kappa, 3, fam.kappa) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        # a product pure state sits at the threshold
+        report = concurrence_lower_bound(_pure_density(_product_pure(3, 21)), family(3, 0.05))
+        assert report.schmidt_number_lb == pytest.approx(1.0, abs=1e-12)
 
     def test_max_entangled_gives_full_rank(self, family, t_range_of):
-        fam = family(3, t_range_of(3).upper)
-        corr = build_correlation_matrix(_pure_density(max_entangled(3)), fam)
-        bound = schmidt_number_lower_bound(corr.trace_norm, 3, fam.kappa)
-        assert bound == pytest.approx(3.0, abs=1e-9)
+        for d in (2, 3, 4):
+            fam = family(d, t_range_of(d).upper)
+            report = concurrence_lower_bound(_pure_density(max_entangled(d)), fam)
+            assert report.schmidt_number_lb == pytest.approx(d, abs=1e-9)
 
     def test_below_threshold_clamps(self, family):
-        fam = family(3, 0.05)
-        assert schmidt_number_lower_bound(1.0, 3, fam.kappa) == 1.0
-
-    def test_requires_sharp_kappa(self):
-        with pytest.raises(ValueError, match="exceed"):
-            schmidt_number_lower_bound(2.0, 3, 1.0 / 3.0)
+        report = concurrence_lower_bound(np.eye(9) / 9.0, family(3, 0.05))
+        assert report.schmidt_number_lb == 1.0

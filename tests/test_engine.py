@@ -262,8 +262,9 @@ def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("points_per_chunk", [None, 10])
-def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk):
+def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path):
     # one chunk holds a whole d = 3 grid; 10 points a chunk gives 11 and 9 chunks
+    path = _state_file(tmp_path)
     if points_per_chunk is not None:
         monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(3))
     step = criteria.chunk_points(3)
@@ -279,6 +280,8 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk):
         monkeypatch.setattr(module, name, counted)
 
     count(states, "horodecki_state")
+    count(engine, "load_state")
+    count(criteria, "validate_density")
     count(criteria, "_contract")
     count(criteria, "_margins")
     count(criteria, "build_correlation_matrix")
@@ -290,20 +293,45 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk):
         return getter(fam)
 
     monkeypatch.setattr(mums.MumFamily, "effects", property(effects))
+    weights = []
+    for module in (engine, states):
+        mix = module.mix_with_white_noise
+
+        def recorded(rho, weight, mix=mix):
+            weights.append(np.shape(weight))
+            return mix(rho, weight)
+
+        monkeypatch.setattr(module, "mix_with_white_noise", recorded)
 
     # the upsilon sweep: one state at upsilon = 0 fixes d, then one build,
     # one contraction and one evaluation per chunk at its one family; no
     # effect is ever formed
     run_sweep(SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08}))
     chunks = math.ceil(101 / step)
-    assert calls == {"horodecki_state": 1 + chunks, "_family": 1, "_contract": chunks,
-                     "_margins": chunks}
+    assert calls == {"horodecki_state": 1 + chunks, "_family": 1, "validate_density": chunks,
+                     "_contract": chunks, "_margins": chunks}
     # the t-sweep: no family object per t, one contraction of its one state,
     # and one evaluation per chunk of t
     calls.clear()
     rng = mums.standard_t_range(3)
     run_sweep(SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 81, "tiles", fixed={"p": 0.99}))
-    assert calls == {"_contract": 1, "_margins": math.ceil(81 / step)}
+    assert calls == {"validate_density": 1, "_contract": 1, "_margins": math.ceil(81 / step)}
+    # the p and q sweeps: one state at weight 1, one load of a file, one
+    # front-door check and one contraction, whatever the chunk size; the
+    # weights scale the frame, one evaluation per chunk of weights
+    weights.clear()
+    for spec, built in (
+        (SweepSpec("p", 0.0, 1.0, 101, "file", fixed={"t": 0.05}, file=path),
+         {"load_state": 1}),
+        (SweepSpec("q", 0.0, 1.0, 101, "horodecki", fixed={"upsilon": 0.4, "t": 0.05}),
+         {"horodecki_state": 1}),
+    ):
+        calls.clear()
+        run_sweep(spec)
+        assert calls == {**built, "_family": 1, "validate_density": 1, "_contract": 1,
+                         "_margins": math.ceil(101 / step)}, spec
+    # no white-noise mixture is formed but each state at weight 1
+    assert weights == [(), ()]
 
 
 def test_an_invalid_file_state_is_decided_by_eigvalsh(monkeypatch, tmp_path):

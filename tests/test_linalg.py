@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mumbounds.linalg import (
-    partial_trace,
-    partial_transpose,
-    schmidt_decompose,
-    trace_norm,
-)
+from mumbounds.linalg import partial_trace, partial_transpose, schmidt_decompose
 
 
 def _complex_normal(rng, shape):
@@ -21,9 +16,9 @@ def _random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
-def _random_unitary(rng, dim):
-    q, r = np.linalg.qr(_complex_normal(rng, (dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _reconstruct(data):
+    """The amplitude vector sum_m c_m (left_m x right_m) of a Schmidt form."""
+    return np.einsum("m,im,jm->ij", data.coefficients, data.left, data.right).reshape(-1)
 
 
 class TestPartialTrace:
@@ -92,49 +87,6 @@ class TestPartialTranspose:
             assert eigs.min() > -1e-12
 
 
-class TestTraceNorm:
-    def test_identity(self):
-        assert trace_norm(np.eye(7)) == pytest.approx(7.0, abs=1e-12)
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(4)
-        u = _complex_normal(rng, 5)
-        v = _complex_normal(rng, 5)
-        expect = np.linalg.norm(u) * np.linalg.norm(v)
-        assert trace_norm(np.outer(u, v.conj())) == pytest.approx(expect, rel=1e-12)
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_eigendecomposition_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((12, 12))
-        w = np.linalg.eigvalsh(m.T @ m)
-        expect = np.sum(np.sqrt(np.clip(w, 0.0, None)))
-        assert abs(trace_norm(m) - expect) < 1e-10
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_unitary_invariance(self, seed):
-        rng = np.random.default_rng(seed)
-        m = _complex_normal(rng, (8, 8))
-        u = _random_unitary(rng, 8)
-        v = _random_unitary(rng, 8)
-        assert abs(trace_norm(u @ m @ v) - trace_norm(m)) < 1e-9
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_triangle_inequality(self, seed):
-        rng = np.random.default_rng(seed)
-        m1 = _complex_normal(rng, (6, 6))
-        m2 = _complex_normal(rng, (6, 6))
-        assert trace_norm(m1 + m2) <= trace_norm(m1) + trace_norm(m2) + 1e-10
-
-    def test_nan_input_raises(self):
-        bad = np.full((4, 4), np.nan)
-        with pytest.raises(np.linalg.LinAlgError):
-            trace_norm(bad)
-
-
 class TestSchmidt:
     def test_product_state(self):
         psi = np.array([1.0, 0.0, 0.0, 0.0])
@@ -170,7 +122,7 @@ class TestSchmidt:
         psi = _complex_normal(rng, 12)
         psi /= np.linalg.norm(psi)
         data = schmidt_decompose(psi, 3, 4)
-        assert np.abs(data.reconstruct() - psi).max() < 1e-10
+        assert np.abs(_reconstruct(data) - psi).max() < 1e-10
 
     def test_factor_orthonormality(self):
         rng = np.random.default_rng(5)

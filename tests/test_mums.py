@@ -244,7 +244,7 @@ class TestTwoDesign:
         # the t-independent counterpart for the building blocks:
         # sum_r F_r x F_r = d (1 + sqrt(d))^2 (SWAP - I/d)
         fam = family(d, 0.5 * t_range_of(d).upper)
-        stack = fam.block_stack()
+        stack = fam.f_blocks.reshape(-1, fam.d, fam.d)
         total = np.einsum("rij,rkl->ikjl", stack, stack).reshape(d * d, d * d)
         expect = d * (1 + np.sqrt(d)) ** 2 * (swap_operator(d) - np.eye(d * d) / d)
         assert np.abs(total - expect).max() < 1e-9
