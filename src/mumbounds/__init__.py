@@ -38,7 +38,6 @@ from .mums import (
 )
 from .states import (
     StateFileError,
-    horodecki_noisy,
     horodecki_state,
     load_state,
     max_entangled,
@@ -46,7 +45,6 @@ from .states import (
     random_density,
     random_pure,
     save_state,
-    tiles_noisy,
     tiles_state,
     validate_density,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "partial_transpose",
     "schmidt_decompose",
     "StateFileError",
-    "horodecki_noisy",
     "horodecki_state",
     "load_state",
     "max_entangled",
@@ -94,7 +91,6 @@ __all__ = [
     "random_density",
     "random_pure",
     "save_state",
-    "tiles_noisy",
     "tiles_state",
     "validate_density",
     "ThresholdResult",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TOL
-from .criteria import concurrence_lower_bound
+from .criteria import bound_columns
 from .engine import (
     SweepSpec,
     ThresholdQuery,
@@ -42,7 +42,9 @@ from .mums import (
     two_design_residual,
     verify_mum_relations,
 )
-from .states import StateFileError, load_state, max_entangled, random_density, save_state
+from .states import (
+    StateFileError, load_state, max_entangled, mix_with_white_noise, random_density, save_state,
+)
 
 
 # A negative float token such as -1e-3, -.5 or -inf.
@@ -139,17 +141,17 @@ def cmd_t_range(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    rho = make_state(args.state, args.file, vars(args))
+    rho, w = make_state(args.state, args.file, vars(args))
     d = infer_d(rho.shape[0])
     fam = family_for(d, args.t)
-    report = concurrence_lower_bound(rho, fam, tol=args.tol)
+    columns = bound_columns(rho[None], fam.f_blocks, fam.t, args.tol, weights=w)
+    fields = {"d": d, **{key: column[0] for key, column in columns.items()}}
     print(f"state={args.state}")
     for name, value in (("p", args.p), ("q", args.q), ("upsilon", args.upsilon)):
         if value is not None:
             print(f"{name}={format_value(value)}")
     # the headline bound is the chosen variant's coefficient
-    headline = {"bound": getattr(report, f"bound_{args.variant}"), "variant": args.variant}
-    fields = {**report.as_dict(), **headline}
+    fields.update(bound=fields[f"bound_{args.variant}"], variant=args.variant)
     for key in _BOUND_KEYS:
         print(f"{key}={format_value(fields[key])}")
     if args.out:
@@ -214,7 +216,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_gen_state(args) -> int:
     if args.state in ("tiles", "horodecki"):
-        rho = make_state(args.state, None, vars(args))
+        rho = mix_with_white_noise(*make_state(args.state, None, vars(args)))
     else:  # max-entangled or random: a dimension and no parameter
         check_params(args.state, vars(args), ("d", "seed") if args.state == "random" else ("d",))
         if args.d is None:

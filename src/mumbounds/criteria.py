@@ -37,8 +37,9 @@ A validated state has unit trace, so the corner of M is c0.
 
 Every block is traceless, so the frame of w*rho + (1 - w)*I/d^2 is w
 times the frame of rho, apart from the corner Tr rho = 1; so are its
-matrix M off the corner and ||Phi'||_tr.  A white-noise weight is
-applied this way alone, and no mixed state is formed.
+matrix M off the corner and ||Phi'||_tr.  A white-noise weight is a
+coordinate of the evaluation, applied this way alone: no mixed state is
+formed, and weight 1 multiplies by 1.0, which is exact.
 
 The state is realigned as
 ``rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d*d, d*d)``, so
@@ -47,15 +48,16 @@ X of A and Y of B.  Every state passes one front door,
 ``states.validate_density`` with the ``density_*`` tolerances, and a
 failure raises ValueError.
 
-Two column evaluators share ``_columns``, which runs a chunk of bounded
-memory at a time and computes the report fields as arrays:
-``bound_columns`` takes one state over a grid of (t, w), validated and
-contracted once at weight 1, and ``bound_columns_of_states`` takes
-stacks of states at one family pair, one contraction per chunk.
-``concurrence_lower_bound`` is the one report of one state, and
-``white_noise_margin`` the margin of one state as a function of w, for
-the threshold search.  ``build_correlation_matrix`` forms C_P by the
-plain definition, as the reference the tests hold the frame against.
+``bound_columns`` is the one column evaluator: it takes a stack of
+states, broadcast against a grid of (t, w) to one axis of points, and
+computes the report fields as arrays through ``_columns``, a chunk of
+bounded memory at a time.  A one-state stack is validated and contracted
+once, at weight 1, since its frame depends on neither t nor w.
+``concurrence_lower_bound`` is the one report of one state at a family
+pair, and ``white_noise_margin`` the margin of one state as a function
+of w, for the threshold search.  ``build_correlation_matrix`` forms C_P
+by the plain definition, as the reference the tests hold the frame
+against.
 """
 
 from __future__ import annotations
@@ -316,20 +318,18 @@ def _columns(d: int, chunks: Iterable[tuple], tol: float) -> dict[str, list]:
     """The report fields of chunks of points, in order, as columns.
 
     Each chunk is (frames, norm_f, ta, tb, w), broadcast against one
-    another as in ``_frame_matrices``; w is None for weight 1, or the
-    white-noise weights of the points, which scale M off the corner and
-    norm_f.  One list per field, keyed as ``BoundReport.as_dict``; a
-    clamped bound is +0.0, never -0.0.
+    another as in ``_frame_matrices``; w holds the white-noise weights of
+    the points, which scale M off the corner and norm_f.  One list per
+    field, keyed as ``BoundReport.as_dict``; a clamped bound is +0.0,
+    never -0.0.
     """
     parts: list[list[np.ndarray]] = [[], [], [], [], []]
     for frames, norm_f, ta, tb, w in chunks:
         gap = kappa_gap(d, np.asarray(ta, dtype=float))
         m = _frame_matrices(d, frames, ta, tb)
-        if w is not None:
-            m *= w[..., None, None]
-            norm_f = w * norm_f
+        m *= w[..., None, None]
         excess, norm_p = _margins(d, m, gap)
-        for part, column in zip(parts, np.broadcast_arrays(ta, gap, excess, norm_p, norm_f)):
+        for part, column in zip(parts, np.broadcast_arrays(ta, gap, excess, norm_p, w * norm_f)):
             part.append(column)
     ts, gap, excess, norm_p, norm_f = (np.concatenate([np.empty(0), *part]) for part in parts)
     kappa = 1.0 / d + gap  # kappa_of_t
@@ -354,77 +354,50 @@ def chunk_points(d: int) -> int:
 
 
 def bound_columns(
-    rho: np.ndarray,
+    states: np.ndarray,
     blocks: np.ndarray,
     ts,
     tol: float = TOL.verdict,
-    weights=None,
+    weights=1.0,
 ) -> dict[str, list]:
     """The reports of w*rho + (1 - w)*I/d^2 at the family (t, ``blocks``)
-    for each pair (t, w) of ``ts`` and ``weights``, as columns.
+    for each point (rho, t, w) of ``states``, ``ts`` and ``weights``, as
+    columns.
 
-    ``ts`` and ``weights`` broadcast to one axis of points, and None is
-    weight 1, rho itself; each weight must lie in [0, 1]
-    (``states.check_weight``).
-    One list per ``BoundReport`` field after d, keyed as
-    ``BoundReport.as_dict``, with one entry per pair in order.  Each t
-    must be admissible for the blocks, as ``mums.standard_grid`` checks.
-    The state is validated and contracted once, at weight 1, since its
-    frame does not depend on t and is scaled by w; each chunk of points
-    is then one batched SVD.
+    ``states`` is a stack (k, d^2, d^2); its axis broadcasts with ``ts``
+    and ``weights`` to one axis of points.  Each weight must lie in
+    [0, 1] (``states.check_weight``), and each t must be admissible for
+    the blocks, as ``mums.standard_grid`` checks.  One list per
+    ``BoundReport`` field after d, keyed as ``BoundReport.as_dict``, with
+    one entry per point in order.  A one-state stack is validated and
+    contracted once, and its ||Phi'||_tr taken once, since its frame
+    depends on neither t nor w; a longer stack is validated and
+    contracted one chunk at a time.  Each chunk of points is one batched
+    SVD.
     """
     _check_tol(tol)
-    ts = np.asarray(ts, dtype=float)
-    if weights is not None:
-        check_weight(weights)
-        ts, weights = np.broadcast_arrays(ts, np.asarray(weights, dtype=float))
+    check_weight(weights)
     d = blocks.shape[-1]
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 3 or states.shape[1:] != (d * d, d * d):
+        raise ValueError(f"a state stack must be (k, {d * d}, {d * d}), got {states.shape}")
+    points = np.broadcast_shapes(states.shape[:1], np.shape(ts), np.shape(weights))
+    ts = np.broadcast_to(np.asarray(ts, dtype=float), points)
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), points)
     rows = _frame_rows(blocks)
-    frame = _contract(_realigned(_as_state(rho, d * d), d), rows, rows)
-    norm_f = _norm_f(frame)
+
+    def frames_of(stack):
+        frames = _contract(_realigned(stack, d), rows, rows)
+        return frames, _norm_f(frames)
+
+    one = frames_of(states) if len(states) == 1 else None
     step = chunk_points(d)
 
     def chunks():
         for start in range(0, len(ts), step):
-            chunk = ts[start : start + step]
-            w = None if weights is None else weights[start : start + step]
-            yield frame, norm_f, chunk, chunk, w
-
-    return _columns(d, chunks(), tol)
-
-
-def bound_columns_of_states(
-    stacks: Iterable[np.ndarray],
-    fam_a: MumFamily,
-    fam_b: MumFamily | None = None,
-    tol: float = TOL.verdict,
-) -> dict[str, list]:
-    """The reports of many states at one family pair, as columns.
-
-    ``stacks`` is an iterable of state stacks (k, d^2, d^2), taken one at
-    a time, so a generator never has more than one stack built; a stack
-    of more than ``chunk_points(d)`` states is split into chunks.  Each
-    chunk is one density check, one contraction and two batched SVDs,
-    of Phi' and of M.  The columns are keyed as ``BoundReport.as_dict``,
-    one entry per state in order, each the report of
-    ``concurrence_lower_bound`` for that state.
-    """
-    fam_b = fam_a if fam_b is None else fam_b
-    _check_tol(tol)
-    _check_pair(fam_a, fam_b)
-    d = fam_a.d
-    rows_a = _frame_rows(fam_a.f_blocks)
-    rows_b = rows_a if fam_b is fam_a else _frame_rows(fam_b.f_blocks)
-    step = chunk_points(d)
-
-    def chunks():
-        for stack in stacks:
-            stack = np.asarray(stack, dtype=complex)
-            if stack.ndim != 3 or stack.shape[1:] != (d * d, d * d):
-                raise ValueError(f"a state stack must be (k, {d * d}, {d * d}), got {stack.shape}")
-            for start in range(0, len(stack), step):
-                frames = _contract(_realigned(stack[start : start + step], d), rows_a, rows_b)
-                yield frames, _norm_f(frames), fam_a.t, fam_b.t, None
+            part = slice(start, start + step)
+            frames, norm_f = one or frames_of(states[part])
+            yield frames, norm_f, ts[part], ts[part], weights[part]
 
     return _columns(d, chunks(), tol)
 
@@ -439,8 +412,16 @@ def concurrence_lower_bound(
 
     Every separable state stays below 1 + kappa, so "entangled" is
     conclusive while "undetected" is not.  ``tol`` must be finite and
-    non-negative.  The one-state case of ``bound_columns_of_states``.
+    non-negative.  The two families may differ, but must share d and
+    kappa; the state is one stack of one state, contracted once and
+    evaluated as ``bound_columns`` evaluates a point at weight 1.
     """
-    stack = _as_state(rho, fam_a.d * fam_a.d)[None]
-    columns = bound_columns_of_states([stack], fam_a, fam_b, tol)
-    return BoundReport(fam_a.d, *(column[0] for column in columns.values()))
+    fam_b = fam_a if fam_b is None else fam_b
+    _check_tol(tol)
+    _check_pair(fam_a, fam_b)
+    d = fam_a.d
+    rows_a = _frame_rows(fam_a.f_blocks)
+    rows_b = rows_a if fam_b is fam_a else _frame_rows(fam_b.f_blocks)
+    frames = _contract(_realigned(_as_state(rho, d * d)[None], d), rows_a, rows_b)
+    columns = _columns(d, [(frames, _norm_f(frames), fam_a.t, fam_b.t, np.ones(1))], tol)
+    return BoundReport(d, *(column[0] for column in columns.values()))

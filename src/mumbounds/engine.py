@@ -13,15 +13,17 @@ and only its rows are built per point.  The Gell-Mann blocks and
 t-interval of a dimension are built on its first query and memoised
 (``mums.standard_family``).
 
-A t, p or q sweep builds its state once, at weight 1, and contracts it
-once (``criteria.bound_columns``): a t-sweep checks its grid as one
-array against the blocks (``mums.standard_grid``), and a p or q sweep
-passes its grid as the white-noise weights, each of which scales the
-frame.  Only an upsilon sweep builds a stack of states per chunk, one
-broadcast of ``horodecki_state``, and contracts each chunk at its one
-family (``criteria.bound_columns_of_states``).  A threshold query
-contracts the state at weight 1 once, and each weight of the search is
-one SVD (``criteria.white_noise_margin``).
+Every query builds its state at weight 1 (``make_state``) and treats a
+white-noise weight as a coordinate of the evaluation, which scales the
+frame; no query forms a mixed state.  Every sweep and ``bound`` go
+through one column evaluator, ``criteria.bound_columns``: a t, p or q
+sweep contracts its one state once, a t-sweep checking its grid as one
+array against the blocks (``mums.standard_grid``) and a p or q sweep
+passing its grid as the weights.  An upsilon sweep builds one stack of
+Horodecki states per chunk, one broadcast of ``horodecki_state``, and
+evaluates each stack at its one family, so its memory stays bounded.  A
+threshold query contracts the state once, and each weight of the search
+is one SVD (``criteria.white_noise_margin``).
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import bound_columns, bound_columns_of_states, chunk_points, white_noise_margin
+from .criteria import bound_columns, chunk_points, white_noise_margin
 from .mums import MumFamily, standard_family, standard_grid
-from .states import horodecki_noisy, load_state, mix_with_white_noise, tiles_noisy
+from .states import check_weight, horodecki_state, load_state, tiles_state
 from .threshold import ThresholdResult, find_threshold
 
 CSV_HEADER = "var,traceNormP,traceNormF,kappa,threshold,bound_literal,bound_derived,verdict"
@@ -88,6 +90,7 @@ def family_for(d: int, t: float) -> MumFamily:
 
 # every value a family may take, in the order a UsageError names them
 _FAMILY_PARAMS = ("p", "q", "upsilon", "d", "seed")
+_TWO_WEIGHTS = "give at most one of --p/--q as the mixing weight"
 
 
 def check_params(family: str, params: dict, takes: tuple[str, ...]) -> None:
@@ -99,33 +102,45 @@ def check_params(family: str, params: dict, takes: tuple[str, ...]) -> None:
         raise UsageError(f"the {family} family does not take --{', --'.join(ignored)}")
 
 
-def make_state(family: str, file: str | None, params: dict) -> np.ndarray:
-    """Build a state of a family from the p, q and upsilon in ``params``.
+def make_state(family: str, file: str | None, params: dict) -> tuple[np.ndarray, float]:
+    """A state of a family at weight 1, from the upsilon in ``params``,
+    and its white-noise weight: the p or q in ``params``, or 1 when
+    neither is given.
 
     A parameter that is given (not None) but that the family does not
-    take is a UsageError, as is an unknown family.  An array of upsilon
-    values gives the stack of their states (``horodecki_state``).
+    take is a UsageError, as is an unknown family; the weight must lie
+    in [0, 1] (``states.check_weight``).  An array of upsilon values
+    gives the stack of their states (``horodecki_state``).  The state is
+    never mixed: the weight scales its frame (``criteria.bound_columns``).
     """
     if family not in _STATE_PARAMS:
         raise UsageError(f"unknown state family {family!r}")
     check_params(family, params, _STATE_PARAMS[family])
     p, q, upsilon = params.get("p"), params.get("q"), params.get("upsilon")
     if family == "tiles":
-        return tiles_noisy(1.0 if p is None else p)
-    if family == "horodecki":
+        rho = tiles_state()
+    elif family == "horodecki":
         if upsilon is None:
             raise UsageError("--upsilon is required for the horodecki family")
-        return horodecki_noisy(upsilon, 1.0 if q is None else q)
-    if family == "file":
+        rho = horodecki_state(upsilon)
+    else:
         if file is None:
             raise UsageError("--file is required when --state file is selected")
         rho = load_state(file)
         if p is not None and q is not None:
-            raise UsageError("give at most one of --p/--q as the mixing weight")
-        weight = p if p is not None else q
-        if weight is not None:
-            rho = mix_with_white_noise(rho, weight)
-        return rho
+            raise UsageError(_TWO_WEIGHTS)
+    weight = p if p is not None else q if q is not None else 1.0
+    check_weight(weight)
+    return rho, weight
+
+
+def _state_of_weight_query(family: str, file: str | None, fixed: dict) -> np.ndarray:
+    """The state of a sweep or search over its white-noise weight; a weight
+    given as well is a UsageError, as two weights are for ``make_state``."""
+    rho, _ = make_state(family, file, fixed)
+    if fixed.get("p") is not None or fixed.get("q") is not None:
+        raise UsageError(_TWO_WEIGHTS)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -195,44 +210,40 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the sweep grid, ascending: per point, var, d and the other
     ``BoundReport.as_dict()`` fields.
 
-    The grid is evaluated as columns (``bound_columns``, or
-    ``bound_columns_of_states`` for upsilon), and the rows are built
-    from them.
+    The grid is evaluated as columns (``bound_columns``), and the rows
+    are built from them.
     """
     spec.validate()
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     fixed = dict(spec.fixed)
-
-    def state_at(params: dict) -> np.ndarray:
-        return make_state(spec.state_family, spec.file, params)
-
     if spec.variable == "t":
-        rho = state_at(fixed)
+        rho, w = make_state(spec.state_family, spec.file, fixed)
         d = infer_d(rho.shape[0])
         try:
             blocks, ts = standard_grid(d, grid)
         except ValueError as exc:
             raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
-        columns = bound_columns(rho, blocks, ts)
+        columns = bound_columns(rho[None], blocks, ts, weights=w)
     elif spec.variable == "upsilon":
         # the state at the first point fixes d and checks the fixed
         # parameters before the family is built
-        probe = state_at({**fixed, "upsilon": float(grid[0])})
+        probe, q = make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(grid[0])})
         d = infer_d(probe.shape[0])
         fam = family_for(d, fixed["t"])
         step = chunk_points(d)
-        # one stack of states per chunk, built as the chunk is evaluated
-        stacks = (
-            state_at({**fixed, "upsilon": grid[start : start + step]})
-            for start in range(0, len(grid), step)
-        )
-        columns = bound_columns_of_states(stacks, fam)
+        columns = {}
+        for start in range(0, len(grid), step):
+            # one stack of states per chunk, built as the chunk is evaluated
+            params = {**fixed, "upsilon": grid[start : start + step]}
+            stack, _ = make_state(spec.state_family, spec.file, params)
+            for key, column in bound_columns(stack, fam.f_blocks, fam.t, weights=q).items():
+                columns.setdefault(key, []).extend(column)
     else:
-        # a white-noise weight: the grid scales the frame of the state at weight 1
-        rho = state_at({**fixed, spec.variable: 1.0})
+        # a white-noise weight: the grid scales the frame of the state
+        rho = _state_of_weight_query(spec.state_family, spec.file, fixed)
         d = infer_d(rho.shape[0])
         fam = family_for(d, fixed["t"])
-        columns = bound_columns(rho, fam.f_blocks, fam.t, weights=grid)
+        columns = bound_columns(rho[None], fam.f_blocks, fam.t, weights=grid)
 
     names = ("var", "d", *columns)
     return [dict(zip(names, row)) for row in zip(grid.tolist(), [d] * len(grid), *columns.values())]
@@ -262,8 +273,6 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     query.validate()
     if query.t == 0.0:
         raise UsageError("t must be admissible and nonzero")
-    rho = make_state(
-        query.state_family, query.file, {**query.fixed, query.search_variable: 1.0}
-    )
+    rho = _state_of_weight_query(query.state_family, query.file, query.fixed)
     fam = family_for(infer_d(rho.shape[0]), query.t)
     return find_threshold(white_noise_margin(rho, fam), tol=query.tolerance), fam

@@ -2,11 +2,12 @@
 
 From a partitioned operator basis, build the d(d+1) traceless building
 blocks, the admissible sharpness interval for the parameter t, and the
-d+1 POVMs with effects I/d + t*F.  A family is the triple (t, blocks,
-interval): d, kappa(t) and the effects are derived from it, never
-stored.  The Gell-Mann blocks and interval are built once per dimension
-and memoised, so the families of a grid of t values share one block
-array and one interval, and a grid of t is checked as one array
+d+1 POVMs with effects I/d + t*F.  A family is the pair (t, blocks),
+with t checked against the blocks' interval when it is built: d,
+kappa(t) and the effects are derived from it, never stored.  The
+Gell-Mann blocks and interval are built once per dimension and
+memoised, so the families of a grid of t values share one block array
+and one interval, and a grid of t is checked as one array
 (``standard_grid``).  The criteria need only the blocks and t
 (``mumbounds.criteria``); the effects are formed for the defining trace
 relations and the 2-design property, which are verifiable numerically.
@@ -93,15 +94,14 @@ class MumFamily:
     """d+1 MUMs on C^d at sharpness t, fixed by t and the building blocks.
 
     ``f_blocks`` has shape (d+1, d, d, d), indexed by (measurement,
-    outcome), and ``t_range`` is the admissible interval of those
-    blocks; ``d``, ``kappa`` and the effects I/d + t*F follow from them
-    and are read-only properties.  Instances are immutable, safe to
-    share across threads, and compare and hash by identity.
+    outcome), and t lies in their admissible interval (``t_interval``);
+    ``d``, ``kappa`` and the effects I/d + t*F follow from them and are
+    read-only properties.  Instances are immutable, safe to share across
+    threads, and compare and hash by identity.
     """
 
     t: float
     f_blocks: np.ndarray
-    t_range: TInterval
 
     @property
     def d(self) -> int:
@@ -140,7 +140,7 @@ def _family(t: float, blocks: np.ndarray, rng: TInterval) -> MumFamily:
             f"t = {t} is outside the admissible interval "
             f"[{rng.lower:.6f}, {rng.upper:.6f}] for this basis"
         )
-    return MumFamily(t=t, f_blocks=blocks, t_range=rng)
+    return MumFamily(t=t, f_blocks=blocks)
 
 
 def build_mums(basis: OperatorBasis, t: float) -> MumFamily:

@@ -2,7 +2,10 @@
 
 Provides the tiles bound entangled state (built from an unextendible
 product basis), the Horodecki 3x3 bound entangled family, white-noise
-mixtures, maximally entangled states, and seeded random states.
+mixtures, maximally entangled states, and seeded random states.  The
+criteria take a white-noise weight as a coordinate of the evaluation
+(``criteria.bound_columns``), so the package mixes only a state that it
+writes to a file (``mix_with_white_noise``).
 """
 
 from __future__ import annotations
@@ -123,11 +126,6 @@ def mix_with_white_noise(rho: np.ndarray, weight: float) -> np.ndarray:
     return w * rho + (1.0 - w) * np.eye(n, dtype=complex) / n
 
 
-def tiles_noisy(p: float) -> np.ndarray:
-    """Tiles state mixed with white noise at weight p."""
-    return mix_with_white_noise(tiles_state(), p)
-
-
 # flat indices into the 9 x 9 Horodecki matrix of its entries equal to
 # upsilon, to (1 + upsilon)/2 and to sqrt(1 - upsilon^2)/2; the rest are 0
 _HORODECKI_U = np.ravel_multi_index(
@@ -152,12 +150,6 @@ def horodecki_state(upsilon) -> np.ndarray:
     m[..., _HORODECKI_CORNER] = (1.0 + u) / 2.0
     m[..., _HORODECKI_ROOT] = np.sqrt(1.0 - u * u) / 2.0
     return (m / (1.0 + 8.0 * u)).reshape(*u.shape[:-1], 9, 9)
-
-
-def horodecki_noisy(upsilon: float, q: float) -> np.ndarray:
-    """Horodecki state at upsilon mixed with white noise at weight q; an
-    array of upsilon gives the stack of their states."""
-    return mix_with_white_noise(horodecki_state(upsilon), q)
 
 
 def max_entangled(d: int) -> np.ndarray:

@@ -30,19 +30,14 @@ def _line_zero(x0: float, f0: float, x1: float, f1: float) -> float:
     return x1 - f1 * (x1 - x0) / (f1 - f0)
 
 
-def find_threshold(
-    margin: Callable[[float], float],
-    lo: float = 0.0,
-    hi: float = 1.0,
-    tol: float = 1e-6,
-) -> ThresholdResult:
-    """Locate where ``margin`` crosses zero on [lo, hi].
+def find_threshold(margin: Callable[[float], float], tol: float = 1e-6) -> ThresholdResult:
+    """Locate where ``margin`` crosses zero on [0, 1], the white-noise weights.
 
-    The margin must be non-positive at ``lo``.  If it is positive at
-    ``hi``, the bracket [a, b] shrinks, keeping a non-positive margin at
-    a and a positive one at b, until its width is at most ``tol`` or no
-    double lies strictly inside it, so the final width is at most
-    max(tol, the double spacing at the crossing).  ``tol`` must be
+    The margin must be non-positive at 0.  If it is positive at 1, the
+    bracket [a, b] shrinks, keeping a non-positive margin at a and a
+    positive one at b, until its width is at most ``tol`` or no double
+    lies strictly inside it, so the final width is at most max(tol, the
+    double spacing at the crossing).  ``tol`` must be
     finite and positive, and a NaN margin raises ValueError naming its w.
 
     The steps rely on a convex margin, such as the trace-norm margin of
@@ -67,9 +62,9 @@ def find_threshold(
 
     The white-noise margins of the built-in families and of random
     states take 4 to 7 evaluations at tol 1e-6 or 1e-7.  Any margin
-    takes at most 3 + 3 * ceil(log2((hi - lo) / tol)): every round costs
-    at most three evaluations and halves the bracket, and the one round
-    that finds the margin not convex costs four.  For a margin that
+    takes at most 3 + 3 * ceil(log2(1 / tol)): every round costs at most
+    three evaluations and halves the bracket, and the one round that
+    finds the margin not convex costs four.  For a margin that
     crosses zero at most once, the bracket encloses that crossing.
     """
     if not (math.isfinite(tol) and tol > 0.0):
@@ -84,10 +79,10 @@ def find_threshold(
             raise ValueError(f"margin at w = {w!r} is NaN")
         return value
 
-    a, b = lo, hi
+    a, b = 0.0, 1.0
     fa, fb = evaluate(a), evaluate(b)
     if fa > 0.0:
-        raise ValueError(f"margin at lo = {lo!r} is positive ({fa:.3e}); no crossing to bracket")
+        raise ValueError(f"margin at w = 0.0 is positive ({fa:.3e}); no crossing to bracket")
     if fb <= 0.0:
         return ThresholdResult(found=False, evaluations=evaluations)
 

@@ -1,16 +1,18 @@
 """Batched sweeps against one plain evaluation per grid point.
 
 The reference below builds every family with ``build_mums`` and every
-state on its own, a white-noise weight by ``mix_with_white_noise``, and
-evaluates each point with ``concurrence_lower_bound``, whose trace norms
-it also checks, to 1e-12 relative plus 1e-15, against
-``build_correlation_matrix`` and one unstacked contraction of the blocks.
+state on its own at weight 1, and evaluates each point with
+``bound_columns`` on a one-state stack at its white-noise weight.  It
+checks both trace norms of each point, to 1e-12 relative plus 1e-15,
+against ``build_correlation_matrix`` and one unstacked contraction of
+the blocks, applied to the mixture that ``mix_with_white_noise`` forms.
 Every report field and every CSV byte of a batch must equal those of the
-points on their own, not merely be close.  The one exception is
-traceNormF at weight 0: the sweep scales the frame by 0 and gets exactly
-0, while the mixture I/d^2 contracts to rounding of order 1e-31.
+points on their own, not merely be close.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -18,31 +20,35 @@ import pytest
 
 from mumbounds import criteria
 from mumbounds.basis import standard_basis
+from mumbounds.cli import main
 from mumbounds.config import TOL
 from mumbounds.criteria import (
     BoundReport,
     bound_columns,
-    bound_columns_of_states,
     build_correlation_matrix,
     concurrence_lower_bound,
 )
 from mumbounds.engine import SweepSpec, UsageError, make_state, render_csv, run_sweep
-from mumbounds.mums import build_mums, kappa_gap, kappa_of_t, standard_grid
+from mumbounds.mums import build_mums, kappa_gap, kappa_of_t, standard_family, standard_grid
 from mumbounds.states import (
-    horodecki_noisy,
+    horodecki_state,
     mix_with_white_noise,
     random_density,
     random_pure,
     save_state,
-    tiles_noisy,
+    tiles_state,
 )
 
 
-def _reference_report(rho, fam):
-    report = concurrence_lower_bound(rho, fam)
-    norm_p = build_correlation_matrix(rho, fam).trace_norm
+def _reference_report(rho, fam, w=1.0):
+    """The report of one state at weight w on its own, its trace norms
+    checked against the plain definition of the mixture."""
+    columns = bound_columns(rho[None], fam.f_blocks, fam.t, weights=w)
+    report = BoundReport(fam.d, *(column[0] for column in columns.values()))
+    mixed = mix_with_white_noise(rho, w)
+    norm_p = build_correlation_matrix(mixed, fam).trace_norm
     assert abs(report.trace_norm_p - norm_p) <= 1e-12 * norm_p + 1e-15
-    realigned = criteria._realigned(np.asarray(rho, dtype=complex), fam.d)
+    realigned = criteria._realigned(mixed, fam.d)
     blocks = fam.f_blocks.reshape(-1, fam.d * fam.d)
     plain = criteria._contract(realigned, blocks, blocks)
     norm_f = np.linalg.svd(plain, compute_uv=False).sum()
@@ -51,30 +57,25 @@ def _reference_report(rho, fam):
 
 
 def _reference_points(spec):
-    """(state, family, white-noise weight) per grid point, built one at a time."""
+    """(state at weight 1, family, white-noise weight) per grid point, built
+    one at a time."""
     grid = np.linspace(spec.start, spec.stop, spec.steps)
-    fixed = dict(spec.fixed)
-    if spec.variable == "t":
-        rho = make_state(spec.state_family, spec.file, fixed)
+    points = []
+    for value in grid.tolist():
+        params = dict(spec.fixed)
+        if spec.variable != "t":
+            params[spec.variable] = value
+        rho, w = make_state(spec.state_family, spec.file, params)
         basis = standard_basis(math.isqrt(rho.shape[0]))
-        return grid, [(rho, build_mums(basis, float(t)), 1.0) for t in grid]
-    if spec.variable == "upsilon":
-        points = [
-            (make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(v)}), 1.0)
-            for v in grid
-        ]
-    else:
-        probe = make_state(spec.state_family, spec.file, {**fixed, spec.variable: 1.0})
-        points = [(probe, float(v)) for v in grid]
-    fam = build_mums(standard_basis(math.isqrt(points[0][0].shape[0])), fixed["t"])
-    return grid, [(rho, fam, w) for rho, w in points]
+        points.append((rho, build_mums(basis, value if spec.variable == "t" else spec.fixed["t"]), w))
+    return grid, points
 
 
 def _reference_rows(spec):
     grid, points = _reference_points(spec)
     rows = []
     for value, (rho, fam, w) in zip(grid, points):
-        report = _reference_report(mix_with_white_noise(rho, w), fam)
+        report = _reference_report(rho, fam, w)
         rows.append(
             {
                 "var": float(value),
@@ -92,11 +93,7 @@ def _reference_rows(spec):
 
 def _assert_sweep_matches(spec):
     rows, expected = run_sweep(spec), _reference_rows(spec)
-    if spec.variable in ("p", "q"):
-        for row, reference in zip(rows, expected):
-            if row["var"] == 0.0:
-                assert abs(row["traceNormF"] - reference["traceNormF"]) <= 1e-15
-                reference["traceNormF"] = row["traceNormF"]
+    assert [{key: row[key] for key in reference} for row, reference in zip(rows, expected)] == expected
     assert render_csv(rows) == render_csv(expected)
 
 
@@ -112,10 +109,10 @@ def _tiles_grid(t_range_of, steps=81):
 
 def test_tiles_t_grid(t_range_of):
     grid = _tiles_grid(t_range_of)
-    rho = tiles_noisy(0.99)
+    rho = tiles_state()
     basis = standard_basis(3)
-    batched = _reports(3, bound_columns(rho, *standard_grid(3, grid)))
-    assert batched == [_reference_report(rho, build_mums(basis, float(t))) for t in grid]
+    batched = _reports(3, bound_columns(rho[None], *standard_grid(3, grid), weights=0.99))
+    assert batched == [_reference_report(rho, build_mums(basis, float(t)), 0.99) for t in grid]
     _assert_sweep_matches(
         SweepSpec("t", grid[0], grid[-1], 81, "tiles", fixed={"p": 0.99})
     )
@@ -124,9 +121,8 @@ def test_tiles_t_grid(t_range_of):
 def test_horodecki_upsilon_grid():
     grid = np.linspace(0.0, 1.0, 101)
     fam = build_mums(standard_basis(3), 0.08)
-    states = [horodecki_noisy(float(v), 0.995) for v in grid]
-    batched = _reports(3, bound_columns_of_states([np.stack(states)], fam))
-    assert batched == [_reference_report(rho, fam) for rho in states]
+    batched = _reports(3, bound_columns(horodecki_state(grid), fam.f_blocks, fam.t, weights=0.995))
+    assert batched == [_reference_report(horodecki_state(float(v)), fam, 0.995) for v in grid]
     _assert_sweep_matches(
         SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08})
     )
@@ -164,48 +160,37 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     original = criteria._contract
 
     def counted(realigned, rows_a, rows_b):
-        contractions.append(len(realigned) if realigned.ndim == 3 else 1)
+        contractions.append(len(realigned))
         return original(realigned, rows_a, rows_b)
 
     monkeypatch.setattr(criteria, "_contract", counted)
     chunks = math.ceil(7 / points_per_chunk)
 
     grid = _tiles_grid(t_range_of, 7)
-    rho = tiles_noisy(0.99)
+    rho = tiles_state()
     basis = standard_basis(3)
-    expected = [_reference_report(rho, build_mums(basis, float(t))) for t in grid]
+    expected = [_reference_report(rho, build_mums(basis, float(t)), 0.99) for t in grid]
     contractions.clear()
-    assert _reports(3, bound_columns(rho, *standard_grid(3, grid))) == expected
-    # the frame of the state does not depend on t: one contraction
+    assert _reports(3, bound_columns(rho[None], *standard_grid(3, grid), weights=0.99)) == expected
+    # the frame of a one-state stack does not depend on t: one contraction
     assert contractions == [1]
 
     # nor on the white-noise weight, which scales it
     blocks = build_mums(basis, 0.08).f_blocks
     weights = np.linspace(0.0, 1.0, 7)
-    expected = [_reports(3, bound_columns(rho, blocks, 0.08, weights=[w]))[0] for w in weights]
+    expected = [_reports(3, bound_columns(rho[None], blocks, 0.08, weights=[w]))[0] for w in weights]
     contractions.clear()
-    assert _reports(3, bound_columns(rho, blocks, 0.08, weights=weights)) == expected
+    assert _reports(3, bound_columns(rho[None], blocks, 0.08, weights=weights)) == expected
     assert contractions == [1]
 
     fam = build_mums(basis, 0.08)
-    states = [horodecki_noisy(float(v), 0.995) for v in np.linspace(0.0, 1.0, 7)]
-    expected = [_reference_report(state, fam) for state in states]
+    upsilons = np.linspace(0.0, 1.0, 7)
+    expected = [_reference_report(horodecki_state(float(v)), fam, 0.995) for v in upsilons]
     contractions.clear()
-    assert _reports(3, bound_columns_of_states([np.stack(states)], fam)) == expected
-    # one contraction per chunk of states
+    stack = horodecki_state(upsilons)
+    assert _reports(3, bound_columns(stack, fam.f_blocks, fam.t, weights=0.995)) == expected
+    # one contraction per chunk of a longer stack
     assert len(contractions) == chunks and sum(contractions) == 7
-
-    # a generator of stacks is consumed one stack at a time
-    yielded = []
-
-    def generated():
-        for state in states:
-            yielded.append(len(contractions))
-            yield state[None]
-
-    contractions.clear()
-    assert _reports(3, bound_columns_of_states(generated(), fam)) == expected
-    assert yielded == list(range(7))
 
     _assert_sweep_matches(SweepSpec("t", grid[0], grid[-1], 7, "tiles", fixed={"p": 0.99}))
     _assert_sweep_matches(SweepSpec("q", 0.0, 1.0, 7, "horodecki", fixed={"upsilon": 0.4, "t": 0.08}))
@@ -221,10 +206,10 @@ def test_invalid_state_in_a_stack_is_reported(family):
     bad[0, 0], bad[1, 1] = -1.0 / 9.0, 3.0 / 9.0  # unit trace, one negative eigenvalue
     for state, match in ((np.eye(9) / 4.0, "trace"), (bad, "negative eigenvalue")):
         with pytest.raises(ValueError, match=match):
-            bound_columns_of_states([np.stack([good, state, good])], fam)
+            bound_columns(np.stack([good, state, good]), fam.f_blocks, fam.t)
     for stack, shape in ((np.eye(4)[None] / 4.0, r"\(1, 4, 4\)"), (good, r"\(9, 9\)")):
         with pytest.raises(ValueError, match=r"a state stack must be \(k, 9, 9\), got " + shape):
-            bound_columns_of_states([good[None], stack], fam)
+            bound_columns(stack, fam.f_blocks, fam.t)
 
 
 def test_single_state_entry_points_reject_a_stack(family):
@@ -235,12 +220,31 @@ def test_single_state_entry_points_reject_a_stack(family):
     for call in (
         lambda: build_correlation_matrix(stack, fam),
         lambda: concurrence_lower_bound(stack, fam),
-        lambda: bound_columns(stack, fam.f_blocks, [fam.t]),
-        lambda: bound_columns(list(stack), fam.f_blocks, [fam.t], weights=[1.0]),
     ):
         with pytest.raises(ValueError, match=r"state must be 9x9, got \(2, 9, 9\)"):
             call()
     assert concurrence_lower_bound(stack[0], fam).verdict == "undetected"
+    # the column evaluator takes a stack, one point per state
+    assert bound_columns(stack, fam.f_blocks, [fam.t])["verdict"] == ["undetected"] * 2
+
+
+def test_one_point_one_double(tmp_path):
+    # every row of the figure's upsilon sweep is, double for double, the
+    # one-point evaluation at its weight and the `bound` command's report
+    spec = SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08})
+    fam = standard_family(3, 0.08)
+    out = tmp_path / "report.json"
+    for row in run_sweep(spec):
+        point = bound_columns(horodecki_state(row["var"])[None], fam.f_blocks, fam.t, weights=0.995)
+        assert {key: row[key] for key in point} == {key: column[0] for key, column in point.items()}
+        argv = ["bound", "--state", "horodecki", "--upsilon", repr(row["var"]), "--q", "0.995",
+                "--t", "0.08", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert {key: row[key] for key in row if key != "var"} == {
+            key: report[key] for key in row if key != "var"
+        }, row["var"]
 
 
 def _scalar_fields(row, rho, fam, w):

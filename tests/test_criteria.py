@@ -12,7 +12,6 @@ from mumbounds.config import TOL
 from mumbounds.criteria import (
     BoundReport,
     bound_columns,
-    bound_columns_of_states,
     build_correlation_matrix,
     concurrence_lower_bound,
     pure_concurrence,
@@ -21,10 +20,12 @@ from mumbounds.criteria import (
 from mumbounds.linalg import partial_trace, schmidt_decompose
 from mumbounds.mums import build_mums, kappa_gap, standard_family, standard_grid
 from mumbounds.states import (
+    horodecki_state,
     max_entangled,
+    mix_with_white_noise,
     random_density,
     random_pure,
-    tiles_noisy,
+    tiles_state,
     validate_density,
 )
 
@@ -286,22 +287,56 @@ class TestConcurrenceBound:
             with pytest.raises(ValueError, match="tolerance"):
                 concurrence_lower_bound(rho, fam, tol=tol)
             with pytest.raises(ValueError, match="tolerance"):
-                bound_columns(rho, fam.f_blocks, [fam.t], tol=tol)
+                bound_columns(rho[None], fam.f_blocks, [fam.t], tol=tol)
             with pytest.raises(ValueError, match="tolerance"):
-                bound_columns_of_states([rho[None]], fam, tol=tol)
+                bound_columns(np.stack([rho, rho]), fam.f_blocks, fam.t, tol=tol)
         assert concurrence_lower_bound(rho, fam, tol=0.0).verdict == "undetected"
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_product_states_stay_undetected_at_small_t(self, d, family, t_range_of):
         # the verdict's margin tol * (kappa d - 1) shrinks with t like the
         # excess itself, and a product state's excess is rounding far below it
+        # and so is that of a convex mixture of product states
         rng = t_range_of(d)
+        products = [_pure_density(_product_pure(d, 10 * seed)) for seed in range(4)]
+        mixer = np.random.default_rng(d)
         for seed in range(4):
-            rho = _pure_density(_product_pure(d, 10 * seed))
+            parts = [np.kron(random_density(d, seed=100 * seed + 2 * k),
+                             random_density(d, seed=100 * seed + 2 * k + 1)) for k in range(3)]
+            products.append(np.einsum("k,kij->ij", mixer.dirichlet(np.ones(3)), parts))
+        for seed, rho in enumerate(products):
             for t in np.array([1e-7, 1e-5, 1e-3, 0.5]) * rng.upper:
                 for t_signed in (t, t * rng.lower / rng.upper):
                     report = concurrence_lower_bound(rho, family(d, t_signed))
                     assert report.verdict == "undetected", (seed, t_signed, report)
+
+    def test_bound_never_exceeds_the_wootters_concurrence(self, t_range_of):
+        # for two qubits the concurrence of a mixed state is Wootters'
+        # max(0, l1 - l2 - l3 - l4), l the decreasing square roots of the
+        # eigenvalues of sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho)
+        yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+        def wootters(rho):
+            vals, vecs = np.linalg.eigh(rho)
+            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+            spectrum = np.linalg.eigvalsh(root @ yy @ rho.conj() @ yy @ root)
+            lam = np.sqrt(np.clip(spectrum, 0.0, None))[::-1]
+            return max(0.0, lam[0] - lam[1:].sum())
+
+        states = np.stack([random_density(4, rank=1 + seed % 4, seed=seed) for seed in range(1000)])
+        weights = np.random.default_rng(2).uniform(0.5, 1.0, len(states))
+        exact = np.array([wootters(mix_with_white_noise(s, w)) for s, w in zip(states, weights)])
+        rng = t_range_of(2)
+        blocks = standard_family(2, rng.upper).f_blocks
+        detected = 0
+        for frac in (1e-3, 0.1, 0.5, 1.0):
+            for t in (frac * rng.lower, frac * rng.upper):
+                columns = bound_columns(states, blocks, t, weights=weights)
+                excess = np.array(columns["bound_derived"]) - exact
+                assert excess.max() <= 1e-12, (t, excess.max())
+                detected += columns["verdict"].count("entangled")
+        # the oracle is not vacuous: most entangled points are detected
+        assert detected > 4000
 
 
 class TestFrontDoor:
@@ -312,9 +347,9 @@ class TestFrontDoor:
         return (
             lambda: concurrence_lower_bound(rho, fam),
             lambda: build_correlation_matrix(rho, fam),
-            lambda: bound_columns(rho, fam.f_blocks, [fam.t]),
-            lambda: bound_columns(rho, fam.f_blocks, fam.t, weights=[0.0, 0.5]),
-            lambda: bound_columns_of_states([rho[None]], fam),
+            lambda: bound_columns(rho[None], fam.f_blocks, [fam.t]),
+            lambda: bound_columns(rho[None], fam.f_blocks, fam.t, weights=[0.0, 0.5]),
+            lambda: bound_columns(np.stack([np.eye(9) / 9.0, rho]), fam.f_blocks, fam.t),
         )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -351,8 +386,8 @@ class TestColumns:
     def test_tiles_t_grid_equals_one_call_per_family(self, t_range_of):
         rng = t_range_of(3)
         blocks, ts = standard_grid(3, np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81))
-        rho = tiles_noisy(0.99)
-        assert _reports(3, bound_columns(rho, blocks, ts)) == [
+        rho = mix_with_white_noise(tiles_state(), 0.99)
+        assert _reports(3, bound_columns(rho[None], blocks, ts)) == [
             concurrence_lower_bound(rho, standard_family(3, t)) for t in ts
         ]
 
@@ -364,13 +399,15 @@ class TestColumns:
         points = [(t, w) for t in (0.8 * t_range_of(4).lower, 0.3 * t_range_of(4).upper)
                   for w in weights]
         ts, ws = np.array(points).T
-        assert _reports(4, bound_columns(rho, blocks, ts, weights=ws)) == [
-            _reports(4, bound_columns(rho, blocks, [t], weights=w))[0] for t, w in points
+        assert _reports(4, bound_columns(rho[None], blocks, ts, weights=ws)) == [
+            _reports(4, bound_columns(rho[None], blocks, [t], weights=w))[0] for t, w in points
         ]
         ts = ts[::5]
         # weight 1 is the state itself, and weight 0 the maximally mixed state
-        assert bound_columns(rho, blocks, ts, weights=1.0) == bound_columns(rho, blocks, ts)
-        at_zero = _reports(4, bound_columns(rho, blocks, ts, weights=0.0))
+        assert _reports(4, bound_columns(rho[None], blocks, ts)) == [
+            concurrence_lower_bound(rho, standard_family(4, t)) for t in ts
+        ]
+        at_zero = _reports(4, bound_columns(rho[None], blocks, ts, weights=0.0))
         white = np.eye(16) / 16.0
         for report, t in zip(at_zero, ts):
             expect = concurrence_lower_bound(white, standard_family(4, t))
@@ -382,16 +419,15 @@ class TestColumns:
         fam = family(3, 0.05)
         for bad in (-0.1, 1.5, np.nan):
             with pytest.raises(ValueError, match=r"mixing weight .* must lie in \[0, 1\]"):
-                bound_columns(np.eye(9) / 9.0, fam.f_blocks, fam.t, weights=[0.5, bad])
+                bound_columns(np.eye(9)[None] / 9.0, fam.f_blocks, fam.t, weights=[0.5, bad])
 
     def test_empty_input_gives_empty_columns(self, family):
         fam = family(3, 0.05)
         rho = np.eye(9) / 9.0
         empty = {key: [] for key in BoundReport(3, *[0] * 9).as_dict() if key != "d"}
-        assert bound_columns(rho, fam.f_blocks, []) == empty
-        assert bound_columns(rho, fam.f_blocks, fam.t, weights=[]) == empty
-        assert bound_columns_of_states([], fam) == empty
-        assert bound_columns_of_states([np.empty((0, 9, 9))], fam) == empty
+        assert bound_columns(rho[None], fam.f_blocks, []) == empty
+        assert bound_columns(rho[None], fam.f_blocks, fam.t, weights=[]) == empty
+        assert bound_columns(np.empty((0, 9, 9)), fam.f_blocks, fam.t) == empty
 
 
 class TestSeparability:
@@ -405,19 +441,17 @@ class TestSeparability:
     def test_tiles_golden_value(self, family):
         # bound entangled, yet detected at t = 0.01
         fam = family(3, 0.01)
-        corr = build_correlation_matrix(tiles_noisy(1.0), fam)
+        corr = build_correlation_matrix(tiles_state(), fam)
         assert corr.trace_norm == pytest.approx(TILES_P1_T001_NORM, abs=1e-9)
-        assert concurrence_lower_bound(tiles_noisy(1.0), fam).verdict == "entangled"
+        assert concurrence_lower_bound(tiles_state(), fam).verdict == "entangled"
 
     def test_verdict_stable_under_tolerance_scaling(self, family):
         # margins 0.002 away from each reference threshold are far above 1e-9
         fam = family(3, 0.01)
-        from mumbounds.states import horodecki_noisy
-
         reference = {0.2: 0.994054, 0.4: 0.99461, 0.6: 0.99626, 0.8: 0.998123, 0.9: 0.999067}
         for upsilon, q_star in reference.items():
             for q, expect in ((q_star - 0.002, "undetected"), (min(1.0, q_star + 0.002), "entangled")):
-                rho = horodecki_noisy(upsilon, q)
+                rho = mix_with_white_noise(horodecki_state(upsilon), q)
                 for tol in (0.0, 1e-9):
                     assert concurrence_lower_bound(rho, fam, tol=tol).verdict == expect
 

@@ -9,8 +9,10 @@ mpmath at 40 digits:
     kappa = 1/d + K t^2,  K = (1 + sqrt(d))^2 (d - 1),
     excess = ||C_P||_tr - 1 - kappa,
 
-and each report field by its formula.  The unrounded doubles that
-``run_sweep`` and ``concurrence_lower_bound`` return must satisfy
+and each report field by its formula, where rho is the white-noise
+mixture that each point evaluates by scaling the frame.  The unrounded
+doubles that ``run_sweep`` and the ``bound`` command's evaluation
+(``bound_columns``) return must satisfy
 |x - ref| <= 5e-12 |ref| + 1e-15 for traceNormP, traceNormF,
 bound_literal, bound_derived and schmidt_number_lb.  The cases are the
 sweeps of both scripts and of the golden CLI corpus
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 from mumbounds.cli import main
-from mumbounds.criteria import concurrence_lower_bound
+from mumbounds.criteria import bound_columns, concurrence_lower_bound
 from mumbounds.engine import SweepSpec, make_state, run_sweep
 from mumbounds.mums import standard_family, standard_t_range
 from mumbounds.states import mix_with_white_noise
@@ -132,13 +134,11 @@ SWEEPS = ["tiles_bound_vs_t", "horodecki_bound_vs_upsilon",
 
 
 def _point_state(spec: SweepSpec, value: float) -> np.ndarray:
-    """The state of one sweep point, built on its own."""
-    if spec.variable == "t":
-        return make_state(spec.state_family, spec.file, spec.fixed)
-    if spec.variable == "upsilon":
-        return make_state(spec.state_family, spec.file, {**spec.fixed, "upsilon": value})
-    probe = make_state(spec.state_family, spec.file, {**spec.fixed, spec.variable: 1.0})
-    return mix_with_white_noise(probe, value)
+    """The mixed state of one sweep point, built on its own."""
+    params = dict(spec.fixed)
+    if spec.variable != "t":
+        params[spec.variable] = value
+    return mix_with_white_noise(*make_state(spec.state_family, spec.file, params))
 
 
 @pytest.mark.parametrize("name", SWEEPS)
@@ -163,10 +163,11 @@ BOUNDS = {
 @pytest.mark.parametrize("name", BOUNDS)
 def test_bounds_carry_exact_digits(name, files):
     family, file, params, t = BOUNDS[name]
-    rho = make_state(family, file and str(files / file), params)
+    rho, w = make_state(family, file and str(files / file), params)
     d = int(round(np.sqrt(rho.shape[0])))
-    report = concurrence_lower_bound(rho, standard_family(d, t))
-    failed = misses({"d": d, **report.as_dict()}, rho, t)
+    columns = bound_columns(rho[None], standard_family(d, t).f_blocks, t, weights=w)
+    fields = {"d": d, **{key: column[0] for key, column in columns.items()}}
+    failed = misses(fields, mix_with_white_noise(rho, w), t)
     assert not failed, "\n".join(failed)
 
 

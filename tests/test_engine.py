@@ -1,6 +1,8 @@
 """The engine's threshold contract and the scripts built on the engine."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mumbounds import criteria, engine, mums, states
+from mumbounds import cli, criteria, engine, mums, states
 from mumbounds.criteria import build_correlation_matrix, white_noise_margin
 from mumbounds.engine import SweepSpec, ThresholdQuery, UsageError, run_sweep, run_threshold
 from mumbounds.states import (
@@ -279,7 +281,7 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
 
         monkeypatch.setattr(module, name, counted)
 
-    count(states, "horodecki_state")
+    count(engine, "horodecki_state")
     count(engine, "load_state")
     count(criteria, "validate_density")
     count(criteria, "_contract")
@@ -293,15 +295,16 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
         return getter(fam)
 
     monkeypatch.setattr(mums.MumFamily, "effects", property(effects))
-    weights = []
-    for module in (engine, states):
-        mix = module.mix_with_white_noise
+    mixed = []
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("mumbounds") and hasattr(module, "mix_with_white_noise"):
+            mix = module.mix_with_white_noise
 
-        def recorded(rho, weight, mix=mix):
-            weights.append(np.shape(weight))
-            return mix(rho, weight)
+            def recorded(rho, weight, mix=mix, module=module):
+                mixed.append(module.__name__)
+                return mix(rho, weight)
 
-        monkeypatch.setattr(module, "mix_with_white_noise", recorded)
+            monkeypatch.setattr(module, "mix_with_white_noise", recorded)
 
     # the upsilon sweep: one state at upsilon = 0 fixes d, then one build,
     # one contraction and one evaluation per chunk at its one family; no
@@ -319,7 +322,6 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     # the p and q sweeps: one state at weight 1, one load of a file, one
     # front-door check and one contraction, whatever the chunk size; the
     # weights scale the frame, one evaluation per chunk of weights
-    weights.clear()
     for spec, built in (
         (SweepSpec("p", 0.0, 1.0, 101, "file", fixed={"t": 0.05}, file=path),
          {"load_state": 1}),
@@ -330,8 +332,21 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
         run_sweep(spec)
         assert calls == {**built, "_family": 1, "validate_density": 1, "_contract": 1,
                          "_margins": math.ceil(101 / step)}, spec
-    # no white-noise mixture is formed but each state at weight 1
-    assert weights == [(), ()]
+    # nor does a bound or a threshold search: no query forms a white-noise
+    # mixture, and only gen-state, which writes one, mixes
+    for argv in (
+        ["bound", "--state", "tiles", "--p", "0.9", "--t", "0.05"],
+        ["bound", "--state", "horodecki", "--upsilon", "0.3", "--q", "0.99", "--t", "0.05"],
+        ["bound", "--state", "file", "--file", path, "--q", "0.5", "--t", "0.05"],
+        ["threshold", "--state", "tiles", "--t", "0.05"],
+        ["threshold", "--state", "file", "--file", path, "--t", "0.05"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert mixed == []
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["gen-state", "--state", "tiles", "--p", "0.9", "--out", str(tmp_path / "g.json")])
+    assert mixed == ["mumbounds.cli"]
 
 
 def test_an_invalid_file_state_is_decided_by_eigvalsh(monkeypatch, tmp_path):
@@ -371,7 +386,7 @@ def test_family_memo_builds_once_per_dimension(monkeypatch, tmp_path):
     with pytest.raises(dataclasses.FrozenInstanceError):
         rng.upper = 1.0
     fams = [engine.family_for(3, t) for t in (0.01, 0.05)]
-    assert all(fam.f_blocks is blocks and fam.t_range is rng for fam in fams)
+    assert all(fam.f_blocks is blocks for fam in fams)
     assert mums.standard_t_range(3) is rng
     # another dimension is one more build, and d = 3 stays cached
     engine.family_for(4, 0.01)

@@ -10,7 +10,6 @@ from mumbounds.config import TOL
 from mumbounds.linalg import partial_transpose, schmidt_decompose
 from mumbounds.states import (
     StateFileError,
-    horodecki_noisy,
     horodecki_state,
     load_state,
     max_entangled,
@@ -18,7 +17,6 @@ from mumbounds.states import (
     random_density,
     random_pure,
     save_state,
-    tiles_noisy,
     tiles_state,
     validate_density,
 )
@@ -60,17 +58,17 @@ class TestTiles:
             assert eigs.min() > -1e-10
 
     def test_noisy_endpoints(self):
-        assert np.allclose(tiles_noisy(0.0), np.eye(9) / 9.0, atol=1e-15)
-        assert np.allclose(tiles_noisy(1.0), tiles_state(), atol=1e-15)
+        assert np.allclose(mix_with_white_noise(tiles_state(), 0.0), np.eye(9) / 9.0, atol=1e-15)
+        assert np.allclose(mix_with_white_noise(tiles_state(), 1.0), tiles_state(), atol=1e-15)
 
     def test_noisy_halfway_elementwise(self):
-        mix = tiles_noisy(0.5)
+        mix = mix_with_white_noise(tiles_state(), 0.5)
         expect = 0.5 * tiles_state() + 0.5 * np.eye(9) / 9.0
         assert np.abs(mix - expect).max() < 1e-15
 
     def test_noisy_range_check(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            tiles_noisy(1.2)
+            mix_with_white_noise(tiles_state(), 1.2)
 
 
 class TestHorodecki:
@@ -102,15 +100,16 @@ class TestHorodecki:
             horodecki_state(-0.1)
 
     def test_noisy_endpoints_and_mixture(self):
-        assert np.allclose(horodecki_noisy(0.3, 0.0), np.eye(9) / 9.0, atol=1e-15)
-        assert np.allclose(horodecki_noisy(0.3, 1.0), horodecki_state(0.3), atol=1e-15)
-        mix = horodecki_noisy(0.2, 0.995)
+        rho = horodecki_state(0.3)
+        assert np.allclose(mix_with_white_noise(rho, 0.0), np.eye(9) / 9.0, atol=1e-15)
+        assert np.allclose(mix_with_white_noise(rho, 1.0), rho, atol=1e-15)
+        mix = mix_with_white_noise(horodecki_state(0.2), 0.995)
         expect = 0.995 * horodecki_state(0.2) + 0.005 * np.eye(9) / 9.0
         assert np.abs(mix - expect).max() < 1e-15
 
     def test_noisy_range_check(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            horodecki_noisy(0.2, -0.01)
+            mix_with_white_noise(horodecki_state(0.2), -0.01)
 
 
 class TestMaxEntangled:

@@ -6,9 +6,9 @@ import pytest
 from mumbounds.threshold import find_threshold
 
 
-def _worst_case(lo, hi, tol):
+def _worst_case(tol):
     """The documented bound on the evaluations of any margin."""
-    return 3 + 3 * math.ceil(math.log2((hi - lo) / tol))
+    return 3 + 3 * math.ceil(math.log2(1.0 / tol))
 
 
 def _assert_valid_bracket(result, margin, tol):
@@ -43,7 +43,7 @@ def test_picks_last_crossing_of_non_monotone_margin():
 
 
 def test_all_negative_reports_not_found():
-    # a margin of exactly zero at hi is not a detection either
+    # a margin of exactly zero at w = 1 is not a detection either
     for margin in (lambda w: -1.0, lambda w: w - 1.0):
         result = find_threshold(margin, tol=1e-6)
         assert not result.found
@@ -52,23 +52,20 @@ def test_all_negative_reports_not_found():
 
 
 def test_positive_margin_at_lo_rejected():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"margin at w = 0\.0 is positive"):
         find_threshold(lambda w: 1.0, tol=1e-6)
-    with pytest.raises(ValueError, match="positive"):
-        find_threshold(lambda w: w - 0.3, lo=0.5, hi=1.0)
 
 
 def test_evaluation_count_is_bounded():
     # on a linear margin the chord lands on the crossing up to rounding,
     # here just right of it, and the check point tol/2 to its left closes
     # the bracket: both ends plus two points
-    brackets = ((0.0, 1.0, 1e-6), (0.0, 1.0, 1e-7), (0.0, 1.0, 2.0**-10), (-1.0, 3.0, 1e-3))
-    for lo, hi, tol in brackets:
-        root = lo + 0.3 * (hi - lo)
-        result = find_threshold(lambda w, root=root: w - root, lo, hi, tol)
+    root = 0.3
+    for tol in (1e-6, 1e-7, 2.0**-10):
+        result = find_threshold(lambda w: w - root, tol=tol)
         assert result.found
         assert result.evaluations == 4
-        assert result.evaluations <= _worst_case(lo, hi, tol)
+        assert result.evaluations <= _worst_case(tol)
         a, b = result.bracket
         assert b - a <= tol
         assert a <= root <= b
@@ -94,7 +91,7 @@ def test_steep_convex_margins_are_bracketed():
             a, b = result.bracket
             # a point within rounding of the crossing may read a zero margin
             assert a - 1e-12 <= root <= b
-            assert result.evaluations <= _worst_case(0.0, 1.0, tol)
+            assert result.evaluations <= _worst_case(tol)
             counts.append(result.evaluations)
     # plain halving averages about 22 on these tolerances
     assert np.mean(counts) <= 15
@@ -116,7 +113,7 @@ def test_non_convex_margins_get_a_valid_bracket():
         checked += 1
         result = find_threshold(margin, tol=tol)
         _assert_valid_bracket(result, margin, tol)
-        assert result.evaluations <= _worst_case(0.0, 1.0, tol)
+        assert result.evaluations <= _worst_case(tol)
 
 
 def test_tolerance_below_float_resolution_stops_at_adjacent_doubles():
