@@ -32,6 +32,7 @@ from .engine import (
     render_csv,
     run_sweep,
     run_threshold,
+    weight_name,
 )
 from .mums import (
     InadmissibleTError,
@@ -65,8 +66,8 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # argparse reads a token that starts with "-" as an option unless its
         # private _negative_number_matcher (r"^-\d+$|^-\d*\.\d+$" in CPython
-        # 3.11) matches it, so -1e-3 and -inf read as missing values.  This
-        # relies on argparse internals, checked on CPython 3.11 only;
+        # 3.10 to 3.13) matches it, so -1e-3 and -inf read as missing values.
+        # This relies on argparse internals, checked on CPython 3.10 to 3.13;
         # TestNegativeFloatValues in tests/test_cli.py fails if another
         # argparse ignores the attribute.
         self._negative_number_matcher = _NEGATIVE_FLOAT
@@ -181,7 +182,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    search = args.search_var or ("q" if args.state == "horodecki" else "p")
+    search = weight_name(args.state)
     fixed = {
         key: value
         for key, value in (("p", args.p), ("q", args.q), ("upsilon", args.upsilon))
@@ -262,7 +263,7 @@ def build_parser() -> _Parser:
     def add_state_flags(p, families=("tiles", "horodecki", "file")):
         p.add_argument("--state", choices=families, required=True)
         p.add_argument("--file", help="density-matrix file for --state file")
-        p.add_argument("--p", type=_finite, help="white-noise mixing weight (tiles)")
+        p.add_argument("--p", type=_finite, help="white-noise mixing weight (tiles, file)")
         p.add_argument("--q", type=_finite, help="white-noise mixing weight (horodecki)")
         p.add_argument("--upsilon", type=_finite, help="Horodecki state parameter")
 
@@ -301,7 +302,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("threshold", help="locate the detection boundary in p or q")
     add_state_flags(p)
     p.add_argument("--t", type=_finite, required=True)
-    p.add_argument("--search-var", choices=("p", "q"), dest="search_var")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_threshold)
 

@@ -63,7 +63,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -293,21 +293,12 @@ class BoundReport:
     verdict: str
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "t": self.t,
-            "kappa": self.kappa,
-            "traceNormP": self.trace_norm_p,
-            "traceNormF": self.trace_norm_f,
-            "threshold": self.separability_threshold,
-            "bound_literal": self.bound_literal,
-            "bound_derived": self.bound_derived,
-            "schmidt_number_lb": self.schmidt_number_lb,
-            "verdict": self.verdict,
-        }
+        """The fields in order, keyed d and then as ``_COLUMNS``."""
+        return {key: getattr(self, f.name) for key, f in zip(("d", *_COLUMNS), fields(self))}
 
 
-# BoundReport fields after d, keyed as BoundReport.as_dict: the columns of a grid
+# BoundReport fields after d, in order, keyed as BoundReport.as_dict: the
+# columns of a grid
 _COLUMNS = (
     "t", "kappa", "traceNormP", "traceNormF", "threshold",
     "bound_literal", "bound_derived", "schmidt_number_lb", "verdict",

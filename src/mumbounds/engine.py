@@ -16,14 +16,15 @@ t-interval of a dimension are built on its first query and memoised
 Every query builds its state at weight 1 (``make_state``) and treats a
 white-noise weight as a coordinate of the evaluation, which scales the
 frame; no query forms a mixed state.  Every sweep and ``bound`` go
-through one column evaluator, ``criteria.bound_columns``: a t, p or q
-sweep contracts its one state once, a t-sweep checking its grid as one
-array against the blocks (``mums.standard_grid``) and a p or q sweep
-passing its grid as the weights.  An upsilon sweep builds one stack of
-Horodecki states per chunk, one broadcast of ``horodecki_state``, and
-evaluates each stack at its one family, so its memory stays bounded.  A
-threshold query contracts the state once, and each weight of the search
-is one SVD (``criteria.white_noise_margin``).
+through one column evaluator, ``criteria.bound_columns``: a t-sweep or a
+sweep of the family's one weight (``weight_name``) contracts its one
+state once, a t-sweep checking its grid as one array against the blocks
+(``mums.standard_grid``) and a weight sweep passing its grid as the
+weights.  An upsilon sweep builds one stack of Horodecki states per
+chunk, one broadcast of ``horodecki_state``, and evaluates each stack at
+its one family, so its memory stays bounded.  A threshold query
+contracts the state once, and each weight of the search is one SVD
+(``criteria.white_noise_margin``).
 """
 
 from __future__ import annotations
@@ -45,18 +46,14 @@ CSV_HEADER = "var,traceNormP,traceNormF,kappa,threshold,bound_literal,bound_deri
 # 140 MB of rows and columns on a 2-vCPU box, and both grow linearly with it.
 MAX_SWEEP_STEPS = 100_000
 
-# the state parameters each family takes; giving any other one is a UsageError
+# the state parameters each family takes, its one white-noise weight first;
+# giving any other one is a UsageError
 _STATE_PARAMS = {
     "tiles": ("p",),
     "horodecki": ("q", "upsilon"),
-    "file": ("p", "q"),
+    "file": ("p",),
 }
 _SWEEP_VARS = {family: ("t", *params) for family, params in _STATE_PARAMS.items()}
-# the white-noise weights of each family; at weight 0 every state is I/d^2
-_SEARCH_VARS = {
-    family: tuple(name for name in params if name != "upsilon")
-    for family, params in _STATE_PARAMS.items()
-}
 
 
 class UsageError(Exception):
@@ -90,7 +87,6 @@ def family_for(d: int, t: float) -> MumFamily:
 
 # every value a family may take, in the order a UsageError names them
 _FAMILY_PARAMS = ("p", "q", "upsilon", "d", "seed")
-_TWO_WEIGHTS = "give at most one of --p/--q as the mixing weight"
 
 
 def check_params(family: str, params: dict, takes: tuple[str, ...]) -> None:
@@ -102,10 +98,19 @@ def check_params(family: str, params: dict, takes: tuple[str, ...]) -> None:
         raise UsageError(f"the {family} family does not take --{', --'.join(ignored)}")
 
 
+def weight_name(family: str) -> str:
+    """The one white-noise weight of a state family: p for tiles and file,
+    q for horodecki; an unknown family is a UsageError.  At weight 0 every
+    state is I/d^2."""
+    if family not in _STATE_PARAMS:
+        raise UsageError(f"unknown state family {family!r}")
+    return _STATE_PARAMS[family][0]
+
+
 def make_state(family: str, file: str | None, params: dict) -> tuple[np.ndarray, float]:
     """A state of a family at weight 1, from the upsilon in ``params``,
-    and its white-noise weight: the p or q in ``params``, or 1 when
-    neither is given.
+    and its white-noise weight: the family's weight in ``params``
+    (``weight_name``), or 1 when it is not given.
 
     A parameter that is given (not None) but that the family does not
     take is a UsageError, as is an unknown family; the weight must lie
@@ -113,34 +118,21 @@ def make_state(family: str, file: str | None, params: dict) -> tuple[np.ndarray,
     gives the stack of their states (``horodecki_state``).  The state is
     never mixed: the weight scales its frame (``criteria.bound_columns``).
     """
-    if family not in _STATE_PARAMS:
-        raise UsageError(f"unknown state family {family!r}")
+    name = weight_name(family)
     check_params(family, params, _STATE_PARAMS[family])
-    p, q, upsilon = params.get("p"), params.get("q"), params.get("upsilon")
     if family == "tiles":
         rho = tiles_state()
     elif family == "horodecki":
-        if upsilon is None:
+        if params.get("upsilon") is None:
             raise UsageError("--upsilon is required for the horodecki family")
-        rho = horodecki_state(upsilon)
+        rho = horodecki_state(params["upsilon"])
     else:
         if file is None:
             raise UsageError("--file is required when --state file is selected")
         rho = load_state(file)
-        if p is not None and q is not None:
-            raise UsageError(_TWO_WEIGHTS)
-    weight = p if p is not None else q if q is not None else 1.0
+    weight = 1.0 if params.get(name) is None else params[name]
     check_weight(weight)
     return rho, weight
-
-
-def _state_of_weight_query(family: str, file: str | None, fixed: dict) -> np.ndarray:
-    """The state of a sweep or search over its white-noise weight; a weight
-    given as well is a UsageError, as two weights are for ``make_state``."""
-    rho, _ = make_state(family, file, fixed)
-    if fixed.get("p") is not None or fixed.get("q") is not None:
-        raise UsageError(_TWO_WEIGHTS)
-    return rho
 
 
 @dataclass(frozen=True)
@@ -184,7 +176,7 @@ class ThresholdQuery:
 
     state_family: str
     t: float
-    search_variable: str            # p | q, a white-noise weight of the family
+    search_variable: str            # the family's white-noise weight (weight_name)
     tolerance: float = 1e-6
     fixed: dict = field(default_factory=dict)
     file: str | None = None
@@ -192,13 +184,11 @@ class ThresholdQuery:
     def validate(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise UsageError("threshold tolerance must be finite and positive")
-        if self.state_family not in _SEARCH_VARS:
-            raise UsageError(f"unknown state family {self.state_family!r}")
-        if self.search_variable not in _SEARCH_VARS[self.state_family]:
+        name = weight_name(self.state_family)
+        if self.search_variable != name:
             raise UsageError(
                 f"search variable {self.search_variable!r} is not a white-noise "
-                f"weight of the {self.state_family} family (allowed: "
-                f"{', '.join(_SEARCH_VARS[self.state_family])})"
+                f"weight of the {self.state_family} family (allowed: {name})"
             )
         if self.fixed.get(self.search_variable) is not None:
             raise UsageError(
@@ -216,15 +206,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     spec.validate()
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     fixed = dict(spec.fixed)
-    if spec.variable == "t":
-        rho, w = make_state(spec.state_family, spec.file, fixed)
-        d = infer_d(rho.shape[0])
-        try:
-            blocks, ts = standard_grid(d, grid)
-        except ValueError as exc:
-            raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
-        columns = bound_columns(rho[None], blocks, ts, weights=w)
-    elif spec.variable == "upsilon":
+    if spec.variable == "upsilon":
         # the state at the first point fixes d and checks the fixed
         # parameters before the family is built
         probe, q = make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(grid[0])})
@@ -239,11 +221,19 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             for key, column in bound_columns(stack, fam.f_blocks, fam.t, weights=q).items():
                 columns.setdefault(key, []).extend(column)
     else:
-        # a white-noise weight: the grid scales the frame of the state
-        rho = _state_of_weight_query(spec.state_family, spec.file, fixed)
+        # one state: the grid is either its t values, checked as one array
+        # against the blocks, or its white-noise weights, which scale its frame
+        rho, w = make_state(spec.state_family, spec.file, fixed)
         d = infer_d(rho.shape[0])
-        fam = family_for(d, fixed["t"])
-        columns = bound_columns(rho[None], fam.f_blocks, fam.t, weights=grid)
+        if spec.variable == "t":
+            try:
+                blocks, ts = standard_grid(d, grid)
+            except ValueError as exc:
+                raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
+        else:
+            fam = family_for(d, fixed["t"])
+            blocks, ts, w = fam.f_blocks, fam.t, grid
+        columns = bound_columns(rho[None], blocks, ts, weights=w)
 
     names = ("var", "d", *columns)
     return [dict(zip(names, row)) for row in zip(grid.tolist(), [d] * len(grid), *columns.values())]
@@ -271,8 +261,6 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     evaluation is one SVD (``criteria.white_noise_margin``).
     """
     query.validate()
-    if query.t == 0.0:
-        raise UsageError("t must be admissible and nonzero")
-    rho = _state_of_weight_query(query.state_family, query.file, query.fixed)
+    rho, _ = make_state(query.state_family, query.file, query.fixed)
     fam = family_for(infer_d(rho.shape[0]), query.t)
     return find_threshold(white_noise_margin(rho, fam), tol=query.tolerance), fam

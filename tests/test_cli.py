@@ -14,6 +14,7 @@ from mumbounds.engine import (
     MAX_SWEEP_STEPS,
     SweepSpec,
     ThresholdQuery,
+    UsageError,
     format_value,
     run_threshold,
 )
@@ -181,7 +182,7 @@ class TestBound:
             "--p", "0.5", "--q", "0.5", "--t", "0.05",
         )
         assert code == 1
-        assert "at most one" in err
+        assert "the file family does not take --q" in err
 
     def test_missing_file_path(self, capsys):
         code, _, err = run(capsys, "bound", "--state", "file", "--t", "0.05")
@@ -347,14 +348,23 @@ class TestThreshold:
         assert float(values["margin_at_lower"]) <= 0.0
         assert float(values["margin_at_upper"]) > 0.0
 
-    def test_weight_the_state_ignores_is_rejected(self, capsys):
-        for state_args in (
-            ("--state", "tiles", "--search-var", "q"),
-            ("--state", "horodecki", "--upsilon", "0.2", "--search-var", "p"),
+    def test_search_var_is_not_a_flag(self, capsys):
+        # each family has one white-noise weight, which is always the one searched
+        code, out, err = run(
+            capsys, "threshold", "--state", "tiles", "--t", "0.01", "--search-var", "p",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--search-var" in err
+
+    def test_weight_the_state_ignores_is_rejected(self):
+        for query, allowed in (
+            (ThresholdQuery("tiles", 0.05, "q"), "p"),
+            (ThresholdQuery("horodecki", 0.01, "p", fixed={"upsilon": 0.2}), "q"),
         ):
-            code, _, err = run(capsys, "threshold", *state_args, "--t", "0.01")
-            assert code == 1
-            assert "not a white-noise weight" in err
+            message = rf"not a white-noise weight .*\(allowed: {allowed}\)$"
+            with pytest.raises(UsageError, match=message):
+                run_threshold(query)
 
     def test_prints_evaluation_count(self, capsys):
         code, out, _ = run(
@@ -412,7 +422,7 @@ class TestThreshold:
             capsys, "threshold", "--state", "tiles", "--t", "0",
         )
         assert code == 1
-        assert "nonzero" in err
+        assert "kappa = 1/d" in err
 
     def test_inadmissible_t_rejected(self, capsys):
         code, _, err = run(
@@ -424,7 +434,7 @@ class TestThreshold:
 class TestIgnoredParameters:
     """A state parameter that the family does not take is a usage error, not
     echoed and then ignored: tiles takes p, horodecki q and upsilon, a file
-    p or q, random and max-entangled none.  So is a value for the variable
+    p, random and max-entangled none.  So is a value for the variable
     that a sweep varies or a threshold searches."""
 
     @pytest.mark.parametrize(
@@ -438,6 +448,13 @@ class TestIgnoredParameters:
               "--start", "0", "--stop", "1", "--steps", "3", "--t", "0.01",
               "--out", "{tmp}/out"), ("--p",)),
             (("threshold", "--state", "tiles", "--q", "0.3", "--t", "0.05"), ("--q",)),
+            (("bound", "--state", "file", "--file", "{tmp}/mixed.json", "--q", "0.5",
+              "--t", "0.05"), ("the file family does not take --q",)),
+            (("sweep", "--state", "file", "--file", "{tmp}/mixed.json", "--q", "0.5",
+              "--var", "p", "--start", "0", "--stop", "1", "--steps", "3", "--t", "0.05",
+              "--out", "{tmp}/out"), ("the file family does not take --q",)),
+            (("threshold", "--state", "file", "--file", "{tmp}/mixed.json", "--q", "0.5",
+              "--t", "0.05"), ("the file family does not take --q",)),
             (("gen-state", "--state", "horodecki", "--upsilon", "0.3", "--p", "0.9",
               "--out", "{tmp}/out"), ("--p",)),
             (("gen-state", "--state", "random", "--d", "3", "--p", "0.5", "--upsilon", "0.2",
@@ -462,7 +479,8 @@ class TestIgnoredParameters:
               "--start", "0.01", "--stop", "0.1", "--steps", "3", "--out", "{tmp}/out"),
              ("--t is the swept variable",)),
         ],
-        ids=["bound", "bound-file", "sweep", "threshold", "gen-state", "gen-state-random",
+        ids=["bound", "bound-file", "sweep", "threshold", "bound-file-q", "sweep-file-q",
+             "threshold-file-q", "gen-state", "gen-state-random",
              "gen-state-max-entangled", "gen-state-tiles-d", "gen-state-horodecki-d-seed",
              "gen-state-max-entangled-seed", "threshold-searched-p", "threshold-searched-q",
              "sweep-swept-p", "sweep-swept-t"],

@@ -338,6 +338,29 @@ class TestConcurrenceBound:
         # the oracle is not vacuous: most entangled points are detected
         assert detected > 4000
 
+    @pytest.mark.parametrize("d", [3, 4])
+    @given(seed=st.integers(0, 2**31 - 1), rank=st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_never_exceeds_a_convex_roof_estimate(self, d, seed, rank, t_range_of):
+        # any decomposition rho = sum_j |psi_j><psi_j| gives the upper estimate
+        # C(rho) <= sum_j p_j C(psi_j / sqrt(p_j)), p_j = <psi_j|psi_j>; the
+        # eigenvectors scaled by sqrt(eigenvalue) and remixed by a random
+        # unitary U are one: rho = (A U)(A U)^dag
+        rho = random_density(d * d, rank=rank, seed=seed)
+        vals, vecs = np.linalg.eigh(rho)
+        amps = vecs[:, -rank:] * np.sqrt(np.clip(vals[-rank:], 0.0, None))
+        mixer = np.random.default_rng(seed)
+        unitary, _ = np.linalg.qr(mixer.standard_normal((rank, rank))
+                                  + 1j * mixer.standard_normal((rank, rank)))
+        psis = amps @ unitary
+        p = (np.abs(psis) ** 2).sum(axis=0)
+        estimate = sum(pj * pure_concurrence(psi / np.sqrt(pj), d, d)
+                       for pj, psi in zip(p, psis.T))
+        rng = t_range_of(d)
+        blocks, ts = standard_grid(d, np.outer([rng.lower, rng.upper], [1e-3, 0.5, 1.0]).ravel())
+        bounds = bound_columns(rho[None], blocks, ts)["bound_derived"]
+        assert max(bounds) <= estimate + 1e-12, (bounds, estimate)
+
 
 class TestFrontDoor:
     """Every criterion checks its state with ``states.validate_density``."""

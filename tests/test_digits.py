@@ -124,13 +124,13 @@ def _cli_specs(files) -> dict[str, SweepSpec]:
         "sweep_upsilon": SweepSpec("upsilon", 0.0, 1.0, 11, "horodecki",
                                    fixed={"q": 0.995, "t": 0.08}),
         "sweep_p": SweepSpec("p", 0.8, 1.0, 11, "tiles", fixed={"t": 0.05}),
-        "sweep_q_file": SweepSpec("q", 0.0, 1.0, 6, "file", fixed={"t": 0.02},
+        "sweep_p_file": SweepSpec("p", 0.0, 1.0, 6, "file", fixed={"t": 0.02},
                                   file=str(files / "h.json")),
     }
 
 
 SWEEPS = ["tiles_bound_vs_t", "horodecki_bound_vs_upsilon",
-          "sweep_t", "sweep_upsilon", "sweep_p", "sweep_q_file"]
+          "sweep_t", "sweep_upsilon", "sweep_p", "sweep_p_file"]
 
 
 def _point_state(spec: SweepSpec, value: float) -> np.ndarray:
@@ -156,7 +156,7 @@ BOUNDS = {
     "bound_tiles": ("tiles", None, {"p": 0.99}, 0.05),
     "bound_horodecki_literal_out": ("horodecki", None, {"upsilon": 0.2, "q": 0.999}, 0.01),
     "bound_tol_zero": ("tiles", None, {"p": 0.9}, 0.05),
-    "bound_file": ("file", "rand.json", {"q": 0.5}, -0.03),
+    "bound_file": ("file", "rand.json", {"p": 0.5}, -0.03),
 }
 
 

@@ -337,7 +337,7 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     for argv in (
         ["bound", "--state", "tiles", "--p", "0.9", "--t", "0.05"],
         ["bound", "--state", "horodecki", "--upsilon", "0.3", "--q", "0.99", "--t", "0.05"],
-        ["bound", "--state", "file", "--file", path, "--q", "0.5", "--t", "0.05"],
+        ["bound", "--state", "file", "--file", path, "--p", "0.5", "--t", "0.05"],
         ["threshold", "--state", "tiles", "--t", "0.05"],
         ["threshold", "--state", "file", "--file", path, "--t", "0.05"],
     ):

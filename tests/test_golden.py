@@ -59,7 +59,7 @@ CLI_CORPUS = [
      "--out {tmp}/report.json", ["report.json"]),
     ("bound_tol_zero", "bound --state tiles --p 0.9 --t 0.05 --tol 0", []),
     ("bound_inadmissible_t", "bound --state tiles --p 1 --t 0.2", []),
-    ("bound_file", "bound --state file --file {tmp}/rand.json --q 0.5 --t -0.03", []),
+    ("bound_file", "bound --state file --file {tmp}/rand.json --p 0.5 --t -0.03", []),
     ("bound_max_entangled_file", "bound --state file --file {tmp}/me.json --t 0.3", []),
     ("bound_missing_upsilon", "bound --state horodecki --t 0.01", []),
     ("bound_negative_tol", "bound --state tiles --p 0 --t 0.05 --tol=-1", []),
@@ -69,7 +69,7 @@ CLI_CORPUS = [
      "--stop 1 --steps 11 --out {tmp}/u.csv", ["u.csv"]),
     ("sweep_p", "sweep --state tiles --var p --start 0.8 --stop 1 --steps 11 --t 0.05 "
      "--out {tmp}/p.csv", ["p.csv"]),
-    ("sweep_q_file", "sweep --state file --file {tmp}/h.json --var q --start 0 --stop 1 "
+    ("sweep_p_file", "sweep --state file --file {tmp}/h.json --var p --start 0 --stop 1 "
      "--steps 6 --t 0.02 --out {tmp}/q.csv", ["q.csv"]),
     ("sweep_bad_grid", "sweep --state tiles --p 1 --var t --start -0.2 --stop 0.1 --steps 5 "
      "--out {tmp}/bad.csv", []),
