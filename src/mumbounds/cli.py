@@ -144,8 +144,7 @@ def cmd_t_range(args) -> int:
 def cmd_bound(args) -> int:
     rho, w = make_state(args.state, args.file, vars(args))
     d = infer_d(rho.shape[0])
-    fam = family_for(d, args.t)
-    columns = bound_columns(rho[None], fam.f_blocks, fam.t, args.tol, weights=w)
+    columns = bound_columns(rho[None], family_for(d, args.t).t, args.tol, weights=w)
     fields = {"d": d, **{key: column[0] for key, column in columns.items()}}
     print(f"state={args.state}")
     for name, value in (("p", args.p), ("q", args.q), ("upsilon", args.upsilon)):

@@ -10,19 +10,21 @@ and Phi_rc = Tr(rho (F_r x F_c)),
     C_P = J/d^2 + (t/d)(alpha 1^T + 1 beta^T) + t^2 Phi.
 
 Forming C_P and subtracting 1 + kappa cancels as t -> 0, so no bound,
-sweep or threshold forms it.  The blocks of each measurement sum to
-zero, so e = (1, ..., 1)/sqrt(n) is orthogonal to alpha and beta and
-Phi e = Phi^T e = 0; one Householder reflection H with He = e_0 gives,
-exactly,
+sweep or threshold forms it.  The blocks of a complete family are a
+tight frame, summing to zero over each measurement, with
+sum_r |F_r><F_r| = gamma (I - |I><I|/d), gamma = d (1 + sqrt(d))^2
+(Kalev and Gour, NJP 16, 053038, 2014).  So, up to isometries that keep
+its singular values, C_P is the d^2 x d^2 matrix
 
-    M = H C_P H = [[c0, (t sqrt(n)/d) beta'^T], [(t sqrt(n)/d) alpha', t^2 Phi']],
+    M = [[c0, (t sqrt(n)/d) beta'^T], [(t sqrt(n)/d) alpha', t^2 Phi']],
 
-where alpha', beta' and Phi' drop the zero first entries of H alpha,
-H beta and H Phi H.  One contraction of the realigned state with the
-rows [vec(I); H F] (``_frame_rows``, a rank-one update of the blocks)
-gives the frame [[Tr rho, beta'^T], [alpha', Phi']]; ``_frame_matrices``
-scales it to M, and ``_margins`` takes one SVD of M, with singular values
-sigma:
+where alpha', beta' and Phi' are the expectations of sqrt(gamma) G in
+rho_A and rho_B and of gamma G x G in rho, G over the d^2 - 1 Gell-Mann
+generators (``basis.gellmann_generators``).  One contraction of the
+realigned state with the rows [vec(I); sqrt(gamma) G] (``_frame_rows``,
+one per d) gives the frame [[Tr rho, beta'^T], [alpha', Phi']]
+(``_frames``); ``_frame_matrices`` scales it to M, and ``_margins``
+takes one SVD of M, with singular values sigma:
 
     sigma_1 - c0 = (||M||_F^2 - c0^2 - sum_{i>=2} sigma_i^2) / (sigma_1 + c0),
     excess = ||C_P||_tr - 1 - kappa = (sigma_1 - c0) + sum_{i>=2} sigma_i - K t^2,
@@ -35,7 +37,7 @@ agrees with a positive bound at every t.  traceNormP is
 c0 + (sigma_1 - c0) + sum_{i>=2} sigma_i and traceNormF is ||Phi'||_tr.
 A validated state has unit trace, so the corner of M is c0.
 
-Every block is traceless, so the frame of w*rho + (1 - w)*I/d^2 is w
+Every generator is traceless, so the frame of w*rho + (1 - w)*I/d^2 is w
 times the frame of rho, apart from the corner Tr rho = 1; so are its
 matrix M off the corner and ||Phi'||_tr.  A white-noise weight is a
 coordinate of the evaluation, applied this way alone: no mixed state is
@@ -62,12 +64,14 @@ against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 import numpy as np
 
+from .basis import gellmann_generators
 from .config import TOL
 from .linalg import SchmidtData, partial_trace, pure_amplitudes
 from .mums import MumFamily, kappa_gap
@@ -81,9 +85,8 @@ _CHUNK_BYTES = 2 << 20
 
 def _point_bytes(d: int) -> int:
     """Bytes one grid point adds to a stacked evaluation: its realigned
-    state, the half product, its complex frame and its real matrix M."""
-    n, dim = d * (d + 1), d * d
-    return 16 * (dim * dim + n * dim + n * n) + 8 * n * n
+    state, the half product and its frame, complex, and its real M."""
+    return 56 * d**4
 
 
 def _check_pair(fam_a: MumFamily, fam_b: MumFamily) -> None:
@@ -131,39 +134,42 @@ def _contract(realigned: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> 
     return entries.real
 
 
-def _frame_rows(blocks: np.ndarray) -> np.ndarray:
-    """The operator rows of the reflected frame of a block array: vec(I),
-    then the rows of H F after the first, shape (d(d+1), d^2).
-
-    H = I - 2 v v^T / (v^T v) with v = e - e_0 takes e = (1, ..., 1)/sqrt(n)
-    to e_0.  Its rows r >= 1 are a rank-one update of the blocks:
-    (H F)_r = F_r - (v^T F)/(sqrt(n) - 1).
-    """
-    d = blocks.shape[-1]
-    flat = blocks.reshape(-1, d * d)
-    root = math.sqrt(len(flat))
-    v_flat = flat.sum(axis=0) / root - flat[0]
-    return np.concatenate([np.eye(d).reshape(1, d * d), flat[1:] - v_flat / (root - 1.0)])
+@functools.lru_cache(maxsize=4)
+def _frame_rows(d: int) -> np.ndarray:
+    """The operator rows of the frame at d, read-only and built once per d:
+    vec(I), then sqrt(gamma) times each Gell-Mann generator, gamma =
+    d (1 + sqrt(d))^2, shape (d^2, d^2).  Four dimensions are kept (a
+    d = 32 entry is 16 MB)."""
+    gens = np.stack(gellmann_generators(d)).reshape(-1, d * d)
+    rows = np.concatenate([np.eye(d).reshape(1, d * d), math.sqrt(d) * (1.0 + math.sqrt(d)) * gens])
+    rows.setflags(write=False)
+    return rows
 
 
-def _scales(t, n: int, d: int) -> np.ndarray:
+def _frames(states: np.ndarray, d: int) -> np.ndarray:
+    """The frames of one d^2 x d^2 state, or of a stack (k, d^2, d^2):
+    validated, realigned and contracted once."""
+    rows = _frame_rows(d)
+    return _contract(_realigned(states, d), rows, rows)
+
+
+def _scales(t, d: int) -> np.ndarray:
     """The factors (sqrt(n)/d, t, ..., t) that take a frame's rows or columns to M."""
     t = np.asarray(t, dtype=float)
-    scales = np.empty((*t.shape, n))
-    scales[..., 0] = math.sqrt(n) / d
+    scales = np.empty((*t.shape, d * d))
+    scales[..., 0] = math.sqrt(d * (d + 1)) / d
     scales[..., 1:] = t[..., None]
     return scales
 
 
 def _frame_matrices(d: int, frames: np.ndarray, ta, tb) -> np.ndarray:
-    """The matrices M of reflected frames at sharpness ``ta`` of the first
-    family and ``tb`` of the second, with their corner left at zero.
+    """The matrices M of frames at sharpness ``ta`` of the first family
+    and ``tb`` of the second, with their corner left at zero.
 
-    ``frames`` (..., n, n) broadcasts against ``ta`` and ``tb`` (...), so
-    one frame may meet a grid of t, or a stack of frames one t.
+    ``frames`` (..., d^2, d^2) broadcasts against ``ta`` and ``tb`` (...),
+    so one frame may meet a grid of t, or a stack of frames one t.
     """
-    n = d * (d + 1)
-    m = frames * _scales(ta, n, d)[..., :, None] * _scales(tb, n, d)[..., None, :]
+    m = frames * _scales(ta, d)[..., :, None] * _scales(tb, d)[..., None, :]
     m[..., 0, 0] = 0.0
     return m
 
@@ -192,9 +198,7 @@ def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], flo
     off the corner by w, as ``bound_columns`` does: one SVD.
     """
     d = fam.d
-    rows = _frame_rows(fam.f_blocks)
-    frame = _contract(_realigned(_as_state(rho, d * d), d), rows, rows)
-    m = _frame_matrices(d, frame, fam.t, fam.t)
+    m = _frame_matrices(d, _frames(_as_state(rho, d * d), d), fam.t, fam.t)
     gap = kappa_gap(d, fam.t)
     return lambda w: float(_margins(d, w * m, gap)[0])
 
@@ -224,9 +228,9 @@ def build_correlation_matrix(
 ) -> CorrelationMatrix:
     """Probability correlation matrix with entries Tr(rho (P_r x P_c)).
 
-    The plain definition, kept as the reference for the reflected frame
-    that every report is computed from.  P runs over the effects of the
-    two families, which must share the dimension and the sharpness
+    The plain definition, kept as the reference for the frame that
+    every report is computed from.  P runs over the effects of the two
+    families, which must share the dimension and the sharpness
     parameter kappa.  Entry (r, c) pairs effect r of ``fam_a`` on the
     first factor with effect c of ``fam_b`` on the second, both
     flattened measurement-major.
@@ -346,19 +350,18 @@ def chunk_points(d: int) -> int:
 
 def bound_columns(
     states: np.ndarray,
-    blocks: np.ndarray,
     ts,
     tol: float = TOL.verdict,
     weights=1.0,
 ) -> dict[str, list]:
-    """The reports of w*rho + (1 - w)*I/d^2 at the family (t, ``blocks``)
+    """The reports of w*rho + (1 - w)*I/d^2 at a family of sharpness t
     for each point (rho, t, w) of ``states``, ``ts`` and ``weights``, as
     columns.
 
-    ``states`` is a stack (k, d^2, d^2); its axis broadcasts with ``ts``
-    and ``weights`` to one axis of points.  Each weight must lie in
-    [0, 1] (``states.check_weight``), and each t must be admissible for
-    the blocks, as ``mums.standard_grid`` checks.  One list per
+    ``states`` is a stack (k, d^2, d^2), which fixes d; its axis
+    broadcasts with ``ts`` and ``weights`` to one axis of points.  Each
+    weight must lie in [0, 1] (``states.check_weight``), and each t must
+    be admissible at d, as ``mums.standard_grid`` checks.  One list per
     ``BoundReport`` field after d, keyed as ``BoundReport.as_dict``, with
     one entry per point in order.  A one-state stack is validated and
     contracted once, and its ||Phi'||_tr taken once, since its frame
@@ -368,17 +371,16 @@ def bound_columns(
     """
     _check_tol(tol)
     check_weight(weights)
-    d = blocks.shape[-1]
     states = np.asarray(states, dtype=complex)
-    if states.ndim != 3 or states.shape[1:] != (d * d, d * d):
-        raise ValueError(f"a state stack must be (k, {d * d}, {d * d}), got {states.shape}")
+    d = math.isqrt(states.shape[-1]) if states.ndim == 3 else 0
+    if d < 2 or states.shape[1:] != (d * d, d * d):
+        raise ValueError(f"a state stack must be (k, d^2, d^2) with d >= 2, got {states.shape}")
     points = np.broadcast_shapes(states.shape[:1], np.shape(ts), np.shape(weights))
     ts = np.broadcast_to(np.asarray(ts, dtype=float), points)
     weights = np.broadcast_to(np.asarray(weights, dtype=float), points)
-    rows = _frame_rows(blocks)
 
     def frames_of(stack):
-        frames = _contract(_realigned(stack, d), rows, rows)
+        frames = _frames(stack, d)
         return frames, _norm_f(frames)
 
     one = frames_of(states) if len(states) == 1 else None
@@ -404,15 +406,14 @@ def concurrence_lower_bound(
     Every separable state stays below 1 + kappa, so "entangled" is
     conclusive while "undetected" is not.  ``tol`` must be finite and
     non-negative.  The two families may differ, but must share d and
-    kappa; the state is one stack of one state, contracted once and
-    evaluated as ``bound_columns`` evaluates a point at weight 1.
+    kappa, and their frames are the one frame of d; the state is one
+    stack of one state, contracted once and evaluated as
+    ``bound_columns`` evaluates a point at weight 1.
     """
     fam_b = fam_a if fam_b is None else fam_b
     _check_tol(tol)
     _check_pair(fam_a, fam_b)
     d = fam_a.d
-    rows_a = _frame_rows(fam_a.f_blocks)
-    rows_b = rows_a if fam_b is fam_a else _frame_rows(fam_b.f_blocks)
-    frames = _contract(_realigned(_as_state(rho, d * d)[None], d), rows_a, rows_b)
+    frames = _frames(_as_state(rho, d * d)[None], d)
     columns = _columns(d, [(frames, _norm_f(frames), fam_a.t, fam_b.t, np.ones(1))], tol)
     return BoundReport(d, *(column[0] for column in columns.values()))

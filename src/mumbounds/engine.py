@@ -6,10 +6,10 @@ which the separability criterion starts detecting.  Invalid requests
 raise ``UsageError``.
 
 Each query touches its state once.  Every evaluation goes through the
-reflected frame of ``mumbounds.criteria``: one contraction per state and
-one SVD per point, and no path forms the probability correlation
-matrix.  A sweep is evaluated as columns, a chunk of points at a time,
-and only its rows are built per point.  The Gell-Mann blocks and
+frame of ``mumbounds.criteria``, which depends only on d: one
+contraction per state and one SVD per point, and no path forms the
+probability correlation matrix.  A sweep is evaluated as columns, a
+chunk of points at a time, and only its rows are built per point.  The Gell-Mann blocks and
 t-interval of a dimension are built on its first query and memoised
 (``mums.standard_family``).
 
@@ -18,7 +18,7 @@ white-noise weight as a coordinate of the evaluation, which scales the
 frame; no query forms a mixed state.  Every sweep and ``bound`` go
 through one column evaluator, ``criteria.bound_columns``: a t-sweep or a
 sweep of the family's one weight (``weight_name``) contracts its one
-state once, a t-sweep checking its grid as one array against the blocks
+state once, a t-sweep checking its grid as one array
 (``mums.standard_grid``) and a weight sweep passing its grid as the
 weights.  An upsilon sweep builds one stack of Horodecki states per
 chunk, one broadcast of ``horodecki_state``, and evaluates each stack at
@@ -211,29 +211,28 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         # parameters before the family is built
         probe, q = make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(grid[0])})
         d = infer_d(probe.shape[0])
-        fam = family_for(d, fixed["t"])
+        t = family_for(d, fixed["t"]).t
         step = chunk_points(d)
         columns = {}
         for start in range(0, len(grid), step):
             # one stack of states per chunk, built as the chunk is evaluated
             params = {**fixed, "upsilon": grid[start : start + step]}
             stack, _ = make_state(spec.state_family, spec.file, params)
-            for key, column in bound_columns(stack, fam.f_blocks, fam.t, weights=q).items():
+            for key, column in bound_columns(stack, t, weights=q).items():
                 columns.setdefault(key, []).extend(column)
     else:
-        # one state: the grid is either its t values, checked as one array
-        # against the blocks, or its white-noise weights, which scale its frame
+        # one state: the grid is either its t values, checked as one
+        # array, or its white-noise weights, which scale its frame
         rho, w = make_state(spec.state_family, spec.file, fixed)
         d = infer_d(rho.shape[0])
         if spec.variable == "t":
             try:
-                blocks, ts = standard_grid(d, grid)
+                ts = standard_grid(d, grid)
             except ValueError as exc:
                 raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
         else:
-            fam = family_for(d, fixed["t"])
-            blocks, ts, w = fam.f_blocks, fam.t, grid
-        columns = bound_columns(rho[None], blocks, ts, weights=w)
+            ts, w = family_for(d, fixed["t"]).t, grid
+        columns = bound_columns(rho[None], ts, weights=w)
 
     names = ("var", "d", *columns)
     return [dict(zip(names, row)) for row in zip(grid.tolist(), [d] * len(grid), *columns.values())]

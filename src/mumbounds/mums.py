@@ -8,7 +8,7 @@ kappa(t) and the effects are derived from it, never stored.  The
 Gell-Mann blocks and interval are built once per dimension and
 memoised, so the families of a grid of t values share one block array
 and one interval, and a grid of t is checked as one array
-(``standard_grid``).  The criteria need only the blocks and t
+(``standard_grid``).  The criteria need only d and t
 (``mumbounds.criteria``); the effects are formed for the defining trace
 relations and the 2-design property, which are verifiable numerically.
 """
@@ -180,20 +180,16 @@ def standard_family(d: int, t: float) -> MumFamily:
     return _family(float(t), *_standard_blocks(d))
 
 
-def standard_grid(d: int, ts) -> tuple[np.ndarray, np.ndarray]:
-    """The families ``standard_family(d, t)`` for each t of ``ts``, as columns.
-
-    Returns the memoised block array and ``ts`` as a float array, without
-    one family object per t.  Each t passes the checks of
-    ``standard_family`` as one array, and the first t that fails raises
-    the InadmissibleTError that ``standard_family`` gives for it.
-    """
+def standard_grid(d: int, ts) -> np.ndarray:
+    """``ts`` as a float array, checked as one array without a family per
+    t: the first t that fails raises the InadmissibleTError that
+    ``standard_family(d, t)`` gives for it."""
     blocks, rng = _standard_blocks(d)
     ts = np.asarray(ts, dtype=float)
     admissible = (kappa_of_t(d, ts) * d > 1.0) & rng.contains(ts)
     if not admissible.all():
         _family(float(ts[np.argmin(admissible)]), blocks, rng)  # raises for that t
-    return blocks, ts
+    return ts
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,8 @@ def verify_mum_relations(fam: MumFamily) -> MumRelationReport:
     traces = np.einsum("rii->r", stack).real
     trace_one = float(np.abs(traces - 1.0).max())
 
-    gram = np.einsum("rij,cji->rc", stack, stack).real
+    flat = stack.reshape(len(stack), d * d)
+    gram = (flat @ stack.transpose(0, 2, 1).reshape(len(stack), d * d).T).real  # Tr(P_r P_c)
     same = np.kron(np.eye(d + 1, dtype=bool), np.ones((d, d), dtype=bool))
     diag = np.eye(d * (d + 1), dtype=bool)
     expected = np.where(
@@ -249,11 +246,7 @@ def verify_mum_relations(fam: MumFamily) -> MumRelationReport:
 
 def swap_operator(d: int) -> np.ndarray:
     """The d^2 x d^2 operator exchanging the two tensor factors."""
-    f = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return f
+    return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def two_design_residual(fam: MumFamily) -> float:
@@ -263,8 +256,8 @@ def two_design_residual(fam: MumFamily) -> float:
     (1 + (1-kappa)/(d-1)) * I + ((kappa*d - 1)/(d-1)) * SWAP.
     """
     d = fam.d
-    stack = fam.effect_stack()
-    total = np.einsum("rij,rkl->ikjl", stack, stack).reshape(d * d, d * d)
+    flat = fam.effect_stack().reshape(-1, d * d)
+    total = (flat.T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     expected = (1.0 + (1.0 - fam.kappa) / (d - 1)) * np.eye(d * d) + (
         (fam.kappa * d - 1.0) / (d - 1)
     ) * swap_operator(d)

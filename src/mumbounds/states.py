@@ -10,6 +10,7 @@ writes to a file (``mix_with_white_noise``).
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -80,8 +81,14 @@ def tiles_state() -> np.ndarray:
     """The 3x3 bound entangled state (I - sum of the five tile projectors)/4.
 
     The five tile vectors form an unextendible product basis, so the
-    state is entangled yet has positive partial transpose.
+    state is entangled yet has positive partial transpose.  It is built
+    once, and each call returns a new copy.
     """
+    return _tiles().copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _tiles() -> np.ndarray:
     s2 = np.sqrt(2.0)
     e0, e1, e2 = (_ket(3, i) for i in range(3))
     plus = (e0 + e1 + e2) / np.sqrt(3.0)

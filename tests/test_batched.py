@@ -43,7 +43,7 @@ from mumbounds.states import (
 def _reference_report(rho, fam, w=1.0):
     """The report of one state at weight w on its own, its trace norms
     checked against the plain definition of the mixture."""
-    columns = bound_columns(rho[None], fam.f_blocks, fam.t, weights=w)
+    columns = bound_columns(rho[None], fam.t, weights=w)
     report = BoundReport(fam.d, *(column[0] for column in columns.values()))
     mixed = mix_with_white_noise(rho, w)
     norm_p = build_correlation_matrix(mixed, fam).trace_norm
@@ -111,7 +111,7 @@ def test_tiles_t_grid(t_range_of):
     grid = _tiles_grid(t_range_of)
     rho = tiles_state()
     basis = standard_basis(3)
-    batched = _reports(3, bound_columns(rho[None], *standard_grid(3, grid), weights=0.99))
+    batched = _reports(3, bound_columns(rho[None], standard_grid(3, grid), weights=0.99))
     assert batched == [_reference_report(rho, build_mums(basis, float(t)), 0.99) for t in grid]
     _assert_sweep_matches(
         SweepSpec("t", grid[0], grid[-1], 81, "tiles", fixed={"p": 0.99})
@@ -121,7 +121,7 @@ def test_tiles_t_grid(t_range_of):
 def test_horodecki_upsilon_grid():
     grid = np.linspace(0.0, 1.0, 101)
     fam = build_mums(standard_basis(3), 0.08)
-    batched = _reports(3, bound_columns(horodecki_state(grid), fam.f_blocks, fam.t, weights=0.995))
+    batched = _reports(3, bound_columns(horodecki_state(grid), fam.t, weights=0.995))
     assert batched == [_reference_report(horodecki_state(float(v)), fam, 0.995) for v in grid]
     _assert_sweep_matches(
         SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08})
@@ -171,16 +171,15 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     basis = standard_basis(3)
     expected = [_reference_report(rho, build_mums(basis, float(t)), 0.99) for t in grid]
     contractions.clear()
-    assert _reports(3, bound_columns(rho[None], *standard_grid(3, grid), weights=0.99)) == expected
+    assert _reports(3, bound_columns(rho[None], standard_grid(3, grid), weights=0.99)) == expected
     # the frame of a one-state stack does not depend on t: one contraction
     assert contractions == [1]
 
     # nor on the white-noise weight, which scales it
-    blocks = build_mums(basis, 0.08).f_blocks
     weights = np.linspace(0.0, 1.0, 7)
-    expected = [_reports(3, bound_columns(rho[None], blocks, 0.08, weights=[w]))[0] for w in weights]
+    expected = [_reports(3, bound_columns(rho[None], 0.08, weights=[w]))[0] for w in weights]
     contractions.clear()
-    assert _reports(3, bound_columns(rho[None], blocks, 0.08, weights=weights)) == expected
+    assert _reports(3, bound_columns(rho[None], 0.08, weights=weights)) == expected
     assert contractions == [1]
 
     fam = build_mums(basis, 0.08)
@@ -188,7 +187,7 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     expected = [_reference_report(horodecki_state(float(v)), fam, 0.995) for v in upsilons]
     contractions.clear()
     stack = horodecki_state(upsilons)
-    assert _reports(3, bound_columns(stack, fam.f_blocks, fam.t, weights=0.995)) == expected
+    assert _reports(3, bound_columns(stack, fam.t, weights=0.995)) == expected
     # one contraction per chunk of a longer stack
     assert len(contractions) == chunks and sum(contractions) == 7
 
@@ -206,10 +205,11 @@ def test_invalid_state_in_a_stack_is_reported(family):
     bad[0, 0], bad[1, 1] = -1.0 / 9.0, 3.0 / 9.0  # unit trace, one negative eigenvalue
     for state, match in ((np.eye(9) / 4.0, "trace"), (bad, "negative eigenvalue")):
         with pytest.raises(ValueError, match=match):
-            bound_columns(np.stack([good, state, good]), fam.f_blocks, fam.t)
-    for stack, shape in ((np.eye(4)[None] / 4.0, r"\(1, 4, 4\)"), (good, r"\(9, 9\)")):
-        with pytest.raises(ValueError, match=r"a state stack must be \(k, 9, 9\), got " + shape):
-            bound_columns(stack, fam.f_blocks, fam.t)
+            bound_columns(np.stack([good, state, good]), fam.t)
+    message = r"a state stack must be \(k, d\^2, d\^2\) with d >= 2, got "
+    for stack, shape in ((np.eye(8)[None] / 8.0, r"\(1, 8, 8\)"), (good, r"\(9, 9\)")):
+        with pytest.raises(ValueError, match=message + shape):
+            bound_columns(stack, fam.t)
 
 
 def test_single_state_entry_points_reject_a_stack(family):
@@ -225,7 +225,7 @@ def test_single_state_entry_points_reject_a_stack(family):
             call()
     assert concurrence_lower_bound(stack[0], fam).verdict == "undetected"
     # the column evaluator takes a stack, one point per state
-    assert bound_columns(stack, fam.f_blocks, [fam.t])["verdict"] == ["undetected"] * 2
+    assert bound_columns(stack, [fam.t])["verdict"] == ["undetected"] * 2
 
 
 def test_one_point_one_double(tmp_path):
@@ -235,7 +235,7 @@ def test_one_point_one_double(tmp_path):
     fam = standard_family(3, 0.08)
     out = tmp_path / "report.json"
     for row in run_sweep(spec):
-        point = bound_columns(horodecki_state(row["var"])[None], fam.f_blocks, fam.t, weights=0.995)
+        point = bound_columns(horodecki_state(row["var"])[None], fam.t, weights=0.995)
         assert {key: row[key] for key in point} == {key: column[0] for key, column in point.items()}
         argv = ["bound", "--state", "horodecki", "--upsilon", repr(row["var"]), "--q", "0.995",
                 "--t", "0.08", "--out", str(out)]

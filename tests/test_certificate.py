@@ -25,7 +25,14 @@ at d = 16, where m_x is about 10.
 
 The right-hand sides use neither the family nor the contraction of
 ``mumbounds.criteria``, only kappa: partner families that are permuted
-or unitarily rotated must give the same report at equal kappa.
+or unitarily rotated must give the same report at equal kappa.  The
+criteria read no blocks either, so each pair of partner families is also
+held against its own ``build_correlation_matrix``.
+
+C_P has rank d^2, and its nonzero singular values are those of the
+d^2 x d^2 matrix M that the criteria factor: to 1e-12 of ||C_P||, the
+largest singular value, C_P has exactly d singular values below that
+and the others equal those of M.
 """
 
 import numpy as np
@@ -33,9 +40,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mumbounds import criteria
 from mumbounds.basis import gellmann_generators, partition_basis
 from mumbounds.config import TOL
-from mumbounds.criteria import concurrence_lower_bound, pure_trace_norm_closed_form
+from mumbounds.criteria import (
+    build_correlation_matrix,
+    concurrence_lower_bound,
+    pure_trace_norm_closed_form,
+)
 from mumbounds.linalg import schmidt_decompose
 from mumbounds.mums import build_f_blocks, build_mums, t_interval
 from mumbounds.states import random_density, random_pure
@@ -129,6 +141,25 @@ def test_partner_families_at_equal_kappa(d, family, t_range_of):
         for rho in _states(d).values():
             _assert_certified(rho, fam, partner)
             _assert_certified(rho, partner, fam)
+            for fam_a, fam_b in ((fam, partner), (partner, fam), (partner, partner)):
+                plain = build_correlation_matrix(rho, fam_a, fam_b).trace_norm
+                report = concurrence_lower_bound(rho, fam_a, fam_b)
+                assert abs(report.trace_norm_p - plain) <= REL_TOL * plain, kind
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_frame_has_the_nonzero_spectrum_of_the_correlation_matrix(d, family, t_range_of):
+    rng = t_range_of(d)
+    for rank in (1, 2, 3):
+        rho = random_density(d * d, rank=rank, seed=10 * d + rank)
+        for t in (rng.lower, 1e-3 * rng.lower, 1e-3 * rng.upper, rng.upper):
+            plain = build_correlation_matrix(rho, family(d, t)).singular_values
+            tol = 1e-12 * plain[0]
+            assert (plain < tol).sum() == d, (rank, t)
+            m = criteria._frame_matrices(d, criteria._frames(rho, d), t, t)
+            m[0, 0] = (d + 1.0) / d
+            sigma = np.linalg.svd(m, compute_uv=False)
+            assert np.abs(plain[: d * d] - sigma).max() <= tol, (rank, t)
 
 
 @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 1.0), rank=st.integers(1, 9))

@@ -154,7 +154,7 @@ class TestCorrelationMatrix:
 
     def test_imaginary_cutoff_is_a_named_tolerance(self, family, monkeypatch):
         fam = family(3, 0.05)
-        rows = criteria._frame_rows(fam.f_blocks)
+        rows = criteria._frame_rows(3)
         # a phase of 1e-6 on I/9 gives the Tr(rho) entry of the frame an
         # imaginary part of 1e-6
         realigned = criteria._realigned(np.eye(9) / 9.0, 3) * (1.0 + 1e-6j)
@@ -287,9 +287,9 @@ class TestConcurrenceBound:
             with pytest.raises(ValueError, match="tolerance"):
                 concurrence_lower_bound(rho, fam, tol=tol)
             with pytest.raises(ValueError, match="tolerance"):
-                bound_columns(rho[None], fam.f_blocks, [fam.t], tol=tol)
+                bound_columns(rho[None], [fam.t], tol=tol)
             with pytest.raises(ValueError, match="tolerance"):
-                bound_columns(np.stack([rho, rho]), fam.f_blocks, fam.t, tol=tol)
+                bound_columns(np.stack([rho, rho]), fam.t, tol=tol)
         assert concurrence_lower_bound(rho, fam, tol=0.0).verdict == "undetected"
 
     @pytest.mark.parametrize("d", range(2, 9))
@@ -327,11 +327,10 @@ class TestConcurrenceBound:
         weights = np.random.default_rng(2).uniform(0.5, 1.0, len(states))
         exact = np.array([wootters(mix_with_white_noise(s, w)) for s, w in zip(states, weights)])
         rng = t_range_of(2)
-        blocks = standard_family(2, rng.upper).f_blocks
         detected = 0
         for frac in (1e-3, 0.1, 0.5, 1.0):
             for t in (frac * rng.lower, frac * rng.upper):
-                columns = bound_columns(states, blocks, t, weights=weights)
+                columns = bound_columns(states, t, weights=weights)
                 excess = np.array(columns["bound_derived"]) - exact
                 assert excess.max() <= 1e-12, (t, excess.max())
                 detected += columns["verdict"].count("entangled")
@@ -357,8 +356,8 @@ class TestConcurrenceBound:
         estimate = sum(pj * pure_concurrence(psi / np.sqrt(pj), d, d)
                        for pj, psi in zip(p, psis.T))
         rng = t_range_of(d)
-        blocks, ts = standard_grid(d, np.outer([rng.lower, rng.upper], [1e-3, 0.5, 1.0]).ravel())
-        bounds = bound_columns(rho[None], blocks, ts)["bound_derived"]
+        ts = standard_grid(d, np.outer([rng.lower, rng.upper], [1e-3, 0.5, 1.0]).ravel())
+        bounds = bound_columns(rho[None], ts)["bound_derived"]
         assert max(bounds) <= estimate + 1e-12, (bounds, estimate)
 
 
@@ -370,9 +369,9 @@ class TestFrontDoor:
         return (
             lambda: concurrence_lower_bound(rho, fam),
             lambda: build_correlation_matrix(rho, fam),
-            lambda: bound_columns(rho[None], fam.f_blocks, [fam.t]),
-            lambda: bound_columns(rho[None], fam.f_blocks, fam.t, weights=[0.0, 0.5]),
-            lambda: bound_columns(np.stack([np.eye(9) / 9.0, rho]), fam.f_blocks, fam.t),
+            lambda: bound_columns(rho[None], [fam.t]),
+            lambda: bound_columns(rho[None], fam.t, weights=[0.0, 0.5]),
+            lambda: bound_columns(np.stack([np.eye(9) / 9.0, rho]), fam.t),
         )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -408,29 +407,28 @@ def _reports(d, columns):
 class TestColumns:
     def test_tiles_t_grid_equals_one_call_per_family(self, t_range_of):
         rng = t_range_of(3)
-        blocks, ts = standard_grid(3, np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81))
+        ts = standard_grid(3, np.linspace(0.9 * rng.lower, 0.9 * rng.upper, 81))
         rho = mix_with_white_noise(tiles_state(), 0.99)
-        assert _reports(3, bound_columns(rho[None], blocks, ts)) == [
+        assert _reports(3, bound_columns(rho[None], ts)) == [
             concurrence_lower_bound(rho, standard_family(3, t)) for t in ts
         ]
 
-    def test_weights_equal_one_weight_at_a_time(self, family, t_range_of):
+    def test_weights_equal_one_weight_at_a_time(self, t_range_of):
         # t and w broadcast against each other, and each point is its own evaluation
         rho = random_density(16, seed=12)
-        blocks = family(4, 0.05).f_blocks
         weights = np.linspace(0.0, 1.0, 5)
         points = [(t, w) for t in (0.8 * t_range_of(4).lower, 0.3 * t_range_of(4).upper)
                   for w in weights]
         ts, ws = np.array(points).T
-        assert _reports(4, bound_columns(rho[None], blocks, ts, weights=ws)) == [
-            _reports(4, bound_columns(rho[None], blocks, [t], weights=w))[0] for t, w in points
+        assert _reports(4, bound_columns(rho[None], ts, weights=ws)) == [
+            _reports(4, bound_columns(rho[None], [t], weights=w))[0] for t, w in points
         ]
         ts = ts[::5]
         # weight 1 is the state itself, and weight 0 the maximally mixed state
-        assert _reports(4, bound_columns(rho[None], blocks, ts)) == [
+        assert _reports(4, bound_columns(rho[None], ts)) == [
             concurrence_lower_bound(rho, standard_family(4, t)) for t in ts
         ]
-        at_zero = _reports(4, bound_columns(rho[None], blocks, ts, weights=0.0))
+        at_zero = _reports(4, bound_columns(rho[None], ts, weights=0.0))
         white = np.eye(16) / 16.0
         for report, t in zip(at_zero, ts):
             expect = concurrence_lower_bound(white, standard_family(4, t))
@@ -442,15 +440,15 @@ class TestColumns:
         fam = family(3, 0.05)
         for bad in (-0.1, 1.5, np.nan):
             with pytest.raises(ValueError, match=r"mixing weight .* must lie in \[0, 1\]"):
-                bound_columns(np.eye(9)[None] / 9.0, fam.f_blocks, fam.t, weights=[0.5, bad])
+                bound_columns(np.eye(9)[None] / 9.0, fam.t, weights=[0.5, bad])
 
     def test_empty_input_gives_empty_columns(self, family):
         fam = family(3, 0.05)
         rho = np.eye(9) / 9.0
         empty = {key: [] for key in BoundReport(3, *[0] * 9).as_dict() if key != "d"}
-        assert bound_columns(rho[None], fam.f_blocks, []) == empty
-        assert bound_columns(rho[None], fam.f_blocks, fam.t, weights=[]) == empty
-        assert bound_columns(np.empty((0, 9, 9)), fam.f_blocks, fam.t) == empty
+        assert bound_columns(rho[None], []) == empty
+        assert bound_columns(rho[None], fam.t, weights=[]) == empty
+        assert bound_columns(np.empty((0, 9, 9)), fam.t) == empty
 
 
 class TestSeparability:

@@ -165,7 +165,7 @@ def test_bounds_carry_exact_digits(name, files):
     family, file, params, t = BOUNDS[name]
     rho, w = make_state(family, file and str(files / file), params)
     d = int(round(np.sqrt(rho.shape[0])))
-    columns = bound_columns(rho[None], standard_family(d, t).f_blocks, t, weights=w)
+    columns = bound_columns(rho[None], t, weights=w)
     fields = {"d": d, **{key: column[0] for key, column in columns.items()}}
     failed = misses(fields, mix_with_white_noise(rho, w), t)
     assert not failed, "\n".join(failed)

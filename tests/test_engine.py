@@ -58,7 +58,7 @@ def test_margin_is_midpoint_convex_in_weight(family, t_range_of):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_affine_margin_matches_mixed_state_definition(d, family, t_range_of, tmp_path):
-    # the reflected frame of w*rho + (1-w)*I/d^2 is w times that of rho
+    # the frame of w*rho + (1-w)*I/d^2 is w times that of rho
     t = 0.9 * t_range_of(d).upper
     fam = family(d, t)
     psi = random_pure(d, d, seed=d)
@@ -146,8 +146,8 @@ def test_each_threshold_evaluation_is_one_svd(monkeypatch, tmp_path):
         ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
     )
     assert result.found
-    # the 12 x 12 matrix M of each weight, and no other
-    assert svds == [(12, 12)] * result.evaluations
+    # the 9 x 9 matrix M of each weight, and no other
+    assert svds == [(9, 9)] * result.evaluations
 
 
 def test_sweep_rejects_non_finite_ends():
@@ -223,7 +223,7 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
     assert result.found and result.evaluations == 6
     # one load and its file check, one family (blocks and interval built on
     # this first query at d = 3), one check at the correlation front door,
-    # one contraction of the reflected frame; every evaluation reuses it,
+    # one contraction of the frame; every evaluation reuses it,
     # and the probability correlation matrix is never formed.  A valid
     # state is certified by Cholesky and never reaches eigvalsh.
     assert counts.calls == {
@@ -465,15 +465,19 @@ def test_isotropic_states_are_detected_exactly_above_one_over_d_plus_one(d, tmp_
 
 def test_cli_imports_only_numpy_beyond_the_standard_library():
     # what `import mumbounds.cli` adds to a fresh interpreter, beyond the
-    # modules that its start-up had already loaded
+    # modules that its start-up had already loaded; and the test extras,
+    # mpmath and hypothesis, are not loaded at all
     code = (
         "import sys; before = set(sys.modules); import mumbounds.cli; "
         "added = {name.split('.')[0] for name in set(sys.modules) - before}; "
-        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names)))); "
+        "print(sorted({'mpmath', 'hypothesis'} & set(sys.modules)))"
     )
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["mumbounds", "numpy"]
+    added, extras = proc.stdout.splitlines()
+    assert added.split() == ["mumbounds", "numpy"]
+    assert extras == "[]"
 
 
 def test_engine_does_not_import_cli():

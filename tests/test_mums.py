@@ -231,6 +231,27 @@ class TestBuildMums:
         assert not report.passed
         assert report.trace_one == pytest.approx(0.01, abs=1e-10)
 
+    def test_checks_keep_the_trace_definitions(self, family):
+        # a non-Hermitian entry tells Tr(P_r P_c) from Tr(P_r P_c^dag): both
+        # checks follow the plain index contractions of their definitions
+        fam = family(3, 0.05)
+        blocks = fam.f_blocks.copy()
+        blocks[0, 0, 0, 1] += 0.01j / fam.t
+        corrupted = dataclasses.replace(fam, f_blocks=blocks)
+        stack = corrupted.effect_stack()
+        gram = np.einsum("rij,cji->rc", stack, stack).real
+        same = np.kron(np.eye(4, dtype=bool), np.ones((3, 3), dtype=bool))
+        pattern = np.where(same, (1.0 - fam.kappa) / 2, 1.0 / 3)
+        dev = np.abs(gram - np.where(np.eye(12, dtype=bool), fam.kappa, pattern))
+        report = verify_mum_relations(corrupted)
+        assert report.within_basis == pytest.approx(dev[same].max(), abs=1e-15)
+        assert report.cross_basis == pytest.approx(dev[~same].max(), abs=1e-15)
+        total = np.einsum("rij,rkl->ikjl", stack, stack).reshape(9, 9)
+        design = (1.0 + (1.0 - fam.kappa) / 2) * np.eye(9)
+        design += (3 * fam.kappa - 1.0) / 2 * swap_operator(3)
+        residual = np.abs(total - design).max()
+        assert two_design_residual(corrupted) == pytest.approx(residual, abs=1e-15)
+
 
 class TestTwoDesign:
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -52,6 +52,12 @@ class TestTiles:
         gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
         assert np.abs(gram - np.eye(5)).max() < 1e-12
 
+    def test_each_call_returns_a_new_array(self):
+        first = tiles_state()
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(tiles_state(), expected)
+
     def test_ppt(self):
         for sub in ("A", "B"):
             eigs = np.linalg.eigvalsh(partial_transpose(tiles_state(), 3, 3, sub))
