@@ -195,12 +195,13 @@ def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], flo
     the excess of its probability correlation trace norm over 1 + kappa.
 
     The state is validated and contracted once, and each call scales M
-    off the corner by w, as ``bound_columns`` does: one SVD.
+    off the corner by w, as ``bound_columns`` does: one SVD, and none at
+    w = 0, where M is c0 on its corner alone and the margin is -gap.
     """
     d = fam.d
     m = _frame_matrices(d, _frames(_as_state(rho, d * d), d), fam.t, fam.t)
     gap = kappa_gap(d, fam.t)
-    return lambda w: float(_margins(d, w * m, gap)[0])
+    return lambda w: float(-gap if w == 0.0 else _margins(d, w * m, gap)[0])
 
 
 def _norm_f(frames: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ writes to a file (``mix_with_white_noise``).
 from __future__ import annotations
 
 import functools
-import json
 from pathlib import Path
 
 import numpy as np
@@ -203,37 +202,40 @@ def save_state(rho: np.ndarray, path: str | Path) -> None:
 
     # "%.17g" formats a float exactly as f"{x:.17g}", -0.0 and subnormals included
     row_format = "    [" + ", ".join(["%.17g"] * n) + "]"
-
-    def block(part: np.ndarray) -> str:
-        return ",\n".join([row_format % tuple(row.tolist()) for row in part])
-
-    text = (
-        "{\n"
-        f'  "dim": {n},\n'
-        '  "re": [\n' + block(rho.real) + "\n  ],\n"
-        '  "im": [\n' + block(rho.imag) + "\n  ]\n"
-        "}\n"
-    )
-    Path(path).write_text(text)
+    # written a row at a time, so no string of the whole file is held
+    with Path(path).open("w") as out:
+        out.write(f'{{\n  "dim": {n},\n')
+        for name, part, close in (("re", rho.real, "  ],\n"), ("im", rho.imag, "  ]\n}\n")):
+            out.write(f'  "{name}": [\n')
+            for i, row in enumerate(part):
+                out.write(row_format % tuple(row.tolist()) + (",\n" if i < n - 1 else "\n"))
+            out.write(close)
 
 
 def load_state(path: str | Path) -> np.ndarray:
-    """Read a density matrix written by save_state, validating all invariants."""
+    """Read a density matrix written by save_state, as strict JSON (``NaN`` and
+    ``Infinity`` literals are invalid), validating all invariants."""
+    # imported here, since it loads datetime, zoneinfo, uuid and sysconfig
+    # (about 8 ms), which every CLI start would pay at module level
+    import orjson
+
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = orjson.loads(Path(path).read_bytes())
+    except orjson.JSONDecodeError as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
     for key in ("dim", "re", "im"):
         if key not in payload:
             raise StateFileError(f"{path}: missing field {key!r}")
     n = int(payload["dim"])
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload["im"], dtype=float)
+    # popped, so that each parsed list is released as soon as it is an array
+    re = np.asarray(payload.pop("re"), dtype=float)
+    im = np.asarray(payload.pop("im"), dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):
         raise StateFileError(
             f"{path}: re/im shapes {re.shape}/{im.shape} do not match dim {n}"
         )
-    rho = re + 1j * im
+    rho = np.empty((n, n), dtype=complex)
+    rho.real, rho.imag = re, im
     problems = validate_density(rho)
     if problems:
         raise StateFileError(f"{path}: invalid density matrix: " + "; ".join(problems))

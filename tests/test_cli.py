@@ -18,7 +18,7 @@ from mumbounds.engine import (
     format_value,
     run_threshold,
 )
-from mumbounds.states import save_state
+from mumbounds.states import StateFileError, load_state, save_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -590,6 +590,28 @@ class TestStateFiles:
         assert code == 2
         assert "violation" in out
         assert "status=invalid" in out
+
+    # strict JSON: literals and commas that json.loads once accepted, and bytes
+    # that are not UTF-8, are not valid JSON
+    @pytest.mark.parametrize("text", [
+        b'{"dim": 2, "re": [[NaN, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+        b'{"dim": 2, "re": [[Infinity, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+        b'{"dim": 2, "re": [[-Infinity, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+        b'{"dim": 2, "re": [[0.5, 0], [0, 0.5],], "im": [[0, 0], [0, 0]]}',
+        b'{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]],}',
+        b'{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]], "note": "\xff"}',
+    ], ids=["nan", "infinity", "minus-infinity", "trailing-comma-list",
+            "trailing-comma-object", "invalid-utf8"])
+    def test_malformed_file_is_invalid_json(self, capsys, tmp_path, text):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(text)
+        with pytest.raises(StateFileError, match="not valid JSON") as caught:
+            load_state(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        code, out, _ = run(capsys, "verify-state", "--file", str(path))
+        assert code == 2
+        assert f"violation: {path}: not valid JSON" in out
+        assert out.splitlines()[-1] == "status=invalid"
 
     def test_random_state_seed_defaults_to_zero(self, capsys, tmp_path):
         written = []

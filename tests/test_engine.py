@@ -146,8 +146,26 @@ def test_each_threshold_evaluation_is_one_svd(monkeypatch, tmp_path):
         ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
     )
     assert result.found
-    # the 9 x 9 matrix M of each weight, and no other
-    assert svds == [(9, 9)] * result.evaluations
+    # the 9 x 9 matrix M of each weight but w = 0, whose margin is
+    # closed-form, and no other
+    assert svds == [(9, 9)] * (result.evaluations - 1)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_margin_at_zero_weight_is_the_closed_form(d, t_range_of):
+    # at w = 0, M is c0 on its corner and zero elsewhere: the SVD path
+    # gives -kappa_gap(d, t) bit for bit, and the closed form is that double
+    interval = t_range_of(d)
+    for t in (interval.lower, interval.upper, 0.5 * interval.lower, 0.5 * interval.upper,
+              1e-3 * interval.upper):
+        fam = mums.standard_family(d, t)
+        for rank in (1, 2, 3):
+            rho = random_density(d * d, rank=rank, seed=10 * d + rank)
+            m = criteria._frame_matrices(d, criteria._frames(rho, d), t, t)
+            by_svd = float(criteria._margins(d, 0.0 * m, mums.kappa_gap(d, t))[0])
+            closed = white_noise_margin(rho, fam)(0.0)
+            assert type(closed) is float
+            assert closed == by_svd == -mums.kappa_gap(d, t)
 
 
 def test_sweep_rejects_non_finite_ends():
@@ -478,6 +496,20 @@ def test_cli_imports_only_numpy_beyond_the_standard_library():
     added, extras = proc.stdout.splitlines()
     assert added.split() == ["mumbounds", "numpy"]
     assert extras == "[]"
+
+
+def test_load_state_imports_orjson(tmp_path):
+    # the parser is imported by the first load, not by `import mumbounds.cli`
+    path = tmp_path / "state.json"
+    save_state(random_density(4, seed=1), path)
+    code = (
+        "import sys; from mumbounds.states import load_state; "
+        "print('orjson' in sys.modules); "
+        f"load_state({str(path)!r}); print('orjson' in sys.modules)"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_engine_does_not_import_cli():

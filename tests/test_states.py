@@ -211,6 +211,14 @@ class TestStateFiles:
         with pytest.raises(StateFileError, match="shapes"):
             load_state(path)
 
+    def test_roundtrip_is_bitwise_exact_at_d16(self, tmp_path):
+        rho = random_density(256, rank=3, seed=16)
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        loaded = load_state(path)
+        assert loaded.dtype == rho.dtype and loaded.shape == rho.shape
+        assert np.array_equal(loaded.view(np.uint64), rho.view(np.uint64))
+
     def test_load_rejects_non_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("not json")
@@ -365,3 +373,21 @@ def test_save_state_bytes_equal_the_plain_writer(d, tmp_path):
     assert text == (tmp_path / "plain.json").read_bytes()
     assert b"-0, " in text and b"4.9406564584124654e-324" in text and b"1e-300" in text
     assert np.array_equal(load_state(tmp_path / "fast.json"), rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                min_size=1, max_size=50))
+def test_orjson_parses_saved_doubles_as_json_does(values):
+    # load_state parses with orjson: every finite double in the "%.17g"
+    # form that save_state writes, and in repr form, has the bits that
+    # json.loads gives it, subnormals, -0.0 and the extremes included
+    import orjson
+
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+    for text in ("[" + ", ".join("%.17g" % x for x in values) + "]",
+                 "[" + ", ".join(repr(x) for x in values) + "]"):
+        fast = np.array(orjson.loads(text.encode()), dtype=float)
+        plain = np.array(json.loads(text), dtype=float)
+        assert np.array_equal(fast.view(np.uint64), plain.view(np.uint64))
