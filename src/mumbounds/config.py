@@ -20,7 +20,7 @@ class Tolerances:
     correlation_imaginary: float = 1e-10  # largest imaginary part of a correlation entry
     schmidt_rank: float = 1e-9          # singular values above this count toward rank
     mum_relations: float = 1e-9
-    kappa_match: float = 1e-12          # kappa of paired families and of a family file
+    kappa_match: float = 1e-12          # kappa of the two families of a correlation matrix
     verdict: float = 1e-9               # entangled: excess over 1 + kappa > verdict*(kappa d - 1)
     t_endpoint_slack: float = 1e-12     # relative slack admitting interval endpoints
 

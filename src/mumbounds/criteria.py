@@ -1,5 +1,5 @@
-"""Entanglement criteria from the correlations of paired measurement
-families.
+"""Entanglement criteria from the correlations of one measurement family
+on both factors.
 
 The probability correlation matrix C_P of a bipartite state holds the
 outcome probabilities Tr(rho (P_r x P_c)) of the effects P = I/d + t*F,
@@ -50,14 +50,15 @@ X of A and Y of B.  Every state passes one front door,
 ``states.validate_density`` with the ``density_*`` tolerances, and a
 failure raises ValueError.
 
-``bound_columns`` is the one column evaluator: it takes a stack of
+``bound_columns`` is the one evaluator of a report: it takes a stack of
 states, broadcast against a grid of (t, w) to one axis of points, and
-computes the report fields as arrays through ``_columns``, a chunk of
-bounded memory at a time.  A one-state stack is validated and contracted
-once, at weight 1, since its frame depends on neither t nor w.
-``concurrence_lower_bound`` is the one report of one state at a family
-pair, and ``white_noise_margin`` the margin of one state as a function
-of w, for the threshold search.  ``build_correlation_matrix`` forms C_P
+computes the report fields as arrays, a chunk of bounded memory at a
+time.  A one-state stack is validated and contracted once, at weight 1,
+since its frame depends on neither t nor w.  ``concurrence_lower_bound``
+is its one point at a family, and ``white_noise_margin`` the margin of
+one state as a function of w, for the threshold search.  The frame reads
+a family only through d and t, so every evaluator takes one family.
+``build_correlation_matrix`` forms C_P of two families that share kappa
 by the plain definition, as the reference the tests hold the frame
 against.
 """
@@ -67,7 +68,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -87,20 +88,6 @@ def _point_bytes(d: int) -> int:
     """Bytes one grid point adds to a stacked evaluation: its realigned
     state, the half product and its frame, complex, and its real M."""
     return 56 * d**4
-
-
-def _check_pair(fam_a: MumFamily, fam_b: MumFamily) -> None:
-    if fam_a.d != fam_b.d:
-        raise ValueError(f"family dimensions differ: {fam_a.d} vs {fam_b.d}")
-    if abs(fam_a.kappa - fam_b.kappa) > TOL.kappa_match:
-        raise ValueError(
-            f"families must share kappa: {fam_a.kappa!r} vs {fam_b.kappa!r}"
-        )
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
 
 
 def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -153,23 +140,18 @@ def _frames(states: np.ndarray, d: int) -> np.ndarray:
     return _contract(_realigned(states, d), rows, rows)
 
 
-def _scales(t, d: int) -> np.ndarray:
-    """The factors (sqrt(n)/d, t, ..., t) that take a frame's rows or columns to M."""
+def _frame_matrices(d: int, frames: np.ndarray, t) -> np.ndarray:
+    """The matrices M of frames at sharpness ``t``, with their corner left
+    at zero: rows and columns scaled by (sqrt(n)/d, t, ..., t).
+
+    ``frames`` (..., d^2, d^2) broadcasts against ``t`` (...), so one
+    frame may meet a grid of t, or a stack of frames one t.
+    """
     t = np.asarray(t, dtype=float)
     scales = np.empty((*t.shape, d * d))
     scales[..., 0] = math.sqrt(d * (d + 1)) / d
     scales[..., 1:] = t[..., None]
-    return scales
-
-
-def _frame_matrices(d: int, frames: np.ndarray, ta, tb) -> np.ndarray:
-    """The matrices M of frames at sharpness ``ta`` of the first family
-    and ``tb`` of the second, with their corner left at zero.
-
-    ``frames`` (..., d^2, d^2) broadcasts against ``ta`` and ``tb`` (...),
-    so one frame may meet a grid of t, or a stack of frames one t.
-    """
-    m = frames * _scales(ta, d)[..., :, None] * _scales(tb, d)[..., None, :]
+    m = frames * scales[..., :, None] * scales[..., None, :]
     m[..., 0, 0] = 0.0
     return m
 
@@ -199,7 +181,7 @@ def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], flo
     w = 0, where M is c0 on its corner alone and the margin is -gap.
     """
     d = fam.d
-    m = _frame_matrices(d, _frames(_as_state(rho, d * d), d), fam.t, fam.t)
+    m = _frame_matrices(d, _frames(_as_state(rho, d * d), d), fam.t)
     gap = kappa_gap(d, fam.t)
     return lambda w: float(-gap if w == 0.0 else _margins(d, w * m, gap)[0])
 
@@ -236,10 +218,12 @@ def build_correlation_matrix(
     first factor with effect c of ``fam_b`` on the second, both
     flattened measurement-major.
     """
-    if fam_b is None:
-        fam_b = fam_a
-    _check_pair(fam_a, fam_b)
+    fam_b = fam_a if fam_b is None else fam_b
     d = fam_a.d
+    if fam_b.d != d:
+        raise ValueError(f"family dimensions differ: {d} vs {fam_b.d}")
+    if abs(fam_a.kappa - fam_b.kappa) > TOL.kappa_match:
+        raise ValueError(f"families must share kappa: {fam_a.kappa!r} vs {fam_b.kappa!r}")
     rows_a, rows_b = (fam.effect_stack().reshape(-1, d * d) for fam in (fam_a, fam_b))
     matrix = np.ascontiguousarray(_contract(_realigned(_as_state(rho, d * d), d), rows_a, rows_b))
     singular_values = np.linalg.svd(matrix, compute_uv=False)
@@ -271,7 +255,7 @@ def pure_concurrence(psi: np.ndarray, dim_a: int, dim_b: int) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated criteria for one state and one measurement family pair.
+    """Evaluated criteria for one state and one measurement family.
 
     ``bound_derived`` carries the proof-consistent coefficient
     sqrt(2(d-1)/d)/(kappa*d - 1), ``bound_literal`` the variant with
@@ -310,39 +294,6 @@ _COLUMNS = (
 )
 
 
-def _columns(d: int, chunks: Iterable[tuple], tol: float) -> dict[str, list]:
-    """The report fields of chunks of points, in order, as columns.
-
-    Each chunk is (frames, norm_f, ta, tb, w), broadcast against one
-    another as in ``_frame_matrices``; w holds the white-noise weights of
-    the points, which scale M off the corner and norm_f.  One list per
-    field, keyed as ``BoundReport.as_dict``; a clamped bound is +0.0,
-    never -0.0.
-    """
-    parts: list[list[np.ndarray]] = [[], [], [], [], []]
-    for frames, norm_f, ta, tb, w in chunks:
-        gap = kappa_gap(d, np.asarray(ta, dtype=float))
-        m = _frame_matrices(d, frames, ta, tb)
-        m *= w[..., None, None]
-        excess, norm_p = _margins(d, m, gap)
-        for part, column in zip(parts, np.broadcast_arrays(ta, gap, excess, norm_p, w * norm_f)):
-            part.append(column)
-    ts, gap, excess, norm_p, norm_f = (np.concatenate([np.empty(0), *part]) for part in parts)
-    kappa = 1.0 / d + gap  # kappa_of_t
-    scale = d * gap  # kappa d - 1
-    derived = np.sqrt(2.0 * (d - 1.0) / d) * excess / scale
-    literal = np.sqrt(2.0 * (d - 1.0) / (d * scale)) * excess
-    schmidt = 1.0 + (d - 1.0) * excess / scale
-    columns = (
-        ts, kappa, norm_p, norm_f, 1.0 + kappa,
-        np.where(literal > 0.0, literal, 0.0),
-        np.where(derived > 0.0, derived, 0.0),
-        np.where(schmidt > 1.0, schmidt, 1.0),
-        np.where(excess > tol * scale, "entangled", "undetected"),
-    )
-    return {name: column.tolist() for name, column in zip(_COLUMNS, columns)}
-
-
 def chunk_points(d: int) -> int:
     """Grid points in one stacked evaluation at d, so that a chunk's working
     set stays within ``_CHUNK_BYTES``; at least one."""
@@ -364,13 +315,14 @@ def bound_columns(
     weight must lie in [0, 1] (``states.check_weight``), and each t must
     be admissible at d, as ``mums.standard_grid`` checks.  One list per
     ``BoundReport`` field after d, keyed as ``BoundReport.as_dict``, with
-    one entry per point in order.  A one-state stack is validated and
-    contracted once, and its ||Phi'||_tr taken once, since its frame
-    depends on neither t nor w; a longer stack is validated and
-    contracted one chunk at a time.  Each chunk of points is one batched
-    SVD.
+    one entry per point in order; a clamped bound is +0.0, never -0.0.
+    A one-state stack is validated and contracted once, and its
+    ||Phi'||_tr taken once, since its frame depends on neither t nor w; a
+    longer stack is validated and contracted one chunk at a time.  Each
+    chunk of points is one batched SVD.
     """
-    _check_tol(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
     check_weight(weights)
     states = np.asarray(states, dtype=complex)
     d = math.isqrt(states.shape[-1]) if states.ndim == 3 else 0
@@ -386,35 +338,42 @@ def bound_columns(
 
     one = frames_of(states) if len(states) == 1 else None
     step = chunk_points(d)
-
-    def chunks():
-        for start in range(0, len(ts), step):
-            part = slice(start, start + step)
-            frames, norm_f = one or frames_of(states[part])
-            yield frames, norm_f, ts[part], ts[part], weights[part]
-
-    return _columns(d, chunks(), tol)
+    gap = kappa_gap(d, ts)
+    excess, norm_p, norm_f = (np.empty(points) for _ in range(3))
+    for start in range(0, len(ts), step):
+        part = slice(start, start + step)
+        frames, frame_norm_f = one or frames_of(states[part])
+        m = _frame_matrices(d, frames, ts[part])
+        m *= weights[part, None, None]
+        excess[part], norm_p[part] = _margins(d, m, gap[part])
+        norm_f[part] = weights[part] * frame_norm_f
+    kappa = 1.0 / d + gap  # kappa_of_t
+    scale = d * gap  # kappa d - 1
+    derived = np.sqrt(2.0 * (d - 1.0) / d) * excess / scale
+    literal = np.sqrt(2.0 * (d - 1.0) / (d * scale)) * excess
+    schmidt = 1.0 + (d - 1.0) * excess / scale
+    columns = (
+        ts, kappa, norm_p, norm_f, 1.0 + kappa,
+        np.where(literal > 0.0, literal, 0.0),
+        np.where(derived > 0.0, derived, 0.0),
+        np.where(schmidt > 1.0, schmidt, 1.0),
+        np.where(excess > tol * scale, "entangled", "undetected"),
+    )
+    return {name: column.tolist() for name, column in zip(_COLUMNS, columns)}
 
 
 def concurrence_lower_bound(
     rho: np.ndarray,
-    fam_a: MumFamily,
-    fam_b: MumFamily | None = None,
+    fam: MumFamily,
     tol: float = TOL.verdict,
 ) -> BoundReport:
     """Evaluate both concurrence bound variants and the separability verdict.
 
     Every separable state stays below 1 + kappa, so "entangled" is
     conclusive while "undetected" is not.  ``tol`` must be finite and
-    non-negative.  The two families may differ, but must share d and
-    kappa, and their frames are the one frame of d; the state is one
-    stack of one state, contracted once and evaluated as
-    ``bound_columns`` evaluates a point at weight 1.
+    non-negative.  The report is the one point of ``bound_columns`` for
+    the one-state stack of ``rho`` at the family's t and weight 1; the
+    family is read only through d and t.
     """
-    fam_b = fam_a if fam_b is None else fam_b
-    _check_tol(tol)
-    _check_pair(fam_a, fam_b)
-    d = fam_a.d
-    frames = _frames(_as_state(rho, d * d)[None], d)
-    columns = _columns(d, [(frames, _norm_f(frames), fam_a.t, fam_b.t, np.ones(1))], tol)
-    return BoundReport(d, *(column[0] for column in columns.values()))
+    columns = bound_columns(_as_state(rho, fam.d**2)[None], fam.t, tol)
+    return BoundReport(fam.d, *(column[0] for column in columns.values()))

@@ -219,17 +219,33 @@ def load_state(path: str | Path) -> np.ndarray:
     # (about 8 ms), which every CLI start would pay at module level
     import orjson
 
+    raw = Path(path).read_bytes()
+    # numpy casts a true or false among numbers to a number; either holds a
+    # t or an f, which no number or field name does, so others skip that check
+    literals = b"t" in raw or b"f" in raw
     try:
-        payload = orjson.loads(Path(path).read_bytes())
+        payload = orjson.loads(raw)
     except orjson.JSONDecodeError as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
+    del raw
+    if not isinstance(payload, dict):
+        raise StateFileError(f"{path}: the top level must be an object")
     for key in ("dim", "re", "im"):
         if key not in payload:
             raise StateFileError(f"{path}: missing field {key!r}")
-    n = int(payload["dim"])
-    # popped, so that each parsed list is released as soon as it is an array
-    re = np.asarray(payload.pop("re"), dtype=float)
-    im = np.asarray(payload.pop("im"), dtype=float)
+    n = payload["dim"]
+    if type(n) is not int:  # a bool is an int to isinstance
+        raise StateFileError(f"{path}: dim must be an integer, got {n!r}")
+    try:
+        if literals and any(type(x) is bool for key in ("re", "im")
+                            for x in np.asarray(payload[key], dtype=object).flat):
+            raise ValueError
+        # popped, so that each parsed list is released as soon as it is an array
+        re, im = (np.asarray(payload.pop(key)) for key in ("re", "im"))
+        if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+            raise ValueError
+    except ValueError:  # a ragged nesting, or an entry that is not a number
+        raise StateFileError(f"{path}: re and im must be rectangular arrays of numbers") from None
     if re.shape != (n, n) or im.shape != (n, n):
         raise StateFileError(
             f"{path}: re/im shapes {re.shape}/{im.shape} do not match dim {n}"

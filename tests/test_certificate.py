@@ -26,8 +26,9 @@ at d = 16, where m_x is about 10.
 The right-hand sides use neither the family nor the contraction of
 ``mumbounds.criteria``, only kappa: partner families that are permuted
 or unitarily rotated must give the same report at equal kappa.  The
-criteria read no blocks either, so each pair of partner families is also
-held against its own ``build_correlation_matrix``.
+criteria read a family only through d and t, so a partner's report is
+the standard family's bit for bit, and its traceNormP is also held
+against ``build_correlation_matrix`` of every pair of the two families.
 
 C_P has rank d^2, and its nonzero singular values are those of the
 d^2 x d^2 matrix M that the criteria factor: to 1e-12 of ||C_P||, the
@@ -85,9 +86,9 @@ def certified_margin(rho: np.ndarray, d: int, kappa: float) -> float:
     return _trace_norm(scaled) - x2 / d - (d - 1.0) / d
 
 
-def _assert_certified(rho, fam_a, fam_b=None):
-    report = concurrence_lower_bound(rho, fam_a, fam_b)
-    d, kappa = fam_a.d, fam_a.kappa
+def _assert_certified(rho, fam):
+    report = concurrence_lower_bound(rho, fam)
+    d, kappa = fam.d, fam.kappa
     norm_p, norm_f = certified_norms(rho, d, kappa)
     assert abs(report.trace_norm_p - norm_p) <= REL_TOL * norm_p
     assert abs(report.trace_norm_f - norm_f) <= REL_TOL * norm_f
@@ -139,12 +140,12 @@ def test_partner_families_at_equal_kappa(d, family, t_range_of):
         fam, partner = family(d, t), build_mums(basis, t)
         assert partner.kappa == fam.kappa, kind
         for rho in _states(d).values():
-            _assert_certified(rho, fam, partner)
-            _assert_certified(rho, partner, fam)
+            report = concurrence_lower_bound(rho, partner).as_dict()
+            assert report == concurrence_lower_bound(rho, fam).as_dict(), kind
+            _assert_certified(rho, partner)
             for fam_a, fam_b in ((fam, partner), (partner, fam), (partner, partner)):
                 plain = build_correlation_matrix(rho, fam_a, fam_b).trace_norm
-                report = concurrence_lower_bound(rho, fam_a, fam_b)
-                assert abs(report.trace_norm_p - plain) <= REL_TOL * plain, kind
+                assert abs(report["traceNormP"] - plain) <= REL_TOL * plain, kind
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -156,7 +157,7 @@ def test_frame_has_the_nonzero_spectrum_of_the_correlation_matrix(d, family, t_r
             plain = build_correlation_matrix(rho, family(d, t)).singular_values
             tol = 1e-12 * plain[0]
             assert (plain < tol).sum() == d, (rank, t)
-            m = criteria._frame_matrices(d, criteria._frames(rho, d), t, t)
+            m = criteria._frame_matrices(d, criteria._frames(rho, d), t)
             m[0, 0] = (d + 1.0) / d
             sigma = np.linalg.svd(m, compute_uv=False)
             assert np.abs(plain[: d * d] - sigma).max() <= tol, (rank, t)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -70,7 +71,7 @@ class TestKappaAndRange:
         assert float(values["kappa_optimal"]) == pytest.approx(1 / 3 + 2 / 9, abs=1e-12)
         assert values["t_admissible"] == "yes"
 
-    @pytest.mark.parametrize("t", ["1e-300", "0"])
+    @pytest.mark.parametrize("t", ["1e-300", "1e-154", "0"])
     def test_t_giving_kappa_one_over_d_is_not_admissible(self, capsys, t):
         code, out, _ = run(capsys, "kappa", "--d", "3", "--t", t)
         assert code == 0
@@ -612,6 +613,38 @@ class TestStateFiles:
         assert code == 2
         assert f"violation: {path}: not valid JSON" in out
         assert out.splitlines()[-1] == "status=invalid"
+
+    # well-formed JSON that is not a state file: the top level must be an
+    # object, dim an integer that is not a bool, re and im rectangles of numbers
+    @pytest.mark.parametrize("text, message", [
+        (b'"dim re im"', "the top level must be an object"),
+        (b'[2, [[1, 0], [0, 0]], [[0, 0], [0, 0]]]', "the top level must be an object"),
+        (b'{"dim": 2, "re": "ab", "im": [[0, 0], [0, 0]]}', "must be rectangular arrays"),
+        (b'{"dim": 2, "re": [["ab", 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}', "re and im must be"),
+        (b'{"dim": 2, "re": [["0.5", 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}', "re and im must be"),
+        (b'{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, null], [0, 0]]}', "re and im must be"),
+        (b'{"dim": 2, "re": [[true, 0], [0, false]], "im": [[0, 0], [0, 0]]}', "re and im must be"),
+        (b'{"dim": 2, "re": [[true, 0], [0, 0]], "im": [[0, 0], [0, 0]]}', "re and im must be"),
+        (b'{"dim": 2, "re": [[0.5, 0], [0]], "im": [[0, 0], [0, 0]]}', "re and im must be"),
+        (b'{"dim": "two", "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}', "dim must be"),
+        (b'{"dim": 1.5, "re": [[1]], "im": [[0]]}', "dim must be an integer, got 1.5"),
+        (b'{"dim": true, "re": [[1]], "im": [[0]]}', "dim must be an integer, got True"),
+    ], ids=["string", "list", "re-string", "entry-string", "entry-numeric-string",
+            "entry-null", "entries-bool", "entry-bool-among-numbers", "ragged",
+            "dim-string", "dim-float", "dim-bool"])
+    def test_malformed_state_file_is_invalid(self, capsys, tmp_path, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(text)
+        with pytest.raises(StateFileError, match=re.escape(message)) as caught:
+            load_state(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        code, out, _ = run(capsys, "verify-state", "--file", str(path))
+        assert code == 2
+        assert f"violation: {path}: " in out
+        assert out.splitlines()[-1] == "status=invalid"
+        code, _, err = run(capsys, "bound", "--state", "file", "--file", str(path), "--t", "0.05")
+        assert code == 2
+        assert f"error: {path}: " in err
 
     def test_random_state_seed_defaults_to_zero(self, capsys, tmp_path):
         written = []

@@ -106,8 +106,12 @@ class TestCorrelationMatrix:
         blocks_a, blocks_b = (fam.f_blocks.reshape(-1, 3, 3) for fam in (fam_a, fam_b))
         expect_f = _einsum_reference(rho, blocks_a, blocks_b).real
         norm_f = np.linalg.svd(expect_f, compute_uv=False).sum()
-        report = concurrence_lower_bound(rho, fam_a, fam_b)
+        report = concurrence_lower_bound(rho, fam_a)
         assert abs(report.trace_norm_f - norm_f) < 1e-12 * norm_f
+        assert abs(report.trace_norm_p - corr.trace_norm) < 1e-12 * corr.trace_norm
+        # the criteria read a family through d and t alone, and the report
+        # is even in t: every field but t is the standard family's at +t
+        assert replace(concurrence_lower_bound(rho, fam_b), t=fam_a.t) == report
 
     def test_affine_relation_between_probability_and_block_matrices(self, family):
         # Tr(rho P x P) = 1/d^2 + (t/d) Tr(rho_A F) + (t/d) Tr(rho_B F') + t^2 Tr(rho F x F')
@@ -162,7 +166,7 @@ class TestCorrelationMatrix:
             criteria._contract(realigned, rows, rows)
         monkeypatch.setattr(criteria, "TOL", replace(TOL, correlation_imaginary=1e-5))
         frame = criteria._contract(realigned, rows, rows)
-        m = criteria._frame_matrices(3, frame, fam.t, fam.t)
+        m = criteria._frame_matrices(3, frame, fam.t)
         _, norm_p = criteria._margins(3, m, kappa_gap(3, fam.t))
         assert norm_p == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
 

@@ -161,7 +161,7 @@ def test_margin_at_zero_weight_is_the_closed_form(d, t_range_of):
         fam = mums.standard_family(d, t)
         for rank in (1, 2, 3):
             rho = random_density(d * d, rank=rank, seed=10 * d + rank)
-            m = criteria._frame_matrices(d, criteria._frames(rho, d), t, t)
+            m = criteria._frame_matrices(d, criteria._frames(rho, d), t)
             by_svd = float(criteria._margins(d, 0.0 * m, mums.kappa_gap(d, t))[0])
             closed = white_noise_margin(rho, fam)(0.0)
             assert type(closed) is float
