@@ -24,6 +24,7 @@ from .engine import (
     SweepSpec,
     ThresholdQuery,
     UsageError,
+    check_nonzero_t,
     check_params,
     family_for,
     format_value,
@@ -142,6 +143,7 @@ def cmd_t_range(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    check_nonzero_t(args.t)
     rho, w = make_state(args.state, args.file, vars(args))
     d = infer_d(rho.shape[0])
     columns = bound_columns(rho[None], family_for(d, args.t).t, args.tol, weights=w)

@@ -17,6 +17,7 @@ class Tolerances:
     density_hermiticity: float = 1e-12  # every density check: files and the criteria
     density_trace: float = 1e-12
     density_psd: float = 1e-10          # min eigenvalue >= -density_psd
+    purity: float = 1e-14               # |1 - Tr rho^2| <= purity: evaluated in its Schmidt basis
     correlation_imaginary: float = 1e-10  # largest imaginary part of a correlation entry
     schmidt_rank: float = 1e-9          # singular values above this count toward rank
     mum_relations: float = 1e-9

@@ -50,10 +50,21 @@ X of A and Y of B.  Every state passes one front door,
 ``states.validate_density`` with the ``density_*`` tolerances, and a
 failure raises ValueError.
 
+A pure state is evaluated in its Schmidt basis (``_one_frame``).  Local
+unitaries U x V act on M and Phi' by orthogonal maps that fix vec(I),
+so a report depends on the Schmidt coefficients s alone, and for
+sum_i s_i |ii> the frame is block-diagonal: a d x d core B^T diag(s^2) B
+over [I; sqrt(gamma) D_l], D_l the d - 1 diagonal generators, and two
+1 x 1 blocks +-gamma s_j s_k for each pair j < k.  The core is scaled
+and decomposed as M is, and the pairs add w t^2 pairs to ||M||_tr and
+w pairs to ||Phi'||_tr, pairs = 2 gamma sum_{j<k} s_j s_k.  At w = 1 the
+core adds exactly 1 + kappa.  Only one state is probed, by
+|1 - Tr rho^2| <= ``TOL.purity``; a stack always takes the dense frame.
+
 ``bound_columns`` is the one evaluator of a report: it takes a stack of
 states, broadcast against a grid of (t, w) to one axis of points, and
 computes the report fields as arrays, a chunk of bounded memory at a
-time.  A one-state stack is validated and contracted once, at weight 1,
+time.  A one-state stack is validated and framed once, at weight 1,
 since its frame depends on neither t nor w.  ``concurrence_lower_bound``
 is its one point at a family, and ``white_noise_margin`` the margin of
 one state as a function of w, for the threshold search.  The frame reads
@@ -74,7 +85,7 @@ import numpy as np
 
 from .basis import gellmann_generators
 from .config import TOL
-from .linalg import SchmidtData, partial_trace, pure_amplitudes
+from .linalg import SchmidtData, partial_trace, pure_amplitudes, schmidt_decompose
 from .mums import MumFamily, kappa_gap
 from .states import check_weight, validate_density
 
@@ -98,11 +109,17 @@ def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _realigned(states: np.ndarray, d: int) -> np.ndarray:
-    """Validate one d^2 x d^2 state, or a stack (k, d^2, d^2), and realign each."""
+def _checked(states: np.ndarray) -> np.ndarray:
+    """One state or a stack, once ``states.validate_density`` passes it;
+    a failure raises ValueError."""
     problems = validate_density(states)
     if problems:
         raise ValueError("state is not a density matrix: " + "; ".join(problems))
+    return states
+
+
+def _realigned(states: np.ndarray, d: int) -> np.ndarray:
+    """Realign one d^2 x d^2 state, or each of a stack (k, d^2, d^2)."""
     realigned = states.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2)
     return realigned.reshape(states.shape)
 
@@ -134,21 +151,66 @@ def _frame_rows(d: int) -> np.ndarray:
 
 
 def _frames(states: np.ndarray, d: int) -> np.ndarray:
-    """The frames of one d^2 x d^2 state, or of a stack (k, d^2, d^2):
-    validated, realigned and contracted once."""
+    """The frames of one d^2 x d^2 state, or of a stack (k, d^2, d^2),
+    which the caller has validated: realigned and contracted once."""
     rows = _frame_rows(d)
     return _contract(_realigned(states, d), rows, rows)
+
+
+@functools.lru_cache(maxsize=4)
+def _diagonal_rows(d: int) -> np.ndarray:
+    """The rows of the Schmidt core at d, read-only and built once per d:
+    the diagonal of I, then sqrt(gamma) times that of each of the d - 1
+    diagonal Gell-Mann generators, which ``gellmann_generators`` lists
+    last; shape (d, d)."""
+    diagonals = [g.diagonal().real for g in gellmann_generators(d)[d * (d - 1):]]
+    rows = np.stack([np.ones(d), *(math.sqrt(d) * (1.0 + math.sqrt(d)) * x for x in diagonals)])
+    rows.setflags(write=False)
+    return rows
+
+
+def _pure_vector(rho: np.ndarray) -> np.ndarray | None:
+    """psi with rho = psi psi^dagger, up to a phase, when the validated
+    state ``rho`` has |1 - Tr rho^2| <= ``TOL.purity``, else None: the
+    column of the largest diagonal entry over that entry's square root."""
+    if abs(1.0 - np.vdot(rho, rho).real) > TOL.purity:
+        return None
+    j = int(np.argmax(rho.diagonal().real))
+    return rho[:, j] / math.sqrt(rho[j, j].real)
+
+
+def _one_frame(states: np.ndarray, d: int) -> tuple[np.ndarray, float | None]:
+    """The frame of one state, (d^2, d^2) or a one-state stack, validated
+    once, and the sum of its 1x1 pair blocks.
+
+    A pure state (``_pure_vector``) gives its Schmidt core, of the same
+    leading shape with d x d in place of d^2 x d^2, and 2 gamma
+    sum_{j<k} s_j s_k over its Schmidt coefficients s; a coefficient at
+    or below d eps s_1, numpy's ``matrix_rank`` cutoff, is rounding of
+    zero.  Any other state gives its dense frame (``_frames``) and None.
+    """
+    psi = _pure_vector(_checked(states).reshape(d * d, d * d))
+    if psi is None:
+        return _frames(states, d), None
+    s = schmidt_decompose(psi, d, d).coefficients
+    s = np.where(s > d * np.finfo(float).eps * s[0], s, 0.0)
+    rows = _diagonal_rows(d)
+    core = (rows * (s * s)) @ rows.T
+    after = np.cumsum(s[::-1])[::-1]  # sum_{k >= j} s_k, a sum of non-negative terms
+    pairs = 2.0 * d * (1.0 + math.sqrt(d)) ** 2 * float(s[:-1] @ after[1:])
+    return core.reshape(*states.shape[:-2], d, d), pairs
 
 
 def _frame_matrices(d: int, frames: np.ndarray, t) -> np.ndarray:
     """The matrices M of frames at sharpness ``t``, with their corner left
     at zero: rows and columns scaled by (sqrt(n)/d, t, ..., t).
 
-    ``frames`` (..., d^2, d^2) broadcasts against ``t`` (...), so one
-    frame may meet a grid of t, or a stack of frames one t.
+    ``frames`` (..., k, k), dense (k = d^2) or Schmidt cores (k = d),
+    broadcasts against ``t`` (...), so one frame may meet a grid of t,
+    or a stack of frames one t.
     """
     t = np.asarray(t, dtype=float)
-    scales = np.empty((*t.shape, d * d))
+    scales = np.empty((*t.shape, frames.shape[-1]))
     scales[..., 0] = math.sqrt(d * (d + 1)) / d
     scales[..., 1:] = t[..., None]
     m = frames * scales[..., :, None] * scales[..., None, :]
@@ -176,14 +238,23 @@ def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], flo
     """The margin of w*rho + (1 - w)*I/d^2 as a function of the weight w:
     the excess of its probability correlation trace norm over 1 + kappa.
 
-    The state is validated and contracted once, and each call scales M
-    off the corner by w, as ``bound_columns`` does: one SVD, and none at
-    w = 0, where M is c0 on its corner alone and the margin is -gap.
+    The state is validated and framed once (``_one_frame``), and each call
+    scales M off the corner by w, as ``bound_columns`` does: one SVD, and
+    none at w = 0, where M is c0 on its corner alone and the margin is
+    -gap.  A pure state's pair blocks add w t^2 times their sum, and at
+    w = 1 its core adds exactly 1 + kappa, so its margin there is that
+    term alone.
     """
     d = fam.d
-    m = _frame_matrices(d, _frames(_as_state(rho, d * d), d), fam.t)
+    frame, pairs = _one_frame(_as_state(rho, d * d), d)
+    m = _frame_matrices(d, frame, fam.t)
     gap = kappa_gap(d, fam.t)
-    return lambda w: float(-gap if w == 0.0 else _margins(d, w * m, gap)[0])
+    if pairs is None:
+        return lambda w: float(-gap if w == 0.0 else _margins(d, w * m, gap)[0])
+    lift = fam.t * fam.t * pairs
+    return lambda w: float(
+        -gap if w == 0.0 else lift if w == 1.0 else _margins(d, w * m, gap)[0] + w * lift
+    )
 
 
 def _norm_f(frames: np.ndarray) -> np.ndarray:
@@ -225,7 +296,8 @@ def build_correlation_matrix(
     if abs(fam_a.kappa - fam_b.kappa) > TOL.kappa_match:
         raise ValueError(f"families must share kappa: {fam_a.kappa!r} vs {fam_b.kappa!r}")
     rows_a, rows_b = (fam.effect_stack().reshape(-1, d * d) for fam in (fam_a, fam_b))
-    matrix = np.ascontiguousarray(_contract(_realigned(_as_state(rho, d * d), d), rows_a, rows_b))
+    realigned = _realigned(_checked(_as_state(rho, d * d)), d)
+    matrix = np.ascontiguousarray(_contract(realigned, rows_a, rows_b))
     singular_values = np.linalg.svd(matrix, compute_uv=False)
     return CorrelationMatrix(
         matrix=matrix,
@@ -316,10 +388,11 @@ def bound_columns(
     be admissible at d, as ``mums.standard_grid`` checks.  One list per
     ``BoundReport`` field after d, keyed as ``BoundReport.as_dict``, with
     one entry per point in order; a clamped bound is +0.0, never -0.0.
-    A one-state stack is validated and contracted once, and its
-    ||Phi'||_tr taken once, since its frame depends on neither t nor w; a
-    longer stack is validated and contracted one chunk at a time.  Each
-    chunk of points is one batched SVD.
+    A one-state stack is validated and framed once (``_one_frame``), and
+    its ||Phi'||_tr taken once, since its frame depends on neither t nor
+    w; a pure one is framed in its Schmidt basis.  A longer stack is
+    validated and contracted one chunk at a time and never probed for
+    purity.  Each chunk of points is one batched SVD.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
@@ -333,10 +406,13 @@ def bound_columns(
     weights = np.broadcast_to(np.asarray(weights, dtype=float), points)
 
     def frames_of(stack):
-        frames = _frames(stack, d)
+        frames = _frames(_checked(stack), d)
         return frames, _norm_f(frames)
 
-    one = frames_of(states) if len(states) == 1 else None
+    one, pairs = None, None
+    if len(states) == 1:
+        frame, pairs = _one_frame(states, d)
+        one = frame, _norm_f(frame)
     step = chunk_points(d)
     gap = kappa_gap(d, ts)
     excess, norm_p, norm_f = (np.empty(points) for _ in range(3))
@@ -348,6 +424,15 @@ def bound_columns(
         excess[part], norm_p[part] = _margins(d, m, gap[part])
         norm_f[part] = weights[part] * frame_norm_f
     kappa = 1.0 / d + gap  # kappa_of_t
+    if pairs is not None:
+        # a Schmidt core: its pair blocks add w pairs to ||Phi'||_tr and
+        # w t^2 pairs to the excess and ||M||_tr, and at w = 1 the core adds
+        # exactly 1 + kappa, which its SVD gives only to rounding
+        norm_f += weights * pairs
+        lift = weights * ts * ts * pairs
+        whole = weights == 1.0
+        excess = np.where(whole, 0.0, excess) + lift
+        norm_p = np.where(whole, 1.0 + kappa, norm_p) + lift
     scale = d * gap  # kappa d - 1
     derived = np.sqrt(2.0 * (d - 1.0) / d) * excess / scale
     literal = np.sqrt(2.0 * (d - 1.0) / (d * scale)) * excess

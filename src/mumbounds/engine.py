@@ -8,11 +8,16 @@ raise ``UsageError``.
 Each query touches its state once.  Every evaluation goes through the
 frame of ``mumbounds.criteria``, which depends only on d: one
 contraction per state and one SVD per point, and no path forms the
-probability correlation matrix.  A sweep is evaluated as columns, a
+probability correlation matrix.  A query on one pure state, such as a
+file of psi psi^dagger or the Horodecki state at upsilon = 0, is
+evaluated in its Schmidt basis: one Schmidt decomposition, and a d x d
+SVD per point in place of a d^2 x d^2 one.  A sweep is evaluated as columns, a
 chunk of points at a time, and only its rows are built per point.  The Gell-Mann blocks and
 t-interval of a dimension are built on its first query and memoised
 (``mums.standard_family``).
 
+A t of 0, where kappa = 1/d at every d, is rejected before the state is
+built or loaded (``check_nonzero_t``).
 Every query builds its state at weight 1 (``make_state``) and treats a
 white-noise weight as a coordinate of the evaluation, which scales the
 frame; no query forms a mixed state.  Every sweep and ``bound`` go
@@ -83,6 +88,14 @@ def family_for(d: int, t: float) -> MumFamily:
         return standard_family(d, t)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def check_nonzero_t(t: float) -> None:
+    """A UsageError for t = 0 before any state is built or loaded: kappa =
+    1/d there at every d, so the family at the smallest d gives the error
+    that ``family_for`` gives at the state's d."""
+    if t == 0.0:
+        family_for(2, t)
 
 
 # every value a family may take, in the order a UsageError names them
@@ -166,8 +179,10 @@ class SweepSpec:
             raise UsageError(f"sweep allows at most {MAX_SWEEP_STEPS} steps, got {self.steps}")
         if self.fixed.get(self.variable) is not None:
             raise UsageError(f"--{self.variable} is the swept variable and cannot be given")
-        if self.variable != "t" and self.fixed.get("t") is None:
-            raise UsageError("--t is required when sweeping a mixing parameter")
+        if self.variable != "t":
+            if self.fixed.get("t") is None:
+                raise UsageError("--t is required when sweeping a mixing parameter")
+            check_nonzero_t(self.fixed["t"])
 
 
 @dataclass(frozen=True)
@@ -184,6 +199,7 @@ class ThresholdQuery:
     def validate(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise UsageError("threshold tolerance must be finite and positive")
+        check_nonzero_t(self.t)
         name = weight_name(self.state_family)
         if self.search_variable != name:
             raise UsageError(

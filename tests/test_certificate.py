@@ -34,6 +34,11 @@ C_P has rank d^2, and its nonzero singular values are those of the
 d^2 x d^2 matrix M that the criteria factor: to 1e-12 of ||C_P||, the
 largest singular value, C_P has exactly d singular values below that
 and the others equal those of M.
+
+A report depends on a state only up to local unitaries U x V, which act
+on M by orthogonal maps that fix vec(I); the criteria evaluate a pure
+state in its Schmidt basis on that premise, and it is held here on the
+dense frame of mixed states.
 """
 
 import numpy as np
@@ -45,12 +50,13 @@ from mumbounds import criteria
 from mumbounds.basis import gellmann_generators, partition_basis
 from mumbounds.config import TOL
 from mumbounds.criteria import (
+    bound_columns,
     build_correlation_matrix,
     concurrence_lower_bound,
     pure_trace_norm_closed_form,
 )
 from mumbounds.linalg import schmidt_decompose
-from mumbounds.mums import build_f_blocks, build_mums, t_interval
+from mumbounds.mums import build_f_blocks, build_mums, standard_grid, t_interval
 from mumbounds.states import random_density, random_pure
 
 REL_TOL = 1e-12
@@ -168,6 +174,27 @@ def test_frame_has_the_nonzero_spectrum_of_the_correlation_matrix(d, family, t_r
 def test_random_states_at_d3(seed, frac, rank, family, t_range_of):
     rho = random_density(9, rank=rank, seed=seed)
     _assert_certified(rho, family(3, frac * t_range_of(3).upper))
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), rank=st.integers(2, 3),
+       w=st.floats(0.5, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_mixed_reports_are_invariant_under_local_unitaries(seed, d, rank, w, t_range_of):
+    # the premise of the Schmidt-basis evaluation of a pure state, that a
+    # report depends on a state only up to local unitaries U x V, held on
+    # the dense frame of mixed states, which does not use it
+    rho = random_density(d * d, rank=rank, seed=seed)
+    u = np.kron(_random_unitary(d, seed), _random_unitary(d, seed + 1))
+    rng = t_range_of(d)
+    ts = standard_grid(d, [rng.lower, rng.upper, 0.3 * rng.lower, 0.5 * rng.upper,
+                           1e-7 * rng.upper])
+    before = bound_columns(rho[None], ts, weights=w)
+    after = bound_columns((u @ rho @ u.conj().T)[None], ts, weights=w)
+    assert after["verdict"] == before["verdict"]
+    for name in ("traceNormP", "traceNormF", "bound_literal", "bound_derived",
+                 "schmidt_number_lb"):
+        x, y = np.array(after[name]), np.array(before[name])
+        assert (np.abs(x - y) <= REL_TOL * np.abs(y) + 1e-15).all(), (name, x, y)
 
 
 def test_pure_state_at_d32(family, t_range_of):

@@ -418,12 +418,27 @@ class TestThreshold:
             assert "threshold=" not in out
             assert "tolerance" in err
 
-    def test_t_zero_rejected(self, capsys):
+    def test_t_zero_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "threshold", "--state", "tiles", "--t", "0",
         )
         assert code == 1
         assert "kappa = 1/d" in err
+        # kappa = 1/d at t = 0 for every d, so t is rejected before the state
+        # file is read: a missing file is not reached
+        missing = str(tmp_path / "missing.json")
+        for argv in (
+            ("threshold", "--state", "file", "--file", missing, "--t", "0"),
+            ("bound", "--state", "file", "--file", missing, "--t", "0"),
+            ("sweep", "--state", "file", "--file", missing, "--var", "p", "--start", "0",
+             "--stop", "1", "--steps", "3", "--t", "0", "--out", str(tmp_path / "x.csv")),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == (
+                "usage error: t = 0.0 gives kappa = 1/d, which is not a mutually "
+                "unbiased measurement\n"
+            ), argv
 
     def test_inadmissible_t_rejected(self, capsys):
         code, _, err = run(

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import re
 from dataclasses import replace
 
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from mumbounds import criteria
 from mumbounds.basis import gellmann_generators, partition_basis
+from mumbounds.cli import main
 from mumbounds.config import TOL
 from mumbounds.criteria import (
     BoundReport,
@@ -17,6 +21,7 @@ from mumbounds.criteria import (
     pure_concurrence,
     pure_trace_norm_closed_form,
 )
+from mumbounds.engine import SweepSpec, run_sweep
 from mumbounds.linalg import partial_trace, schmidt_decompose
 from mumbounds.mums import build_mums, kappa_gap, standard_family, standard_grid
 from mumbounds.states import (
@@ -238,13 +243,20 @@ class TestPureConcurrence:
 
 
 class TestConcurrenceBound:
-    def test_product_state_undetected(self, family):
-        report = concurrence_lower_bound(
-            _pure_density(_product_pure(3, 9)), family(3, 0.05)
-        )
-        assert report.bound_literal == 0.0
-        assert report.bound_derived == 0.0
-        assert report.verdict == "undetected"
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_product_state_undetected(self, d, family, t_range_of):
+        # a pure product state sits exactly at 1 + kappa, so its bounds are
+        # zero, not rounding of either sign
+        rng = t_range_of(d)
+        ts = [rng.lower, 1e-3 * rng.lower, 1e-3 * rng.upper, 0.5 * rng.upper, rng.upper]
+        for seed in (9, 0, 10, 20):
+            rho = _pure_density(_product_pure(d, seed))
+            for t in ts + [0.05] * (d == 3):
+                report = concurrence_lower_bound(rho, family(d, t))
+                assert report.bound_literal == 0.0, (seed, t)
+                assert report.bound_derived == 0.0, (seed, t)
+                assert report.schmidt_number_lb == 1.0, (seed, t)
+                assert report.verdict == "undetected"
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_tight_on_max_entangled(self, d, family, t_range_of):
@@ -507,3 +519,100 @@ class TestSchmidtNumberBound:
     def test_below_threshold_clamps(self, family):
         report = concurrence_lower_bound(np.eye(9) / 9.0, family(3, 0.05))
         assert report.schmidt_number_lb == 1.0
+
+
+def _assert_same_report(got: BoundReport, dense: BoundReport, context) -> None:
+    """Every field of ``got`` equals the dense-frame report to 1e-12
+    relative plus the 1e-15 floor of the 40-digit gate; t, kappa, the
+    threshold and the verdict are equal."""
+    for name in ("trace_norm_p", "trace_norm_f", "bound_literal", "bound_derived",
+                 "schmidt_number_lb"):
+        x, ref = getattr(got, name), getattr(dense, name)
+        assert abs(x - ref) <= 1e-12 * abs(ref) + 1e-15, (context, name, x, ref)
+    assert replace(got, trace_norm_p=0.0, trace_norm_f=0.0, bound_literal=0.0,
+                   bound_derived=0.0, schmidt_number_lb=0.0) == replace(
+        dense, trace_norm_p=0.0, trace_norm_f=0.0, bound_literal=0.0, bound_derived=0.0,
+        schmidt_number_lb=0.0), context
+
+
+def _dense_report(rho, t, w):
+    """The report of a one-state evaluation on the dense frame: the first
+    row of the two-state stack [rho, rho], which is never probed for purity."""
+    d = int(round(np.sqrt(rho.shape[0])))
+    return _reports(d, bound_columns(np.stack([rho, rho]), t, weights=w))[0]
+
+
+class TestSchmidtPath:
+    """A one-state evaluation of a pure state runs in its Schmidt basis: a
+    d x d core and closed-form pair blocks.  It must give the dense frame's
+    report, which a two-state stack computes."""
+
+    @staticmethod
+    def _contractions(monkeypatch):
+        calls = []
+        original = criteria._contract
+        monkeypatch.setattr(
+            criteria, "_contract", lambda *args: calls.append(1) or original(*args)
+        )
+        return calls
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_pure_states_equal_the_dense_frame(self, d, t_range_of, monkeypatch):
+        rng = t_range_of(d)
+        ts = standard_grid(d, [rng.lower, rng.upper, 1e-7 * rng.lower, 1e-7 * rng.upper,
+                               0.3 * rng.lower, 0.5 * rng.upper])
+        states = [_pure_density(random_pure(d, d, seed=50 * d + seed)) for seed in range(3)]
+        states.append(_pure_density(max_entangled(d)))
+        for rho in states:
+            for w in (1.0, 0.9, 0.3):
+                contractions = self._contractions(monkeypatch)
+                got = _reports(d, bound_columns(rho[None], ts, weights=w))
+                assert contractions == []  # no d^2 x d^2 frame was formed
+                for report, t in zip(got, ts):
+                    _assert_same_report(report, _dense_report(rho, t, w), (t, w))
+
+    @pytest.mark.parametrize("d", [3, 6, 16])
+    def test_both_sides_of_the_purity_cutoff_equal_the_dense_frame(self, d, t_range_of):
+        # (1 - eps) psi psi^dagger + eps I/d^2 has 1 - Tr rho^2 close to
+        # 2 eps (1 - 1/d^2); just inside the cutoff it is evaluated as pure
+        psi = random_pure(d, d, seed=d)
+        rng = t_range_of(d)
+        ts = standard_grid(d, [rng.lower, 1e-7 * rng.upper, rng.upper])
+        at_cutoff = TOL.purity / (2.0 * (1.0 - 1.0 / d**2))
+        for eps, pure in ((0.9 * at_cutoff, True), (1.1 * at_cutoff, False)):
+            rho = mix_with_white_noise(_pure_density(psi), 1.0 - eps)
+            assert bool(abs(1.0 - np.vdot(rho, rho).real) <= TOL.purity) is pure
+            assert (criteria._one_frame(rho, d)[1] is not None) is pure
+            for w in (1.0, 0.9, 0.3):
+                got = _reports(d, bound_columns(rho[None], ts, weights=w))
+                for report, t in zip(got, ts):
+                    _assert_same_report(report, _dense_report(rho, t, w), (eps, t, w))
+
+    def test_margin_of_a_pure_state_equals_the_dense_frame(self, t_range_of):
+        # white_noise_margin frames a pure state the same way
+        for d in (2, 3, 5):
+            rho = _pure_density(random_pure(d, d, seed=d))
+            for t in (t_range_of(d).lower, 0.5 * t_range_of(d).upper):
+                fam = standard_family(d, t)
+                margin = criteria.white_noise_margin(rho, fam)
+                scale = fam.kappa * d - 1.0
+                for w in (0.0, 0.3, 0.9, 1.0):
+                    dense = _dense_report(rho, t, w)
+                    excess = dense.trace_norm_p - 1.0 - dense.kappa
+                    assert abs(margin(w) - excess) <= 1e-12 * scale, (d, t, w)
+
+    def test_pure_horodecki_bound_equals_its_sweep_row(self, tmp_path):
+        # horodecki_state(0) is a pure product state: `bound` evaluates it in
+        # its Schmidt basis, and the upsilon sweep's stack on the dense frame
+        out = tmp_path / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["bound", "--state", "horodecki", "--upsilon", "0", "--t", "0.08",
+                         "--out", str(out)]) == 0
+        bound = json.loads(out.read_text())
+        row = run_sweep(SweepSpec("upsilon", 0.0, 1.0, 11, "horodecki", fixed={"t": 0.08}))[0]
+        assert row["var"] == 0.0
+        for key in ("traceNormP", "traceNormF", "bound_literal", "bound_derived",
+                    "schmidt_number_lb"):
+            assert abs(bound[key] - row[key]) <= 1e-12 * abs(row[key]) + 1e-15, key
+        for key in ("d", "t", "kappa", "threshold", "verdict"):
+            assert bound[key] == row[key], key

@@ -16,7 +16,9 @@ doubles that ``run_sweep`` and the ``bound`` command's evaluation
 |x - ref| <= 5e-12 |ref| + 1e-15 for traceNormP, traceNormF,
 bound_literal, bound_derived and schmidt_number_lb.  The cases are the
 sweeps of both scripts and of the golden CLI corpus
-(``tests/test_golden.py``), and its ``bound`` calls that succeed.
+(``tests/test_golden.py``), its ``bound`` calls that succeed, and two
+pure states, which the criteria evaluate in their Schmidt basis: the
+corpus's maximally entangled file and a seeded random state at d = 4.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from mumbounds.cli import main
 from mumbounds.criteria import bound_columns, concurrence_lower_bound
 from mumbounds.engine import SweepSpec, make_state, run_sweep
 from mumbounds.mums import standard_family, standard_t_range
-from mumbounds.states import mix_with_white_noise
+from mumbounds.states import mix_with_white_noise, random_pure, save_state
 
 REL, ABS = 5e-12, 1e-15
 FIELDS = ("traceNormP", "traceNormF", "bound_literal", "bound_derived", "schmidt_number_lb")
@@ -102,9 +104,13 @@ def files(tmp_path_factory):
     for argv in (
         f"gen-state --state random --d 3 --seed 7 --out {tmp}/rand.json",
         f"gen-state --state horodecki --upsilon 0.3 --q 0.99 --out {tmp}/h.json",
+        f"gen-state --state max-entangled --d 2 --out {tmp}/me.json",
     ):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv.split()) == 0
+    # a pure state, which the criteria evaluate in its Schmidt basis
+    psi = random_pure(4, 4, seed=11)
+    save_state(np.outer(psi, psi.conj()), tmp / "pure4.json")
     return tmp
 
 
@@ -151,12 +157,17 @@ def test_sweep_rows_carry_exact_digits(name, files):
     assert not failed, "\n".join(failed)
 
 
-# the golden `bound` calls that succeed: (state family, file, parameters, t)
+# the golden `bound` calls that succeed, and two pure states: (state family,
+# file, parameters, t)
 BOUNDS = {
     "bound_tiles": ("tiles", None, {"p": 0.99}, 0.05),
     "bound_horodecki_literal_out": ("horodecki", None, {"upsilon": 0.2, "q": 0.999}, 0.01),
     "bound_tol_zero": ("tiles", None, {"p": 0.9}, 0.05),
     "bound_file": ("file", "rand.json", {"p": 0.5}, -0.03),
+    # the golden call's t = 0.3 lies outside the d = 2 interval and exits 1;
+    # its pure file is held here at an admissible t
+    "bound_max_entangled_file": ("file", "me.json", {}, 0.2),
+    "bound_pure_d4": ("file", "pure4.json", {"p": 0.9}, 0.99 * -0.05719308196045955),
 }
 
 
