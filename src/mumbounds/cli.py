@@ -69,8 +69,8 @@ class _Parser(argparse.ArgumentParser):
         # private _negative_number_matcher (r"^-\d+$|^-\d*\.\d+$" in CPython
         # 3.10 to 3.13) matches it, so -1e-3 and -inf read as missing values.
         # This relies on argparse internals, checked on CPython 3.10 to 3.13;
-        # TestNegativeFloatValues in tests/test_cli.py fails if another
-        # argparse ignores the attribute.
+        # TestNegativeFloatValues in tests/test_cli.py, which CI also runs on
+        # 3.14, fails if another argparse ignores the attribute.
         self._negative_number_matcher = _NEGATIVE_FLOAT
 
     def error(self, message):  # route argparse failures to exit code 1
@@ -94,7 +94,7 @@ def cmd_verify(args) -> int:
     except InadmissibleTError:
         rng = standard_t_range(args.d)
         if args.t != 0.0 and rng.contains(args.t):
-            raise  # a nonzero t below float resolution, where kappa = 1/d
+            raise  # a nonzero t below the floor of kappa d - 1 (mums._family)
         print(
             f"t = {format_value(args.t)} is not admissible; the valid interval is "
             f"[{rng.lower:.6f}, {rng.upper:.6f}] with t nonzero",

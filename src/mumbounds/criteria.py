@@ -41,37 +41,31 @@ Every generator is traceless, so the frame of w*rho + (1 - w)*I/d^2 is w
 times the frame of rho, apart from the corner Tr rho = 1; so are its
 matrix M off the corner and ||Phi'||_tr.  A white-noise weight is a
 coordinate of the evaluation, applied this way alone: no mixed state is
-formed, and weight 1 multiplies by 1.0, which is exact.
-
-The state is realigned as
-``rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d*d, d*d)``, so
-that entry (r, c) of A @ R @ B^T is Tr(rho (X_r x Y_c)) for operator rows
-X of A and Y of B.  Every state passes one front door,
-``states.validate_density`` with the ``density_*`` tolerances, and a
-failure raises ValueError.
+formed, and weight 1 multiplies by 1.0, which is exact.  Every state
+passes one front door, ``states.validate_density`` with the
+``density_*`` tolerances, and a failure raises ValueError.
 
 A pure state is evaluated in its Schmidt basis (``_one_frame``).  Local
 unitaries U x V act on M and Phi' by orthogonal maps that fix vec(I),
 so a report depends on the Schmidt coefficients s alone, and for
 sum_i s_i |ii> the frame is block-diagonal: a d x d core B^T diag(s^2) B
 over [I; sqrt(gamma) D_l], D_l the d - 1 diagonal generators, and two
-1 x 1 blocks +-gamma s_j s_k for each pair j < k.  The core is scaled
-and decomposed as M is, and the pairs add w t^2 pairs to ||M||_tr and
-w pairs to ||Phi'||_tr, pairs = 2 gamma sum_{j<k} s_j s_k.  At w = 1 the
-core adds exactly 1 + kappa.  Only one state is probed, by
+1 x 1 blocks +-gamma s_j s_k for each pair j < k, summing to pairs =
+2 gamma sum_{j<k} s_j s_k.  Only one state is probed, by
 |1 - Tr rho^2| <= ``TOL.purity``; a stack always takes the dense frame.
 
-``bound_columns`` is the one evaluator of a report: it takes a stack of
-states, broadcast against a grid of (t, w) to one axis of points, and
-computes the report fields as arrays, a chunk of bounded memory at a
-time.  A one-state stack is validated and framed once, at weight 1,
-since its frame depends on neither t nor w.  ``concurrence_lower_bound``
-is its one point at a family, and ``white_noise_margin`` the margin of
-one state as a function of w, for the threshold search.  The frame reads
-a family only through d and t, so every evaluator takes one family.
+One rule evaluates a framed state (``_Frame``) at (t, w), so a point
+gives the same double whichever query reaches it: ``_evaluate`` scales
+M by w and takes ``_margins``, and ``_Frame.trace_norm_f`` scales
+||Phi'||_tr; a core's pairs add w t^2 pairs to the excess and ||M||_tr
+and w pairs to ||Phi'||_tr, and at w = 1 the core gives exactly
+1 + kappa.  ``bound_columns``, the one evaluator of a report, applies it
+to each chunk of points, sized by the edge of the frames it scales, and
+``white_noise_margin`` to each weight of a threshold search.
+``concurrence_lower_bound`` is one point of ``bound_columns``.
 ``build_correlation_matrix`` forms C_P of two families that share kappa
 by the plain definition, as the reference the tests hold the frame
-against.
+against; every other evaluator reads a family only through d and t.
 """
 
 from __future__ import annotations
@@ -90,15 +84,16 @@ from .mums import MumFamily, kappa_gap
 from .states import check_weight, validate_density
 
 
-# Largest working set of one stacked evaluation: a 101-point sweep at
-# d = 3 is one chunk, while at d = 16 a chunk holds one point.
+# Largest working set of one stacked evaluation: a chunk holds 462 points
+# of a dense d = 3 frame, one of a d = 16 frame and 146 of its Schmidt core
 _CHUNK_BYTES = 2 << 20
 
 
-def _point_bytes(d: int) -> int:
-    """Bytes one grid point adds to a stacked evaluation: its realigned
-    state, the half product and its frame, complex, and its real M."""
-    return 56 * d**4
+def _point_bytes(edge: int) -> int:
+    """Bytes one grid point adds to a stacked evaluation of frames of this
+    edge: its realigned state, the half product and its frame, complex,
+    and its real M."""
+    return 56 * edge**2
 
 
 def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -119,7 +114,9 @@ def _checked(states: np.ndarray) -> np.ndarray:
 
 
 def _realigned(states: np.ndarray, d: int) -> np.ndarray:
-    """Realign one d^2 x d^2 state, or each of a stack (k, d^2, d^2)."""
+    """Realign one d^2 x d^2 state, or each of a stack (k, d^2, d^2), so
+    that entry (r, c) of A @ R @ B^T is Tr(rho (X_r x Y_c)) for operator
+    rows X of A and Y of B."""
     realigned = states.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2)
     return realigned.reshape(states.shape)
 
@@ -179,36 +176,46 @@ def _pure_vector(rho: np.ndarray) -> np.ndarray | None:
     return rho[:, j] / math.sqrt(rho[j, j].real)
 
 
-def _one_frame(states: np.ndarray, d: int) -> tuple[np.ndarray, float | None]:
-    """The frame of one state, (d^2, d^2) or a one-state stack, validated
-    once, and the sum of its 1x1 pair blocks.
+@dataclass(frozen=True)
+class _Frame:
+    """Validated states framed once: a dense frame of each, or one pure
+    state's Schmidt core and ``pairs`` (None for a dense frame)."""
 
-    A pure state (``_pure_vector``) gives its Schmidt core, of the same
-    leading shape with d x d in place of d^2 x d^2, and 2 gamma
-    sum_{j<k} s_j s_k over its Schmidt coefficients s; a coefficient at
-    or below d eps s_1, numpy's ``matrix_rank`` cutoff, is rounding of
-    zero.  Any other state gives its dense frame (``_frames``) and None.
-    """
-    psi = _pure_vector(_checked(states).reshape(d * d, d * d))
+    frame: np.ndarray
+    pairs: float | None = None
+
+    @functools.cached_property
+    def norm_f(self) -> np.ndarray:
+        """||Phi'||_tr of each frame, taken when first read."""
+        return np.linalg.svd(self.frame[..., 1:, 1:], compute_uv=False).sum(axis=-1)
+
+    def trace_norm_f(self, w) -> np.ndarray:
+        """traceNormF at weight w: w ||Phi'||_tr, plus w pairs for a core."""
+        norm_f = w * self.norm_f
+        return norm_f if self.pairs is None else norm_f + w * self.pairs
+
+
+def _one_frame(rho: np.ndarray, d: int) -> _Frame:
+    """The frame of one (d^2, d^2) state, validated once: its Schmidt
+    core and pairs if it is pure (``_pure_vector``), else its dense frame.
+    A Schmidt coefficient at or below d eps s_1, numpy's ``matrix_rank``
+    cutoff, is rounding of zero."""
+    psi = _pure_vector(_checked(rho))
     if psi is None:
-        return _frames(states, d), None
+        return _Frame(_frames(rho, d))
     s = schmidt_decompose(psi, d, d).coefficients
     s = np.where(s > d * np.finfo(float).eps * s[0], s, 0.0)
     rows = _diagonal_rows(d)
     core = (rows * (s * s)) @ rows.T
     after = np.cumsum(s[::-1])[::-1]  # sum_{k >= j} s_k, a sum of non-negative terms
     pairs = 2.0 * d * (1.0 + math.sqrt(d)) ** 2 * float(s[:-1] @ after[1:])
-    return core.reshape(*states.shape[:-2], d, d), pairs
+    return _Frame(core, pairs)
 
 
 def _frame_matrices(d: int, frames: np.ndarray, t) -> np.ndarray:
-    """The matrices M of frames at sharpness ``t``, with their corner left
-    at zero: rows and columns scaled by (sqrt(n)/d, t, ..., t).
-
-    ``frames`` (..., k, k), dense (k = d^2) or Schmidt cores (k = d),
-    broadcasts against ``t`` (...), so one frame may meet a grid of t,
-    or a stack of frames one t.
-    """
+    """The matrices M of frames (..., k, k) at sharpness ``t`` (...), their
+    rows and columns scaled by (sqrt(n)/d, t, ..., t) and their corner left
+    at zero; one frame may meet a grid of t, or a stack of frames one t."""
     t = np.asarray(t, dtype=float)
     scales = np.empty((*t.shape, frames.shape[-1]))
     scales[..., 0] = math.sqrt(d * (d + 1)) / d
@@ -234,32 +241,37 @@ def _margins(d: int, m: np.ndarray, gap) -> tuple[np.ndarray, np.ndarray]:
     return top + rest - gap, c0 + top + rest
 
 
+def _evaluate(d: int, framed: _Frame, m: np.ndarray, t, w, gap) -> tuple:
+    """(excess, traceNormP) of w*rho + (1 - w)*I/d^2 from the frame of
+    rho and its matrices ``m`` at ``t`` (``_frame_matrices``, left
+    unchanged), with t, w and ``gap`` = kappa - 1/d broadcast to the
+    points.  A core's pairs add w t^2 pairs, and at w = 1 the core adds
+    exactly 1 + kappa, which its SVD gives only to rounding."""
+    w = np.asarray(w, dtype=float)
+    excess, norm_p = _margins(d, m * w[..., None, None], gap)
+    if framed.pairs is None:
+        return excess, norm_p
+    lift = w * t * t * framed.pairs
+    whole = w == 1.0
+    return (
+        np.where(whole, 0.0, excess) + lift,
+        np.where(whole, 1.0 + (1.0 / d + gap), norm_p) + lift,
+    )
+
+
 def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], float]:
     """The margin of w*rho + (1 - w)*I/d^2 as a function of the weight w:
     the excess of its probability correlation trace norm over 1 + kappa.
 
-    The state is validated and framed once (``_one_frame``), and each call
-    scales M off the corner by w, as ``bound_columns`` does: one SVD, and
-    none at w = 0, where M is c0 on its corner alone and the margin is
-    -gap.  A pure state's pair blocks add w t^2 times their sum, and at
-    w = 1 its core adds exactly 1 + kappa, so its margin there is that
-    term alone.
+    The state is framed once (``_one_frame``), and each weight is one
+    ``_evaluate``, the double of its ``bound_columns`` point; at w = 0
+    the margin is -gap, which M's SVD would give, and none is taken.
     """
     d = fam.d
-    frame, pairs = _one_frame(_as_state(rho, d * d), d)
-    m = _frame_matrices(d, frame, fam.t)
+    framed = _one_frame(_as_state(rho, d * d), d)
+    m = _frame_matrices(d, framed.frame, fam.t)
     gap = kappa_gap(d, fam.t)
-    if pairs is None:
-        return lambda w: float(-gap if w == 0.0 else _margins(d, w * m, gap)[0])
-    lift = fam.t * fam.t * pairs
-    return lambda w: float(
-        -gap if w == 0.0 else lift if w == 1.0 else _margins(d, w * m, gap)[0] + w * lift
-    )
-
-
-def _norm_f(frames: np.ndarray) -> np.ndarray:
-    """||Phi'||_tr = ||Phi||_tr of each frame."""
-    return np.linalg.svd(frames[..., 1:, 1:], compute_uv=False).sum(axis=-1)
+    return lambda w: float(-gap if w == 0.0 else _evaluate(d, framed, m, fam.t, w, gap)[0])
 
 
 @dataclass(frozen=True)
@@ -358,18 +370,18 @@ class BoundReport:
         return {key: getattr(self, f.name) for key, f in zip(("d", *_COLUMNS), fields(self))}
 
 
-# BoundReport fields after d, in order, keyed as BoundReport.as_dict: the
-# columns of a grid
+# the columns of a grid: BoundReport fields after d, keyed as in as_dict
 _COLUMNS = (
     "t", "kappa", "traceNormP", "traceNormF", "threshold",
     "bound_literal", "bound_derived", "schmidt_number_lb", "verdict",
 )
 
 
-def chunk_points(d: int) -> int:
-    """Grid points in one stacked evaluation at d, so that a chunk's working
+def chunk_points(edge: int) -> int:
+    """Grid points in one stacked evaluation of frames of this edge, d^2
+    for a dense frame and d for a Schmidt core, so that a chunk's working
     set stays within ``_CHUNK_BYTES``; at least one."""
-    return max(1, _CHUNK_BYTES // _point_bytes(d))
+    return max(1, _CHUNK_BYTES // _point_bytes(edge))
 
 
 def bound_columns(
@@ -388,11 +400,10 @@ def bound_columns(
     be admissible at d, as ``mums.standard_grid`` checks.  One list per
     ``BoundReport`` field after d, keyed as ``BoundReport.as_dict``, with
     one entry per point in order; a clamped bound is +0.0, never -0.0.
-    A one-state stack is validated and framed once (``_one_frame``), and
-    its ||Phi'||_tr taken once, since its frame depends on neither t nor
-    w; a pure one is framed in its Schmidt basis.  A longer stack is
-    validated and contracted one chunk at a time and never probed for
-    purity.  Each chunk of points is one batched SVD.
+    A one-state stack is framed once (``_one_frame``), and its
+    ||Phi'||_tr taken once; a longer stack is validated and framed a
+    chunk at a time, densely.  Each chunk is one ``_evaluate``, one
+    batched SVD, of at most ``chunk_points`` points for its frame's edge.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
@@ -405,34 +416,17 @@ def bound_columns(
     ts = np.broadcast_to(np.asarray(ts, dtype=float), points)
     weights = np.broadcast_to(np.asarray(weights, dtype=float), points)
 
-    def frames_of(stack):
-        frames = _frames(_checked(stack), d)
-        return frames, _norm_f(frames)
-
-    one, pairs = None, None
-    if len(states) == 1:
-        frame, pairs = _one_frame(states, d)
-        one = frame, _norm_f(frame)
-    step = chunk_points(d)
+    one = _one_frame(states[0], d) if len(states) == 1 else None
+    step = chunk_points(d * d if one is None else one.frame.shape[-1])
     gap = kappa_gap(d, ts)
     excess, norm_p, norm_f = (np.empty(points) for _ in range(3))
     for start in range(0, len(ts), step):
         part = slice(start, start + step)
-        frames, frame_norm_f = one or frames_of(states[part])
-        m = _frame_matrices(d, frames, ts[part])
-        m *= weights[part, None, None]
-        excess[part], norm_p[part] = _margins(d, m, gap[part])
-        norm_f[part] = weights[part] * frame_norm_f
+        framed = one or _Frame(_frames(_checked(states[part]), d))
+        m = _frame_matrices(d, framed.frame, ts[part])
+        excess[part], norm_p[part] = _evaluate(d, framed, m, ts[part], weights[part], gap[part])
+        norm_f[part] = framed.trace_norm_f(weights[part])
     kappa = 1.0 / d + gap  # kappa_of_t
-    if pairs is not None:
-        # a Schmidt core: its pair blocks add w pairs to ||Phi'||_tr and
-        # w t^2 pairs to the excess and ||M||_tr, and at w = 1 the core adds
-        # exactly 1 + kappa, which its SVD gives only to rounding
-        norm_f += weights * pairs
-        lift = weights * ts * ts * pairs
-        whole = weights == 1.0
-        excess = np.where(whole, 0.0, excess) + lift
-        norm_p = np.where(whole, 1.0 + kappa, norm_p) + lift
     scale = d * gap  # kappa d - 1
     derived = np.sqrt(2.0 * (d - 1.0) / d) * excess / scale
     literal = np.sqrt(2.0 * (d - 1.0) / (d * scale)) * excess
@@ -457,8 +451,7 @@ def concurrence_lower_bound(
     Every separable state stays below 1 + kappa, so "entangled" is
     conclusive while "undetected" is not.  ``tol`` must be finite and
     non-negative.  The report is the one point of ``bound_columns`` for
-    the one-state stack of ``rho`` at the family's t and weight 1; the
-    family is read only through d and t.
+    ``rho`` at the family's t and weight 1.
     """
     columns = bound_columns(_as_state(rho, fam.d**2)[None], fam.t, tol)
     return BoundReport(fam.d, *(column[0] for column in columns.values()))

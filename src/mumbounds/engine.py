@@ -6,30 +6,30 @@ which the separability criterion starts detecting.  Invalid requests
 raise ``UsageError``.
 
 Each query touches its state once.  Every evaluation goes through the
-frame of ``mumbounds.criteria``, which depends only on d: one
-contraction per state and one SVD per point, and no path forms the
-probability correlation matrix.  A query on one pure state, such as a
-file of psi psi^dagger or the Horodecki state at upsilon = 0, is
-evaluated in its Schmidt basis: one Schmidt decomposition, and a d x d
-SVD per point in place of a d^2 x d^2 one.  A sweep is evaluated as columns, a
-chunk of points at a time, and only its rows are built per point.  The Gell-Mann blocks and
-t-interval of a dimension are built on its first query and memoised
-(``mums.standard_family``).
+frame of ``mumbounds.criteria``, which depends only on d, and one rule
+evaluates it, so a point gives the same double in ``bound``, a sweep
+or a threshold search; no path forms the probability correlation
+matrix.  A query on one pure state, such as a file of psi psi^dagger or
+the Horodecki state at upsilon = 0, is evaluated in its Schmidt basis,
+a d x d core in place of the d^2 x d^2 frame.  A sweep is evaluated as
+columns, a chunk of points per SVD, sized by the frame's edge (one
+chunk for a 21-point d = 16 pure sweep), and only its rows are built
+per point.  The Gell-Mann blocks and t-interval of a dimension are built
+on its first query and memoised (``mums.standard_family``).  A t of 0,
+where kappa = 1/d at every d, is rejected before the state is built or
+loaded (``check_nonzero_t``).
 
-A t of 0, where kappa = 1/d at every d, is rejected before the state is
-built or loaded (``check_nonzero_t``).
 Every query builds its state at weight 1 (``make_state``) and treats a
 white-noise weight as a coordinate of the evaluation, which scales the
 frame; no query forms a mixed state.  Every sweep and ``bound`` go
 through one column evaluator, ``criteria.bound_columns``: a t-sweep or a
-sweep of the family's one weight (``weight_name``) contracts its one
-state once, a t-sweep checking its grid as one array
-(``mums.standard_grid``) and a weight sweep passing its grid as the
-weights.  An upsilon sweep builds one stack of Horodecki states per
-chunk, one broadcast of ``horodecki_state``, and evaluates each stack at
-its one family, so its memory stays bounded.  A threshold query
-contracts the state once, and each weight of the search is one SVD
-(``criteria.white_noise_margin``).
+sweep of the family's one weight (``weight_name``) frames its one state
+once, a t-sweep checking its grid as one array (``mums.standard_grid``)
+and a weight sweep passing its grid as the weights.  An upsilon sweep
+builds one stack of Horodecki states per chunk, one broadcast of
+``horodecki_state``, and evaluates each stack at its one family, so its
+memory stays bounded.  A threshold query frames the state once, and
+each weight of the search is one SVD (``criteria.white_noise_margin``).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         probe, q = make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(grid[0])})
         d = infer_d(probe.shape[0])
         t = family_for(d, fixed["t"]).t
-        step = chunk_points(d)
+        step = chunk_points(d * d)
         columns = {}
         for start in range(0, len(grid), step):
             # one stack of states per chunk, built as the chunk is evaluated

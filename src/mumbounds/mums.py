@@ -128,10 +128,16 @@ class InadmissibleTError(ValueError):
     """A t value outside the admissible interval of its blocks, or degenerate."""
 
 
+# Smallest kappa d - 1 = d kappa_gap, which scales the excess: its rounding,
+# eps times it, stays a normal double (|t| > 1.5e-147 at d = 3)
+_GAP_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
 def _family(t: float, blocks: np.ndarray, rng: TInterval) -> MumFamily:
-    """The family of blocks at t; InadmissibleTError unless kappa*d > 1 and t is in rng."""
+    """The family of blocks at t; InadmissibleTError unless t is in rng and
+    kappa d - 1 exceeds ``_GAP_FLOOR``."""
     d = blocks.shape[-1]
-    if kappa_of_t(d, t) * d <= 1.0:  # t = 0 or below float resolution
+    if d * kappa_gap(d, t) <= _GAP_FLOOR:  # t = 0 or below the floor
         raise InadmissibleTError(
             f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement"
         )
@@ -186,7 +192,7 @@ def standard_grid(d: int, ts) -> np.ndarray:
     ``standard_family(d, t)`` gives for it."""
     blocks, rng = _standard_blocks(d)
     ts = np.asarray(ts, dtype=float)
-    admissible = (kappa_of_t(d, ts) * d > 1.0) & rng.contains(ts)
+    admissible = (d * kappa_gap(d, ts) > _GAP_FLOOR) & rng.contains(ts)
     if not admissible.all():
         _family(float(ts[np.argmin(admissible)]), blocks, rng)  # raises for that t
     return ts

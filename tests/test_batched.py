@@ -155,12 +155,12 @@ def test_d16_t_sweep(tmp_path, t_range_of):
 @pytest.mark.parametrize("points_per_chunk", [1, 2, 3])
 def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     # 7 points split into chunks of 1, 2 and 3, with a short last chunk
-    monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(3))
+    monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(9))
     contractions = []
     original = criteria._contract
 
     def counted(realigned, rows_a, rows_b):
-        contractions.append(len(realigned))
+        contractions.append(math.prod(realigned.shape[:-2]))  # states contracted
         return original(realigned, rows_a, rows_b)
 
     monkeypatch.setattr(criteria, "_contract", counted)
@@ -270,6 +270,13 @@ def _separable_file(tmp_path):
     return str(path)
 
 
+def _pure_file(tmp_path):
+    path = tmp_path / "pure.json"
+    psi = random_pure(3, 3, seed=5)
+    save_state(np.outer(psi, psi.conj()), path)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "make_spec, detected",
     [
@@ -285,8 +292,15 @@ def _separable_file(tmp_path):
                                     file=_separable_file(tmp)), 0),
         (lambda tmp, rng: SweepSpec("p", 0.0, 1.0, 41, "file", fixed={"t": rng.upper},
                                     file=_separable_file(tmp)), 0),
+        # a pure state's Schmidt core: the threshold search's margin is the
+        # sweep's excess, bit for bit
+        (lambda tmp, rng: SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 40, "file",
+                                    file=_pure_file(tmp)), 40),
+        (lambda tmp, rng: SweepSpec("p", 0.0, 1.0, 101, "file", fixed={"t": 0.5 * rng.upper},
+                                    file=_pure_file(tmp)), 68),
     ],
-    ids=["tiles", "tiles-undetected", "horodecki", "horodecki-q", "separable-t", "separable-p"],
+    ids=["tiles", "tiles-undetected", "horodecki", "horodecki-q", "separable-t", "separable-p",
+         "pure-t", "pure-p"],
 )
 def test_columns_equal_the_scalar_formulas(make_spec, detected, tmp_path, t_range_of):
     spec = make_spec(tmp_path, t_range_of(3))
@@ -314,7 +328,7 @@ def _first_inadmissible(grid):
 
 @pytest.mark.parametrize(
     "start, stop, steps",
-    [(-0.05, 0.1, 7), (0.05, 0.3, 6), (-0.3, 0.1, 9)],
+    [(-0.1, 0.1, 5), (0.05, 0.3, 6), (-0.3, 0.1, 9)],
     ids=["zero-in-the-middle", "beyond-upper", "below-lower"],
 )
 def test_inadmissible_t_in_a_grid(start, stop, steps):

@@ -18,7 +18,8 @@ The other report fields follow from T through the scalar
 which is traceNormP - (1 + kappa) divided by b^2: bound_derived =
 sqrt(2/(d(d - 1))) max(0, m_x), bound_literal = bound_derived
 sqrt(kappa d - 1), schmidt_number_lb = max(1, 1 + m_x), and the verdict
-is "entangled" exactly when b^2 m_x exceeds the verdict tolerance.  These
+is "entangled" exactly when b^2 m_x, the excess, exceeds the verdict
+tolerance times kappa d - 1, that is, when m_x exceeds it times d - 1.  These
 agree with the report to 1e-12 (1 + |m_x|) absolute; the largest
 difference measured at d = 2..8 and 16 is 2.5e-13, on the Schmidt bound
 at d = 16, where m_x is about 10.
@@ -84,12 +85,23 @@ def certified_norms(rho: np.ndarray, d: int, kappa: float) -> tuple[float, float
 
 
 def certified_margin(rho: np.ndarray, d: int, kappa: float) -> float:
-    """m_x = ||D_x T D_x||_tr - x^2/d - (d - 1)/d from T and kappa alone."""
+    """m_x = ||D_x T D_x||_tr - x^2/d - (d - 1)/d from T and kappa alone.
+
+    The corner of A = D_x T D_x is x^2/d for a unit-trace state, and x^2
+    grows like 1/(kappa d - 1), so sigma_1 - x^2/d is taken without
+    cancellation, as (||A||_F^2 - (x^2/d)^2 - sum_{i>=2} sigma_i^2) /
+    (sigma_1 + x^2/d) with the first difference summed off the corner.
+    """
     x2 = (d * d - 1.0) / (kappa * d - 1.0)
     dx = np.ones(d * d)
     dx[0] = np.sqrt(x2)
     scaled = dx[:, None] * correlation_tensor(rho, d) * dx[None, :]
-    return _trace_norm(scaled) - x2 / d - (d - 1.0) / d
+    scaled[0, 0] = 0.0
+    off_corner = float((scaled * scaled).sum())
+    scaled[0, 0] = corner = x2 / d
+    sigma = np.linalg.svd(scaled, compute_uv=False)
+    top = (off_corner - float(sigma[1:] @ sigma[1:])) / (sigma[0] + corner)
+    return top + float(sigma[1:].sum()) - (d - 1.0) / d
 
 
 def _assert_certified(rho, fam):
@@ -106,7 +118,9 @@ def _assert_certified(rho, fam):
     assert abs(report.bound_literal - derived * np.sqrt(kappa * d - 1.0)) <= tol
     assert abs(report.schmidt_number_lb - max(1.0, 1.0 + m_x)) <= tol
     excess = (kappa * d - 1.0) / (d - 1.0) * m_x
-    assert report.verdict == ("entangled" if excess > TOL.verdict else "undetected")
+    assert report.verdict == (
+        "entangled" if excess > TOL.verdict * (kappa * d - 1.0) else "undetected"
+    )
 
 
 def _random_unitary(d: int, seed: int) -> np.ndarray:
@@ -137,6 +151,23 @@ def test_trace_norms_equal_the_correlation_tensor_forms(d, family, t_range_of):
     for rho in _states(d).values():
         for t in (0.5 * rng.lower, 0.9 * rng.upper):
             _assert_certified(rho, family(d, t))
+
+
+def test_verdict_cutoff_scales_with_kappa(family, t_range_of):
+    # the isotropic state just above F = 1/d, at a small t: its excess, about
+    # 3e-13, lies below the tolerance but above it times kappa d - 1, so the
+    # report and its positive bound say "entangled"
+    d, fidelity = 3, (1.0 + 1e-6) / 3.0
+    psi = np.eye(d).reshape(d * d) / np.sqrt(d)
+    proj = np.outer(psi, psi)
+    rho = fidelity * proj + (1.0 - fidelity) / (d * d - 1) * (np.eye(d * d) - proj)
+    fam = family(d, 1e-3 * t_range_of(d).upper)
+    excess = (fam.kappa * d - 1.0) / (d - 1.0) * certified_margin(rho, d, fam.kappa)
+    assert TOL.verdict * (fam.kappa * d - 1.0) < excess < TOL.verdict
+    report = concurrence_lower_bound(rho, fam)
+    assert report.verdict == "entangled"
+    assert report.bound_derived == pytest.approx(5.77e-7, rel=1e-3)
+    _assert_certified(rho, fam)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])

@@ -19,7 +19,8 @@ from mumbounds.engine import (
     format_value,
     run_threshold,
 )
-from mumbounds.states import StateFileError, load_state, save_state
+from mumbounds.mums import standard_family
+from mumbounds.states import StateFileError, load_state, save_state, tiles_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,6 +78,18 @@ class TestKappaAndRange:
         assert code == 0
         assert parse_kv(out)["t_admissible"] == "no"
         assert run(capsys, "verify", "--d", "3", "--t", t)[0] == 1
+
+    def test_tiny_t_is_admissible(self, capsys, tmp_path):
+        # kappa d rounds to 1 at t = 1e-9, but kappa - 1/d does not, and
+        # `bound` gives the bound of t = 1e-7 to 1e-12
+        assert parse_kv(run(capsys, "kappa", "--d", "3", "--t", "1e-9")[1])["t_admissible"] == "yes"
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "bound", "--state", "tiles", "--t", "1e-9", "--out", str(out))
+        assert code == 0, err
+        near = criteria.concurrence_lower_bound(tiles_state(), standard_family(3, 1e-7))
+        got = json.loads(out.read_text())
+        assert got["t"] == 1e-9 and got["verdict"] == "entangled"
+        assert abs(got["bound_derived"] - near.bound_derived) <= 1e-12 * near.bound_derived
 
     @pytest.mark.parametrize("end", [None, "lower", "upper"])
     def test_admissible_t_and_exact_endpoints(self, capsys, t_range_of, end):
@@ -237,15 +250,20 @@ class TestSweep:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_near_zero_t_grid_rejected(self, capsys, tmp_path):
-        # a grid point at t ~ 1e-17 is numerically the degenerate family
-        code, _, err = run(
-            capsys, "sweep", "--state", "tiles", "--var", "t",
-            "--start", "-0.05", "--stop", "0.1", "--steps", "7",
-            "--p", "0.99", "--out", str(tmp_path / "x.csv"),
-        )
+    def test_zero_t_grid_rejected_and_near_zero_evaluated(self, capsys, tmp_path):
+        # a grid point at t = 0 is the degenerate family; one at 6.9e-18, the
+        # rounding of a grid through zero, is not, and gives the bound of small t
+        argv = ["sweep", "--state", "tiles", "--var", "t", "--p", "0.99",
+                "--out", str(tmp_path / "x.csv")]
+        code, _, err = run(capsys, *argv, "--start", "-0.1", "--stop", "0.1", "--steps", "5")
         assert code == 1
-        assert "inadmissible" in err
+        assert "inadmissible: t = 0.0 gives kappa = 1/d" in err
+        code, _, err = run(capsys, *argv, "--start", "-0.05", "--stop", "0.1", "--steps", "7")
+        assert code == 0, err
+        row = (tmp_path / "x.csv").read_text().splitlines()[3].split(",")
+        near = criteria.bound_columns(tiles_state()[None], 1e-7, weights=0.99)
+        assert float(row[0]) == pytest.approx(6.938893903907228e-18, rel=1e-11)
+        assert float(row[6]) == pytest.approx(near["bound_derived"][0], rel=1e-11)
 
     def test_two_step_degenerate_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "two.csv"

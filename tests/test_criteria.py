@@ -452,6 +452,17 @@ class TestColumns:
             assert report.trace_norm_p == pytest.approx(expect.trace_norm_p, abs=1e-15)
             assert report.verdict == expect.verdict == "undetected"
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_tiny_t_gives_the_bound_of_small_t(self, d):
+        # down to the smallest admissible t, where kappa d - 1 is 1/eps above
+        # the smallest normal double, the excess keeps its relative precision
+        rho = tiles_state() if d == 3 else random_density(d * d, rank=2, seed=d)
+        smallest = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps / (d * kappa_gap(d, 1.0)))
+        ts = standard_grid(d, [1e-7, 1e-9, 1e-100, 1.01 * smallest, -1.01 * smallest])
+        bounds = np.array(bound_columns(rho[None], ts)["bound_derived"])
+        assert bounds[0] > 0.0
+        assert np.abs(bounds[1:] - bounds[0]).max() <= 1e-12 * bounds[0], bounds
+
     def test_weights_outside_unit_interval_rejected(self, family):
         fam = family(3, 0.05)
         for bad in (-0.1, 1.5, np.nan):
@@ -582,7 +593,7 @@ class TestSchmidtPath:
         for eps, pure in ((0.9 * at_cutoff, True), (1.1 * at_cutoff, False)):
             rho = mix_with_white_noise(_pure_density(psi), 1.0 - eps)
             assert bool(abs(1.0 - np.vdot(rho, rho).real) <= TOL.purity) is pure
-            assert (criteria._one_frame(rho, d)[1] is not None) is pure
+            assert (criteria._one_frame(rho, d).pairs is not None) is pure
             for w in (1.0, 0.9, 0.3):
                 got = _reports(d, bound_columns(rho[None], ts, weights=w))
                 for report, t in zip(got, ts):

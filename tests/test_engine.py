@@ -286,8 +286,8 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     # one chunk holds a whole d = 3 grid; 10 points a chunk gives 11 and 9 chunks
     path = _state_file(tmp_path)
     if points_per_chunk is not None:
-        monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(3))
-    step = criteria.chunk_points(3)
+        monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(9))
+    step = criteria.chunk_points(9)
     calls = Counter()
 
     def count(module, name):
@@ -365,6 +365,33 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["gen-state", "--state", "tiles", "--p", "0.9", "--out", str(tmp_path / "g.json")])
     assert mixed == ["mumbounds.cli"]
+
+
+def test_a_pure_sweep_is_one_core_call(monkeypatch, tmp_path):
+    # a chunk is sized by the edge of the frame it scales: a 21-point d = 16
+    # sweep of a pure state is one batched SVD of its 16 x 16 Schmidt core,
+    # where a dense 256 x 256 frame takes one point a chunk
+    d = 16
+    path = tmp_path / "pure-16.json"
+    psi = random_pure(d, d, seed=3)
+    save_state(np.outer(psi, psi.conj()), path)
+    shapes = []
+    original = criteria._margins
+
+    def counted(dim, m, gap):
+        shapes.append(m.shape)
+        return original(dim, m, gap)
+
+    monkeypatch.setattr(criteria, "_margins", counted)
+    rng = mums.standard_t_range(d)
+    for spec in (
+        SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 21, "file", file=str(path)),
+        SweepSpec("p", 0.0, 1.0, 21, "file", fixed={"t": 0.5 * rng.upper}, file=str(path)),
+    ):
+        shapes.clear()
+        run_sweep(spec)
+        assert shapes == [(21, d, d)], spec
+    assert criteria.chunk_points(d * d) == 1
 
 
 def test_an_invalid_file_state_is_decided_by_eigvalsh(monkeypatch, tmp_path):
@@ -483,13 +510,14 @@ def test_isotropic_states_are_detected_exactly_above_one_over_d_plus_one(d, tmp_
 
 def test_cli_imports_only_numpy_beyond_the_standard_library():
     # what `import mumbounds.cli` adds to a fresh interpreter, beyond the
-    # modules that its start-up had already loaded; and the test extras,
-    # mpmath and hypothesis, are not loaded at all
+    # modules that its start-up had already loaded; and neither orjson, which
+    # the first `load_state` imports, nor the test extras mpmath, hypothesis
+    # and scipy are loaded at all, so that every CLI start skips them
     code = (
         "import sys; before = set(sys.modules); import mumbounds.cli; "
         "added = {name.split('.')[0] for name in set(sys.modules) - before}; "
         "print(' '.join(sorted(added - set(sys.stdlib_module_names)))); "
-        "print(sorted({'mpmath', 'hypothesis'} & set(sys.modules)))"
+        "print(sorted({'orjson', 'mpmath', 'hypothesis', 'scipy'} & set(sys.modules)))"
     )
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr

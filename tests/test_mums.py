@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from mumbounds.mums import (
     InadmissibleTError,
     build_f_blocks,
     build_mums,
+    kappa_gap,
     kappa_of_t,
     optimal_kappa,
     standard_family,
+    standard_grid,
     swap_operator,
     t_interval,
     two_design_residual,
@@ -153,6 +156,23 @@ class TestStandardFamilyGrid:
             [standard_family(3, t) for t in (0.01, 0.2, 0.0, 0.3)]
         with pytest.raises(InadmissibleTError, match=r"t = 0\.0 gives kappa"):
             [standard_family(3, t) for t in (0.01, 0.0, 0.2)]
+
+    @pytest.mark.parametrize("d, floor", [(2, 2.9e-147), (3, 1.5e-147), (16, 1.3e-148)])
+    def test_smallest_t_is_set_by_the_gap(self, d, floor):
+        # kappa d rounds to 1 far above the floor (at t = 1e-12), but kappa d - 1
+        # = d kappa_gap, which the criteria divide by, stays at least 1/eps
+        # times the smallest normal double down to the floor
+        smallest = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps / (d * kappa_gap(d, 1.0)))
+        assert smallest == pytest.approx(floor, rel=0.02)
+        assert kappa_of_t(d, 1e-12) * d == 1.0
+        for t in (1e-12, 1.01 * smallest, -1.01 * smallest):
+            assert standard_family(d, t).t == t
+        ts = [1e-9, 1.01 * smallest, 0.99 * smallest, 0.0]
+        with pytest.raises(InadmissibleTError, match=r"gives kappa = 1/d"):
+            standard_grid(d, ts)
+        for t in (0.99 * smallest, -0.99 * smallest, 1e-154, 1e-300, 0.0):
+            with pytest.raises(InadmissibleTError, match=rf"t = {t!r} gives kappa = 1/d"):
+                standard_family(d, t)
 
     def test_build_mums_has_its_own_equal_blocks(self, t_range_of):
         fam = build_mums(standard_basis(3), 0.05)
