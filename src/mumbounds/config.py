@@ -17,9 +17,8 @@ class Tolerances:
     density_hermiticity: float = 1e-12  # every density check: files and the criteria
     density_trace: float = 1e-12
     density_psd: float = 1e-10          # min eigenvalue >= -density_psd
-    purity: float = 1e-14               # |1 - Tr rho^2| <= purity: evaluated in its Schmidt basis
+    purity: float = 1e-14               # |1 - Tr rho^2| <= purity: the pure closed forms
     correlation_imaginary: float = 1e-10  # largest imaginary part of a correlation entry
-    schmidt_rank: float = 1e-9          # singular values above this count toward rank
     mum_relations: float = 1e-9
     kappa_match: float = 1e-12          # kappa of the two families of a correlation matrix
     verdict: float = 1e-9               # entangled: excess over 1 + kappa > verdict*(kappa d - 1)

@@ -45,23 +45,29 @@ formed, and weight 1 multiplies by 1.0, which is exact.  Every state
 passes one front door, ``states.validate_density`` with the
 ``density_*`` tolerances, and a failure raises ValueError.
 
-A pure state is evaluated in its Schmidt basis (``_one_frame``).  Local
-unitaries U x V act on M and Phi' by orthogonal maps that fix vec(I),
-so a report depends on the Schmidt coefficients s alone, and for
-sum_i s_i |ii> the frame is block-diagonal: a d x d core B^T diag(s^2) B
-over [I; sqrt(gamma) D_l], D_l the d - 1 diagonal generators, and two
-1 x 1 blocks +-gamma s_j s_k for each pair j < k, summing to pairs =
-2 gamma sum_{j<k} s_j s_k.  Only one state is probed, by
-|1 - Tr rho^2| <= ``TOL.purity``; a stack always takes the dense frame.
+A pure state takes closed forms and no frame.  Local unitaries U x V
+act on M and Phi' by orthogonal maps that fix vec(I), so its report
+depends on its Schmidt coefficients s alone (Chen, Albeverio and Fei,
+PRL 95, 040504, 2005).  For sum_i s_i |ii> the frame is block-diagonal:
+a Gram matrix over I and the d - 1 diagonal generators, and two 1 x 1
+blocks +-gamma s_j s_k for each pair j < k, which sum to pairs =
+2 gamma sum_{j<k} s_j s_k (``_pair_sum``).  At every w in [0, 1] the
+Gram part of M and of Phi' is positive semidefinite, so its trace norm
+is its trace, c0 + w gap and w K with K = (1 + sqrt(d))^2 (d - 1):
 
-One rule evaluates a framed state (``_Frame``) at (t, w), so a point
-gives the same double whichever query reaches it: ``_evaluate`` scales
-M by w and takes ``_margins``, and ``_Frame.trace_norm_f`` scales
-||Phi'||_tr; a core's pairs add w t^2 pairs to the excess and ||M||_tr
-and w pairs to ||Phi'||_tr, and at w = 1 the core gives exactly
-1 + kappa.  ``bound_columns``, the one evaluator of a report, applies it
-to each chunk of points, sized by the edge of the frames it scales, and
-``white_noise_margin`` to each weight of a threshold search.
+    excess = w t^2 pairs - (1 - w) gap,
+    traceNormP = 1 + (1/d + w gap) + w t^2 pairs,
+    traceNormF = w K + w pairs            (``_pure_columns``).
+
+A state is pure when |1 - Tr rho^2| <= ``TOL.purity``: one ``np.vdot``
+for a lone state, one batched product per chunk of a stack.
+
+One rule per state evaluates each point (t, w), so a point gives the
+same double whichever query reaches it: the closed forms of a pure
+state, or ``_margins`` of a mixed state's M scaled by w
+(``_weighted_margins``) and w ||Phi'||_tr.  ``bound_columns``, the one
+evaluator of a report, applies it to each chunk of ``chunk_points(d)``
+points, and ``white_noise_margin`` to each weight of a threshold search.
 ``concurrence_lower_bound`` is one point of ``bound_columns``.
 ``build_correlation_matrix`` forms C_P of two families that share kappa
 by the plain definition, as the reference the tests hold the frame
@@ -85,15 +91,14 @@ from .states import check_weight, validate_density
 
 
 # Largest working set of one stacked evaluation: a chunk holds 462 points
-# of a dense d = 3 frame, one of a d = 16 frame and 146 of its Schmidt core
+# at d = 3 and one at d = 16
 _CHUNK_BYTES = 2 << 20
 
 
-def _point_bytes(edge: int) -> int:
-    """Bytes one grid point adds to a stacked evaluation of frames of this
-    edge: its realigned state, the half product and its frame, complex,
-    and its real M."""
-    return 56 * edge**2
+def _point_bytes(d: int) -> int:
+    """Bytes one grid point adds to a stacked evaluation at d: its realigned
+    state, the half product and its frame, complex, and its real M."""
+    return 56 * d**4
 
 
 def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -154,62 +159,33 @@ def _frames(states: np.ndarray, d: int) -> np.ndarray:
     return _contract(_realigned(states, d), rows, rows)
 
 
-@functools.lru_cache(maxsize=4)
-def _diagonal_rows(d: int) -> np.ndarray:
-    """The rows of the Schmidt core at d, read-only and built once per d:
-    the diagonal of I, then sqrt(gamma) times that of each of the d - 1
-    diagonal Gell-Mann generators, which ``gellmann_generators`` lists
-    last; shape (d, d)."""
-    diagonals = [g.diagonal().real for g in gellmann_generators(d)[d * (d - 1):]]
-    rows = np.stack([np.ones(d), *(math.sqrt(d) * (1.0 + math.sqrt(d)) * x for x in diagonals)])
-    rows.setflags(write=False)
-    return rows
+def _is_pure(rho: np.ndarray) -> bool:
+    """Whether the validated state ``rho`` has |1 - Tr rho^2| <= ``TOL.purity``."""
+    return bool(abs(1.0 - np.vdot(rho, rho).real) <= TOL.purity)
 
 
-def _pure_vector(rho: np.ndarray) -> np.ndarray | None:
-    """psi with rho = psi psi^dagger, up to a phase, when the validated
-    state ``rho`` has |1 - Tr rho^2| <= ``TOL.purity``, else None: the
-    column of the largest diagonal entry over that entry's square root."""
-    if abs(1.0 - np.vdot(rho, rho).real) > TOL.purity:
-        return None
+def _pair_sum(rho: np.ndarray, d: int) -> float:
+    """pairs = 2 gamma sum_{j<k} s_j s_k of a validated pure state rho =
+    psi psi^dagger, with psi the column of its largest diagonal entry over
+    that entry's square root.  A Schmidt coefficient at or below d eps s_1,
+    numpy's ``matrix_rank`` cutoff, is rounding of zero."""
     j = int(np.argmax(rho.diagonal().real))
-    return rho[:, j] / math.sqrt(rho[j, j].real)
-
-
-@dataclass(frozen=True)
-class _Frame:
-    """Validated states framed once: a dense frame of each, or one pure
-    state's Schmidt core and ``pairs`` (None for a dense frame)."""
-
-    frame: np.ndarray
-    pairs: float | None = None
-
-    @functools.cached_property
-    def norm_f(self) -> np.ndarray:
-        """||Phi'||_tr of each frame, taken when first read."""
-        return np.linalg.svd(self.frame[..., 1:, 1:], compute_uv=False).sum(axis=-1)
-
-    def trace_norm_f(self, w) -> np.ndarray:
-        """traceNormF at weight w: w ||Phi'||_tr, plus w pairs for a core."""
-        norm_f = w * self.norm_f
-        return norm_f if self.pairs is None else norm_f + w * self.pairs
-
-
-def _one_frame(rho: np.ndarray, d: int) -> _Frame:
-    """The frame of one (d^2, d^2) state, validated once: its Schmidt
-    core and pairs if it is pure (``_pure_vector``), else its dense frame.
-    A Schmidt coefficient at or below d eps s_1, numpy's ``matrix_rank``
-    cutoff, is rounding of zero."""
-    psi = _pure_vector(_checked(rho))
-    if psi is None:
-        return _Frame(_frames(rho, d))
-    s = schmidt_decompose(psi, d, d).coefficients
+    s = schmidt_decompose(rho[:, j] / math.sqrt(rho[j, j].real), d, d).coefficients
     s = np.where(s > d * np.finfo(float).eps * s[0], s, 0.0)
-    rows = _diagonal_rows(d)
-    core = (rows * (s * s)) @ rows.T
     after = np.cumsum(s[::-1])[::-1]  # sum_{k >= j} s_k, a sum of non-negative terms
-    pairs = 2.0 * d * (1.0 + math.sqrt(d)) ** 2 * float(s[:-1] @ after[1:])
-    return _Frame(core, pairs)
+    return 2.0 * d * (1.0 + math.sqrt(d)) ** 2 * float(s[:-1] @ after[1:])
+
+
+def _pure_columns(d: int, pairs, t, w, gap) -> tuple:
+    """(excess, traceNormP, traceNormF) of w*rho + (1 - w)*I/d^2 for a pure
+    rho with pair sum ``pairs``, at t, w and ``gap`` = kappa - 1/d, which
+    broadcast; K = kappa_gap(d, 1)."""
+    lift = w * t * t * pairs
+    return (
+        lift - (1.0 - w) * gap,
+        1.0 + (1.0 / d + w * gap) + lift,
+        w * kappa_gap(d, 1.0) + w * pairs,
+    )
 
 
 def _frame_matrices(d: int, frames: np.ndarray, t) -> np.ndarray:
@@ -241,37 +217,35 @@ def _margins(d: int, m: np.ndarray, gap) -> tuple[np.ndarray, np.ndarray]:
     return top + rest - gap, c0 + top + rest
 
 
-def _evaluate(d: int, framed: _Frame, m: np.ndarray, t, w, gap) -> tuple:
-    """(excess, traceNormP) of w*rho + (1 - w)*I/d^2 from the frame of
-    rho and its matrices ``m`` at ``t`` (``_frame_matrices``, left
-    unchanged), with t, w and ``gap`` = kappa - 1/d broadcast to the
-    points.  A core's pairs add w t^2 pairs, and at w = 1 the core adds
-    exactly 1 + kappa, which its SVD gives only to rounding."""
-    w = np.asarray(w, dtype=float)
-    excess, norm_p = _margins(d, m * w[..., None, None], gap)
-    if framed.pairs is None:
-        return excess, norm_p
-    lift = w * t * t * framed.pairs
-    whole = w == 1.0
-    return (
-        np.where(whole, 0.0, excess) + lift,
-        np.where(whole, 1.0 + (1.0 / d + gap), norm_p) + lift,
-    )
+def _trace_norm_f(frames: np.ndarray) -> np.ndarray:
+    """||Phi'||_tr of each frame: one batched SVD."""
+    return np.linalg.svd(frames[..., 1:, 1:], compute_uv=False).sum(axis=-1)
+
+
+def _weighted_margins(d: int, frames: np.ndarray, t, w, gap) -> tuple:
+    """(excess, traceNormP) of w*rho + (1 - w)*I/d^2 from the frames of
+    rho, at arrays t, w and ``gap`` = kappa - 1/d: one frame at every
+    point, or one frame a point; M is scaled by w for one ``_margins``."""
+    return _margins(d, _frame_matrices(d, frames, t) * w[..., None, None], gap)
 
 
 def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], float]:
     """The margin of w*rho + (1 - w)*I/d^2 as a function of the weight w:
     the excess of its probability correlation trace norm over 1 + kappa.
 
-    The state is framed once (``_one_frame``), and each weight is one
-    ``_evaluate``, the double of its ``bound_columns`` point; at w = 0
-    the margin is -gap, which M's SVD would give, and none is taken.
+    The state is validated and framed once, and each weight gives the
+    double of its ``bound_columns`` point: the closed form of a pure state
+    (``_pure_columns``), else one ``_margins`` of its matrix M, none at
+    w = 0, where the margin is -gap.
     """
     d = fam.d
-    framed = _one_frame(_as_state(rho, d * d), d)
-    m = _frame_matrices(d, framed.frame, fam.t)
+    rho = _checked(_as_state(rho, d * d))
     gap = kappa_gap(d, fam.t)
-    return lambda w: float(-gap if w == 0.0 else _evaluate(d, framed, m, fam.t, w, gap)[0])
+    if _is_pure(rho):
+        pairs = _pair_sum(rho, d)
+        return lambda w: float(_pure_columns(d, pairs, fam.t, w, gap)[0])
+    m = _frame_matrices(d, _frames(rho, d), fam.t)
+    return lambda w: float(-gap if w == 0.0 else _margins(d, m * w, gap)[0])
 
 
 @dataclass(frozen=True)
@@ -377,11 +351,10 @@ _COLUMNS = (
 )
 
 
-def chunk_points(edge: int) -> int:
-    """Grid points in one stacked evaluation of frames of this edge, d^2
-    for a dense frame and d for a Schmidt core, so that a chunk's working
-    set stays within ``_CHUNK_BYTES``; at least one."""
-    return max(1, _CHUNK_BYTES // _point_bytes(edge))
+def chunk_points(d: int) -> int:
+    """Grid points in one stacked evaluation at d, so that a chunk's
+    working set stays within ``_CHUNK_BYTES``; at least one."""
+    return max(1, _CHUNK_BYTES // _point_bytes(d))
 
 
 def bound_columns(
@@ -400,10 +373,11 @@ def bound_columns(
     be admissible at d, as ``mums.standard_grid`` checks.  One list per
     ``BoundReport`` field after d, keyed as ``BoundReport.as_dict``, with
     one entry per point in order; a clamped bound is +0.0, never -0.0.
-    A one-state stack is framed once (``_one_frame``), and its
-    ||Phi'||_tr taken once; a longer stack is validated and framed a
-    chunk at a time, densely.  Each chunk is one ``_evaluate``, one
-    batched SVD, of at most ``chunk_points`` points for its frame's edge.
+    A one-state stack is validated and probed once; if it is mixed, it is
+    framed once, its ||Phi'||_tr taken once, and its points are evaluated
+    a chunk at a time.  A longer stack is validated, probed and framed a
+    chunk at a time, its pure states apart.  Each chunk of mixed points is
+    one batched SVD of at most ``chunk_points(d)`` matrices M.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
@@ -416,16 +390,36 @@ def bound_columns(
     ts = np.broadcast_to(np.asarray(ts, dtype=float), points)
     weights = np.broadcast_to(np.asarray(weights, dtype=float), points)
 
-    one = _one_frame(states[0], d) if len(states) == 1 else None
-    step = chunk_points(d * d if one is None else one.frame.shape[-1])
     gap = kappa_gap(d, ts)
-    excess, norm_p, norm_f = (np.empty(points) for _ in range(3))
-    for start in range(0, len(ts), step):
-        part = slice(start, start + step)
-        framed = one or _Frame(_frames(_checked(states[part]), d))
-        m = _frame_matrices(d, framed.frame, ts[part])
-        excess[part], norm_p[part] = _evaluate(d, framed, m, ts[part], weights[part], gap[part])
-        norm_f[part] = framed.trace_norm_f(weights[part])
+    columns = np.empty((3, len(ts)))  # excess, traceNormP, traceNormF
+    step = chunk_points(d)
+    if len(states) == 1:
+        rho = _checked(states[0])
+        if _is_pure(rho):
+            columns[:] = _pure_columns(d, _pair_sum(rho, d), ts, weights, gap)
+        else:
+            frame = _frames(rho, d)
+            for start in range(0, len(ts), step):
+                part = slice(start, start + step)
+                columns[:2, part] = _weighted_margins(d, frame, ts[part], weights[part], gap[part])
+            columns[2] = weights * _trace_norm_f(frame)
+    else:
+        for start in range(0, len(ts), step):
+            part = slice(start, start + step)
+            chunk = _checked(states[part])
+            parts = np.ascontiguousarray(chunk).reshape(len(chunk), 1, -1).view(float)  # re, im
+            purity = np.matmul(parts, parts.transpose(0, 2, 1))[:, 0, 0]  # Tr rho^2 of each
+            pure = np.abs(1.0 - purity) <= TOL.purity
+            if pure.any():
+                for i in start + np.flatnonzero(pure):
+                    columns[:, i] = _pure_columns(d, _pair_sum(states[i], d), ts[i], weights[i], gap[i])
+                part, chunk = start + np.flatnonzero(~pure), chunk[~pure]
+            if len(chunk):
+                frames = _frames(chunk, d)
+                w = weights[part]
+                columns[:2, part] = _weighted_margins(d, frames, ts[part], w, gap[part])
+                columns[2, part] = w * _trace_norm_f(frames)
+    excess, norm_p, norm_f = columns
     kappa = 1.0 / d + gap  # kappa_of_t
     scale = d * gap  # kappa d - 1
     derived = np.sqrt(2.0 * (d - 1.0) / d) * excess / scale

@@ -5,17 +5,16 @@ renders them as CSV; a threshold query locates the white-noise weight at
 which the separability criterion starts detecting.  Invalid requests
 raise ``UsageError``.
 
-Each query touches its state once.  Every evaluation goes through the
-frame of ``mumbounds.criteria``, which depends only on d, and one rule
-evaluates it, so a point gives the same double in ``bound``, a sweep
-or a threshold search; no path forms the probability correlation
-matrix.  A query on one pure state, such as a file of psi psi^dagger or
-the Horodecki state at upsilon = 0, is evaluated in its Schmidt basis,
-a d x d core in place of the d^2 x d^2 frame.  A sweep is evaluated as
-columns, a chunk of points per SVD, sized by the frame's edge (one
-chunk for a 21-point d = 16 pure sweep), and only its rows are built
-per point.  The Gell-Mann blocks and t-interval of a dimension are built
-on its first query and memoised (``mums.standard_family``).  A t of 0,
+Each query touches its state once.  One rule of ``mumbounds.criteria``
+evaluates every point, so a point gives the same double in ``bound``, a
+sweep or a threshold search; no path forms the probability correlation
+matrix.  A mixed state goes through its frame, which depends only on d.
+A pure state, such as a file of psi psi^dagger or the Horodecki state at
+upsilon = 0, alone or in a stack, is evaluated by closed forms in its
+Schmidt coefficients, with no frame and no SVD beyond them.  A sweep is
+evaluated as columns, a chunk of points per SVD, and only its rows are
+built per point.  The Gell-Mann blocks and t-interval of a dimension are
+built on its first query and memoised (``mums.standard_family``).  A t of 0,
 where kappa = 1/d at every d, is rejected before the state is built or
 loaded (``check_nonzero_t``).
 
@@ -29,7 +28,8 @@ and a weight sweep passing its grid as the weights.  An upsilon sweep
 builds one stack of Horodecki states per chunk, one broadcast of
 ``horodecki_state``, and evaluates each stack at its one family, so its
 memory stays bounded.  A threshold query frames the state once, and
-each weight of the search is one SVD (``criteria.white_noise_margin``).
+each weight of the search is one SVD, or a closed form for a pure state
+(``criteria.white_noise_margin``).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         probe, q = make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(grid[0])})
         d = infer_d(probe.shape[0])
         t = family_for(d, fixed["t"]).t
-        step = chunk_points(d * d)
+        step = chunk_points(d)
         columns = {}
         for start in range(0, len(grid), step):
             # one stack of states per chunk, built as the chunk is evaluated
@@ -272,8 +272,9 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     The margin is the excess of the probability correlation trace norm
     over 1 + kappa.  It is convex in the white-noise weight w and equals
     1/d - kappa < 0 at w = 0, so it crosses zero at most once on [0, 1].
-    The state at weight 1 is contracted once per query, and each
-    evaluation is one SVD (``criteria.white_noise_margin``).
+    The state at weight 1 is framed once per query, and each evaluation
+    is one SVD, or a closed form for a pure state
+    (``criteria.white_noise_margin``).
     """
     query.validate()
     rho, _ = make_state(query.state_family, query.file, query.fixed)

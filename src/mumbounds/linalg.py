@@ -1,7 +1,7 @@
 """Dense complex linear algebra primitives.
 
-Partial traces and transposes, and the Schmidt decomposition
-of bipartite pure states.  All functions are pure and operate on plain
+Partial traces and transposes, and the Schmidt coefficients of
+bipartite pure states.  All functions are pure and operate on plain
 numpy arrays.
 """
 
@@ -52,18 +52,10 @@ def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int, sub: str = "B") -> 
 
 @dataclass(frozen=True)
 class SchmidtData:
-    """Schmidt form of a bipartite pure state.
-
-    ``coefficients`` are non-negative and non-increasing with unit sum
-    of squares; ``left``/``right`` hold the matching orthonormal factor
-    vectors as columns; ``rank`` counts coefficients above the rank
-    tolerance.
-    """
+    """Schmidt form of a bipartite pure state: ``coefficients`` are
+    non-negative and non-increasing with unit sum of squares."""
 
     coefficients: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    rank: int
 
 
 def pure_amplitudes(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -80,8 +72,6 @@ def pure_amplitudes(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def schmidt_decompose(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtData:
-    """Schmidt decomposition of a normalized bipartite amplitude vector."""
+    """Schmidt coefficients of a normalized bipartite amplitude vector."""
     psi = pure_amplitudes(psi, dim_a, dim_b)
-    u, s, vh = np.linalg.svd(psi.reshape(dim_a, dim_b), full_matrices=False)
-    rank = int(np.count_nonzero(s > TOL.schmidt_rank))
-    return SchmidtData(coefficients=s, left=u, right=vh.T, rank=rank)
+    return SchmidtData(coefficients=np.linalg.svd(psi.reshape(dim_a, dim_b), compute_uv=False))

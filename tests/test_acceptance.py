@@ -13,19 +13,23 @@ import pytest
 from mumbounds.basis import standard_basis
 from mumbounds.engine import SweepSpec, ThresholdQuery, render_csv, run_sweep, run_threshold
 from mumbounds.criteria import (
+    bound_columns,
     build_correlation_matrix,
     concurrence_lower_bound,
     pure_concurrence,
     pure_trace_norm_closed_form,
+    white_noise_margin,
 )
-from mumbounds.linalg import schmidt_decompose
+from mumbounds.linalg import partial_trace, schmidt_decompose
 from mumbounds.mums import (
     build_f_blocks,
+    standard_family,
     t_interval,
     two_design_residual,
     verify_mum_relations,
 )
 from mumbounds.states import horodecki_state, max_entangled, random_pure
+from mumbounds.threshold import find_threshold
 
 TABLE_THRESHOLDS = {
     0.2: 0.994054,
@@ -293,3 +297,71 @@ def test_criterion_9_figure_data_sweeps(t_range_of, tmp_path):
         detected = sum(row["verdict"] == "entangled" for row in rows)
         details.append(f"{spec.state_family}/{spec.variable}: {detected}/41 detected")
     _report("criterion 9: figure-data sweeps emit sane CSV", ok, "; ".join(details))
+
+
+def _isotropic(d, fidelity):
+    """F |Phi><Phi| + (1 - F)(I - |Phi><Phi|)/(d^2 - 1)."""
+    phi = max_entangled(d)
+    proj = np.outer(phi, phi.conj())
+    return fidelity * proj + (1.0 - fidelity) / (d * d - 1) * (np.eye(d * d) - proj)
+
+
+def test_criterion_10_pure_threshold_oracle(t_range_of):
+    # the excess of w psi psi^dagger + (1 - w) I/d^2 is affine in w and
+    # vanishes at w* = (d - 1)/(d - 1 + 2d sum_{j<k} s_j s_k) at every t;
+    # for the maximally entangled state w* = 1/(d + 1), the separability
+    # threshold of the isotropic states (Horodecki and Horodecki, PRA 59,
+    # 4206, 1999).  s is taken from the spectrum of rho_A.  A chord step
+    # lands on w* itself, where the rounding of the margin (about 1e-16)
+    # decides its sign, so the bracket may miss w* by a few doubles.
+    worst = miss = 0.0
+    missed = []
+    for d in range(2, 9):
+        rng = t_range_of(d)
+        psis = [max_entangled(d), *(random_pure(d, d, seed=60 * d + k) for k in range(3))]
+        for k, psi in enumerate(psis):
+            rho = np.outer(psi, psi.conj())
+            s = np.sqrt(np.clip(np.linalg.eigvalsh(partial_trace(rho, d, d)), 0.0, None))
+            cross = 0.5 * (s.sum() ** 2 - (s * s).sum())
+            w_star = 1.0 / (d + 1) if k == 0 else (d - 1) / (d - 1 + 2 * d * cross)
+            for t in (rng.lower, rng.upper, 1e-3 * rng.upper):
+                result = find_threshold(white_noise_margin(rho, standard_family(d, t)), tol=1e-9)
+                lo, hi = result.bracket
+                worst = max(worst, hi - lo)
+                miss = max(miss, lo - w_star, w_star - hi)
+                if not (result.found and hi - lo <= 1e-9 and lo - 1e-14 <= w_star <= hi + 1e-14):
+                    missed.append((d, k, t, w_star, result.bracket))
+    _report(
+        "criterion 10: pure-state thresholds bracket w* = (d-1)/(d-1+2d sum s_j s_k)",
+        not missed,
+        f"widest bracket {worst:.1e}, largest miss {miss:.1e}, missed {missed}",
+    )
+
+
+def test_criterion_11_isotropic_schmidt_number(t_range_of):
+    # rho_F has Schmidt number greater than k exactly when F > k/d (Terhal
+    # and Horodecki, PRA 61, 040301(R), 2000), and schmidt_number_lb is
+    # max(1, dF) on it at every t; as |Phi><Phi| at the weight w that gives
+    # fidelity F, 1 + (d - 1)(w(d + 1) - 1)/d = dF exactly
+    worst = 0.0
+    cases = 0
+    for d in range(2, 9):
+        rng = t_range_of(d)
+        ks = np.arange(1, d + 1) / d
+        fidelities = [*(ks - 1e-3), *(ks[:-1] + 1e-3), 1.0]
+        phi = max_entangled(d)
+        for t in (rng.lower, rng.upper, 1e-3 * rng.upper):
+            fam = standard_family(d, t)
+            weights = (np.array(fidelities) - 1.0 / d**2) / (1.0 - 1.0 / d**2)
+            pure = bound_columns(np.outer(phi, phi.conj())[None], t, weights=weights)
+            for fidelity, from_weight in zip(fidelities, pure["schmidt_number_lb"]):
+                expected = max(1.0, d * fidelity)
+                mixed = concurrence_lower_bound(_isotropic(d, fidelity), fam).schmidt_number_lb
+                for got in (mixed, from_weight):
+                    worst = max(worst, abs(got - expected) / expected)
+                cases += 1
+    _report(
+        "criterion 11: isotropic Schmidt-number bound equals max(1, dF)",
+        worst <= 1e-13,
+        f"{cases} cases, max relative error {worst:.1e}",
+    )

@@ -155,7 +155,7 @@ def test_d16_t_sweep(tmp_path, t_range_of):
 @pytest.mark.parametrize("points_per_chunk", [1, 2, 3])
 def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     # 7 points split into chunks of 1, 2 and 3, with a short last chunk
-    monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(9))
+    monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(3))
     contractions = []
     original = criteria._contract
 
@@ -188,8 +188,10 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     contractions.clear()
     stack = horodecki_state(upsilons)
     assert _reports(3, bound_columns(stack, fam.t, weights=0.995)) == expected
-    # one contraction per chunk of a longer stack
-    assert len(contractions) == chunks and sum(contractions) == 7
+    # one contraction per chunk of a longer stack, of its mixed states: the
+    # pure upsilon = 0 state takes the closed forms, and a chunk that holds
+    # only it takes no frame
+    assert len(contractions) == chunks - (points_per_chunk == 1) and sum(contractions) == 6
 
     _assert_sweep_matches(SweepSpec("t", grid[0], grid[-1], 7, "tiles", fixed={"p": 0.99}))
     _assert_sweep_matches(SweepSpec("q", 0.0, 1.0, 7, "horodecki", fixed={"upsilon": 0.4, "t": 0.08}))
@@ -230,21 +232,30 @@ def test_single_state_entry_points_reject_a_stack(family):
 
 def test_one_point_one_double(tmp_path):
     # every row of the figure's upsilon sweep is, double for double, the
-    # one-point evaluation at its weight and the `bound` command's report
-    spec = SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08})
-    fam = standard_family(3, 0.08)
+    # one-point evaluation at its weight and the `bound` command's report;
+    # so is the pure upsilon = 0 row at weight 1 and t < 0, where the stack
+    # once took the dense frame and `bound` the closed forms
     out = tmp_path / "report.json"
-    for row in run_sweep(spec):
-        point = bound_columns(horodecki_state(row["var"])[None], fam.t, weights=0.995)
-        assert {key: row[key] for key in point} == {key: column[0] for key, column in point.items()}
-        argv = ["bound", "--state", "horodecki", "--upsilon", repr(row["var"]), "--q", "0.995",
-                "--t", "0.08", "--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
-        report = json.loads(out.read_text())
-        assert {key: row[key] for key in row if key != "var"} == {
-            key: report[key] for key in row if key != "var"
-        }, row["var"]
+    for spec, q in (
+        (SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08}), 0.995),
+        (SweepSpec("upsilon", 0.0, 1.0, 11, "horodecki", fixed={"t": -0.05}), None),
+    ):
+        t = spec.fixed["t"]
+        fam = standard_family(3, t)
+        weight = [] if q is None else ["--q", repr(q)]
+        for row in run_sweep(spec):
+            point = bound_columns(horodecki_state(row["var"])[None], fam.t, weights=q or 1.0)
+            assert {key: row[key] for key in point} == {
+                key: column[0] for key, column in point.items()
+            }, row["var"]
+            argv = ["bound", "--state", "horodecki", "--upsilon", repr(row["var"]), *weight,
+                    "--t", repr(t), "--out", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            report = json.loads(out.read_text())
+            assert {key: row[key] for key in row if key != "var"} == {
+                key: report[key] for key in row if key != "var"
+            }, row["var"]
 
 
 def _scalar_fields(row, rho, fam, w):
@@ -292,7 +303,7 @@ def _pure_file(tmp_path):
                                     file=_separable_file(tmp)), 0),
         (lambda tmp, rng: SweepSpec("p", 0.0, 1.0, 41, "file", fixed={"t": rng.upper},
                                     file=_separable_file(tmp)), 0),
-        # a pure state's Schmidt core: the threshold search's margin is the
+        # a pure state's closed forms: the threshold search's margin is the
         # sweep's excess, bit for bit
         (lambda tmp, rng: SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 40, "file",
                                     file=_pure_file(tmp)), 40),

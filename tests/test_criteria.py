@@ -547,16 +547,17 @@ def _assert_same_report(got: BoundReport, dense: BoundReport, context) -> None:
 
 
 def _dense_report(rho, t, w):
-    """The report of a one-state evaluation on the dense frame: the first
-    row of the two-state stack [rho, rho], which is never probed for purity."""
+    """The report of a one-state evaluation on the dense frame: with the
+    purity cutoff below zero, no state takes the pure closed forms."""
     d = int(round(np.sqrt(rho.shape[0])))
-    return _reports(d, bound_columns(np.stack([rho, rho]), t, weights=w))[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria, "TOL", replace(TOL, purity=-1.0))
+        return _reports(d, bound_columns(rho[None], t, weights=w))[0]
 
 
 class TestSchmidtPath:
-    """A one-state evaluation of a pure state runs in its Schmidt basis: a
-    d x d core and closed-form pair blocks.  It must give the dense frame's
-    report, which a two-state stack computes."""
+    """A pure state is evaluated by closed forms in its Schmidt
+    coefficients.  It must give the dense frame's report."""
 
     @staticmethod
     def _contractions(monkeypatch):
@@ -593,7 +594,7 @@ class TestSchmidtPath:
         for eps, pure in ((0.9 * at_cutoff, True), (1.1 * at_cutoff, False)):
             rho = mix_with_white_noise(_pure_density(psi), 1.0 - eps)
             assert bool(abs(1.0 - np.vdot(rho, rho).real) <= TOL.purity) is pure
-            assert (criteria._one_frame(rho, d).pairs is not None) is pure
+            assert criteria._is_pure(rho) is pure
             for w in (1.0, 0.9, 0.3):
                 got = _reports(d, bound_columns(rho[None], ts, weights=w))
                 for report, t in zip(got, ts):
@@ -613,8 +614,8 @@ class TestSchmidtPath:
                     assert abs(margin(w) - excess) <= 1e-12 * scale, (d, t, w)
 
     def test_pure_horodecki_bound_equals_its_sweep_row(self, tmp_path):
-        # horodecki_state(0) is a pure product state: `bound` evaluates it in
-        # its Schmidt basis, and the upsilon sweep's stack on the dense frame
+        # horodecki_state(0) is a pure product state: `bound` and the upsilon
+        # sweep's stack both probe it and evaluate its closed forms
         out = tmp_path / "report.json"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["bound", "--state", "horodecki", "--upsilon", "0", "--t", "0.08",

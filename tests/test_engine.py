@@ -286,8 +286,8 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     # one chunk holds a whole d = 3 grid; 10 points a chunk gives 11 and 9 chunks
     path = _state_file(tmp_path)
     if points_per_chunk is not None:
-        monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(9))
-    step = criteria.chunk_points(9)
+        monkeypatch.setattr(criteria, "_CHUNK_BYTES", points_per_chunk * criteria._point_bytes(3))
+    step = criteria.chunk_points(3)
     calls = Counter()
 
     def count(module, name):
@@ -367,31 +367,29 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     assert mixed == ["mumbounds.cli"]
 
 
-def test_a_pure_sweep_is_one_core_call(monkeypatch, tmp_path):
-    # a chunk is sized by the edge of the frame it scales: a 21-point d = 16
-    # sweep of a pure state is one batched SVD of its 16 x 16 Schmidt core,
+def test_a_pure_sweep_takes_no_frame(monkeypatch, tmp_path):
+    # a pure state is evaluated by closed forms in its Schmidt coefficients:
+    # a 21-point d = 16 sweep of one forms no frame and takes no SVD of M,
     # where a dense 256 x 256 frame takes one point a chunk
     d = 16
     path = tmp_path / "pure-16.json"
     psi = random_pure(d, d, seed=3)
     save_state(np.outer(psi, psi.conj()), path)
-    shapes = []
-    original = criteria._margins
-
-    def counted(dim, m, gap):
-        shapes.append(m.shape)
-        return original(dim, m, gap)
-
-    monkeypatch.setattr(criteria, "_margins", counted)
+    calls = Counter()
+    for name in ("_margins", "_contract"):
+        original = getattr(criteria, name)
+        monkeypatch.setattr(
+            criteria, name, lambda *args, name=name, original=original: calls.update([name])
+            or original(*args)
+        )
     rng = mums.standard_t_range(d)
     for spec in (
         SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 21, "file", file=str(path)),
         SweepSpec("p", 0.0, 1.0, 21, "file", fixed={"t": 0.5 * rng.upper}, file=str(path)),
     ):
-        shapes.clear()
-        run_sweep(spec)
-        assert shapes == [(21, d, d)], spec
-    assert criteria.chunk_points(d * d) == 1
+        assert len(run_sweep(spec)) == 21
+        assert calls == {}, spec
+    assert criteria.chunk_points(d) == 1
 
 
 def test_an_invalid_file_state_is_decided_by_eigvalsh(monkeypatch, tmp_path):
