@@ -11,8 +11,7 @@ Run:  python scripts/reproduce_thresholds.py
 import numpy as np
 
 from mumbounds.criteria import white_noise_margin
-from mumbounds.engine import ThresholdQuery, run_threshold
-from mumbounds.states import horodecki_state
+from mumbounds.engine import ThresholdQuery, make_state, run_threshold
 
 UPSILON_GRID = (0.2, 0.4, 0.6, 0.8, 0.9)
 T = 0.01
@@ -32,7 +31,9 @@ def main() -> None:
                 fixed={"upsilon": upsilon},
             )
         )
-        margin = white_noise_margin(horodecki_state(upsilon), fam)(1.0)
+        # make_state checks the state, which white_noise_margin takes as checked
+        rho, _ = make_state("horodecki", None, {"upsilon": upsilon})
+        margin = white_noise_margin(rho, fam)(1.0)
         q_star = result.threshold if result.found else np.nan
         print(f"{upsilon:>8.1f}  {q_star:>14.6f}  {margin:>14.3e}")
     if fam is not None:

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 class Tolerances:
     basis_orthonormality: float = 1e-12
     state_normalization: float = 1e-8   # pure-state inputs rejected beyond this
-    density_hermiticity: float = 1e-12  # every density check: files and the criteria
+    density_hermiticity: float = 1e-12  # the one density check of every state
     density_trace: float = 1e-12
     density_psd: float = 1e-10          # min eigenvalue >= -density_psd
     purity: float = 1e-14               # |1 - Tr rho^2| <= purity: the pure closed forms
-    correlation_imaginary: float = 1e-10  # largest imaginary part of a correlation entry
     mum_relations: float = 1e-9
     kappa_match: float = 1e-12          # kappa of the two families of a correlation matrix
     verdict: float = 1e-9               # entangled: excess over 1 + kappa > verdict*(kappa d - 1)

@@ -41,9 +41,11 @@ Every generator is traceless, so the frame of w*rho + (1 - w)*I/d^2 is w
 times the frame of rho, apart from the corner Tr rho = 1; so are its
 matrix M off the corner and ||Phi'||_tr.  A white-noise weight is a
 coordinate of the evaluation, applied this way alone: no mixed state is
-formed, and weight 1 multiplies by 1.0, which is exact.  Every state
-passes one front door, ``states.validate_density`` with the
-``density_*`` tolerances, and a failure raises ValueError.
+formed, and weight 1 multiplies by 1.0, which is exact.  Every state is
+checked once (``states.validate_density``): by the query that makes it
+(``engine.make_state``), or by the exported ``concurrence_lower_bound``
+and ``build_correlation_matrix``.  For Hermitian rows Re Tr(rho (X x Y))
+is the entry of rho's Hermitian part, so the real frame is its frame.
 
 A pure state takes closed forms and no frame.  Local unitaries U x V
 act on M and Phi' by orthogonal maps that fix vec(I), so its report
@@ -59,8 +61,8 @@ is its trace, c0 + w gap and w K with K = (1 + sqrt(d))^2 (d - 1):
     traceNormP = 1 + (1/d + w gap) + w t^2 pairs,
     traceNormF = w K + w pairs            (``_pure_columns``).
 
-A state is pure when |1 - Tr rho^2| <= ``TOL.purity``: one ``np.vdot``
-for a lone state, one batched product per chunk of a stack.
+A state is pure when |1 - Tr rho^2| <= ``TOL.purity``, by one formula
+alone or in a stack (``_pure``).
 
 One rule per state evaluates each point (t, w), so a point gives the
 same double whichever query reaches it: the closed forms of a pure
@@ -109,13 +111,13 @@ def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _checked(states: np.ndarray) -> np.ndarray:
-    """One state or a stack, once ``states.validate_density`` passes it;
-    a failure raises ValueError."""
-    problems = validate_density(states)
+def _checked(rho: np.ndarray) -> np.ndarray:
+    """``rho``, once ``states.validate_density`` passes it; a failure
+    raises ValueError."""
+    problems = validate_density(rho)
     if problems:
         raise ValueError("state is not a density matrix: " + "; ".join(problems))
-    return states
+    return rho
 
 
 def _realigned(states: np.ndarray, d: int) -> np.ndarray:
@@ -127,17 +129,11 @@ def _realigned(states: np.ndarray, d: int) -> np.ndarray:
 
 
 def _contract(realigned: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """The real entries Tr(rho (X_r x Y_c)) of operator rows (m, d^2).
-
-    ``realigned`` is one (d^2, d^2) state or a stack (k, d^2, d^2), and
-    each state's entries are the doubles of its own call.  An imaginary
-    part beyond ``TOL.correlation_imaginary`` raises ValueError.
-    """
-    entries = np.matmul(np.matmul(rows_a, realigned), rows_b.T)
-    imag = float(np.abs(entries.imag).max())
-    if imag > TOL.correlation_imaginary:
-        raise ValueError(f"correlation entries acquired imaginary part {imag:.3e}")
-    return entries.real
+    """The entries Re Tr(rho (X_r x Y_c)) of Hermitian operator rows
+    (m, d^2), those of rho's Hermitian part.  ``realigned`` is one
+    (d^2, d^2) state or a stack (k, d^2, d^2), and each state's entries
+    are the doubles of its own call."""
+    return np.matmul(np.matmul(rows_a, realigned), rows_b.T).real
 
 
 @functools.lru_cache(maxsize=4)
@@ -159,9 +155,12 @@ def _frames(states: np.ndarray, d: int) -> np.ndarray:
     return _contract(_realigned(states, d), rows, rows)
 
 
-def _is_pure(rho: np.ndarray) -> bool:
-    """Whether the validated state ``rho`` has |1 - Tr rho^2| <= ``TOL.purity``."""
-    return bool(abs(1.0 - np.vdot(rho, rho).real) <= TOL.purity)
+def _pure(states: np.ndarray) -> np.ndarray:
+    """|1 - Tr rho^2| <= ``TOL.purity`` for each validated state of a stack
+    (k, n, n): one batched product of the real views, whatever k is."""
+    parts = np.ascontiguousarray(states).reshape(len(states), 1, -1).view(float)  # re, im
+    purity = np.matmul(parts, parts.transpose(0, 2, 1))[:, 0, 0]  # Tr rho^2 of each
+    return np.abs(1.0 - purity) <= TOL.purity
 
 
 def _pair_sum(rho: np.ndarray, d: int) -> float:
@@ -233,15 +232,15 @@ def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], flo
     """The margin of w*rho + (1 - w)*I/d^2 as a function of the weight w:
     the excess of its probability correlation trace norm over 1 + kappa.
 
-    The state is validated and framed once, and each weight gives the
-    double of its ``bound_columns`` point: the closed form of a pure state
-    (``_pure_columns``), else one ``_margins`` of its matrix M, none at
-    w = 0, where the margin is -gap.
+    The state, which the caller has validated, is probed and framed once,
+    and each weight gives the double of its ``bound_columns`` point: the
+    closed form of a pure state (``_pure_columns``), else one ``_margins``
+    of its matrix M, none at w = 0, where the margin is -gap.
     """
     d = fam.d
-    rho = _checked(_as_state(rho, d * d))
+    rho = _as_state(rho, d * d)
     gap = kappa_gap(d, fam.t)
-    if _is_pure(rho):
+    if _pure(rho[None])[0]:
         pairs = _pair_sum(rho, d)
         return lambda w: float(_pure_columns(d, pairs, fam.t, w, gap)[0])
     m = _frame_matrices(d, _frames(rho, d), fam.t)
@@ -373,11 +372,11 @@ def bound_columns(
     be admissible at d, as ``mums.standard_grid`` checks.  One list per
     ``BoundReport`` field after d, keyed as ``BoundReport.as_dict``, with
     one entry per point in order; a clamped bound is +0.0, never -0.0.
-    A one-state stack is validated and probed once; if it is mixed, it is
-    framed once, its ||Phi'||_tr taken once, and its points are evaluated
-    a chunk at a time.  A longer stack is validated, probed and framed a
-    chunk at a time, its pure states apart.  Each chunk of mixed points is
-    one batched SVD of at most ``chunk_points(d)`` matrices M.
+    The caller has validated the states.  A one-state stack is probed
+    once; if mixed, it is framed once, its ||Phi'||_tr taken once, and its
+    points evaluated a chunk at a time.  A longer stack is probed and
+    framed a chunk at a time, its pure states apart.  Each chunk of mixed
+    points is one batched SVD of at most ``chunk_points(d)`` matrices M.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"verdict tolerance {tol!r} must be finite and non-negative")
@@ -394,11 +393,10 @@ def bound_columns(
     columns = np.empty((3, len(ts)))  # excess, traceNormP, traceNormF
     step = chunk_points(d)
     if len(states) == 1:
-        rho = _checked(states[0])
-        if _is_pure(rho):
-            columns[:] = _pure_columns(d, _pair_sum(rho, d), ts, weights, gap)
+        if _pure(states)[0]:
+            columns[:] = _pure_columns(d, _pair_sum(states[0], d), ts, weights, gap)
         else:
-            frame = _frames(rho, d)
+            frame = _frames(states[0], d)
             for start in range(0, len(ts), step):
                 part = slice(start, start + step)
                 columns[:2, part] = _weighted_margins(d, frame, ts[part], weights[part], gap[part])
@@ -406,10 +404,8 @@ def bound_columns(
     else:
         for start in range(0, len(ts), step):
             part = slice(start, start + step)
-            chunk = _checked(states[part])
-            parts = np.ascontiguousarray(chunk).reshape(len(chunk), 1, -1).view(float)  # re, im
-            purity = np.matmul(parts, parts.transpose(0, 2, 1))[:, 0, 0]  # Tr rho^2 of each
-            pure = np.abs(1.0 - purity) <= TOL.purity
+            chunk = states[part]
+            pure = _pure(chunk)
             if pure.any():
                 for i in start + np.flatnonzero(pure):
                     columns[:, i] = _pure_columns(d, _pair_sum(states[i], d), ts[i], weights[i], gap[i])
@@ -444,8 +440,9 @@ def concurrence_lower_bound(
 
     Every separable state stays below 1 + kappa, so "entangled" is
     conclusive while "undetected" is not.  ``tol`` must be finite and
-    non-negative.  The report is the one point of ``bound_columns`` for
-    ``rho`` at the family's t and weight 1.
+    non-negative, and ``rho`` must pass ``states.validate_density``.  The
+    report is the one point of ``bound_columns`` for ``rho`` at the
+    family's t and weight 1.
     """
-    columns = bound_columns(_as_state(rho, fam.d**2)[None], fam.t, tol)
+    columns = bound_columns(_checked(_as_state(rho, fam.d**2))[None], fam.t, tol)
     return BoundReport(fam.d, *(column[0] for column in columns.values()))

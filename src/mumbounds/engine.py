@@ -5,28 +5,25 @@ renders them as CSV; a threshold query locates the white-noise weight at
 which the separability criterion starts detecting.  Invalid requests
 raise ``UsageError``.
 
-Each query touches its state once.  One rule of ``mumbounds.criteria``
-evaluates every point, so a point gives the same double in ``bound``, a
-sweep or a threshold search; no path forms the probability correlation
-matrix.  A mixed state goes through its frame, which depends only on d.
-A pure state, such as a file of psi psi^dagger or the Horodecki state at
-upsilon = 0, alone or in a stack, is evaluated by closed forms in its
-Schmidt coefficients, with no frame and no SVD beyond them.  A sweep is
-evaluated as columns, a chunk of points per SVD, and only its rows are
-built per point.  The Gell-Mann blocks and t-interval of a dimension are
-built on its first query and memoised (``mums.standard_family``).  A t of 0,
-where kappa = 1/d at every d, is rejected before the state is built or
-loaded (``check_nonzero_t``).
+Each query makes its state once, at weight 1, and checks it once
+(``make_state``); a white-noise weight is a coordinate of the
+evaluation, which scales the frame, so no query forms a mixed state.
+One rule of ``mumbounds.criteria`` evaluates every point, so a point
+gives the same double in ``bound``, a sweep or a threshold search, and
+no path forms the probability correlation matrix: a mixed state goes
+through its frame, which depends only on d, and a pure state, alone or
+in a stack, through closed forms in its Schmidt coefficients.  The
+Gell-Mann blocks and t-interval of a dimension are built on its first
+query and memoised (``mums.standard_family``).  A t of 0, where kappa =
+1/d at every d, is rejected before the state is built or loaded
+(``check_nonzero_t``).
 
-Every query builds its state at weight 1 (``make_state``) and treats a
-white-noise weight as a coordinate of the evaluation, which scales the
-frame; no query forms a mixed state.  Every sweep and ``bound`` go
-through one column evaluator, ``criteria.bound_columns``: a t-sweep or a
+Every sweep and ``bound`` go through one column evaluator,
+``criteria.bound_columns``, a chunk of points per SVD: a t-sweep or a
 sweep of the family's one weight (``weight_name``) frames its one state
 once, a t-sweep checking its grid as one array (``mums.standard_grid``)
 and a weight sweep passing its grid as the weights.  An upsilon sweep
-builds one stack of Horodecki states per chunk, one broadcast of
-``horodecki_state``, and evaluates each stack at its one family, so its
+builds and checks one stack of Horodecki states per chunk, so its
 memory stays bounded.  A threshold query frames the state once, and
 each weight of the search is one SVD, or a closed form for a pure state
 (``criteria.white_noise_margin``).
@@ -42,7 +39,7 @@ import numpy as np
 
 from .criteria import bound_columns, chunk_points, white_noise_margin
 from .mums import MumFamily, standard_family, standard_grid
-from .states import check_weight, horodecki_state, load_state, tiles_state
+from .states import check_weight, horodecki_state, load_state, tiles_state, validate_density
 from .threshold import ThresholdResult, find_threshold
 
 CSV_HEADER = "var,traceNormP,traceNormF,kappa,threshold,bound_literal,bound_derived,verdict"
@@ -130,6 +127,8 @@ def make_state(family: str, file: str | None, params: dict) -> tuple[np.ndarray,
     in [0, 1] (``states.check_weight``).  An array of upsilon values
     gives the stack of their states (``horodecki_state``).  The state is
     never mixed: the weight scales its frame (``criteria.bound_columns``).
+    It is the query's one density check: ``load_state`` checks a file, and
+    a built state or stack is checked here; a failure raises ValueError.
     """
     name = weight_name(family)
     check_params(family, params, _STATE_PARAMS[family])
@@ -143,6 +142,10 @@ def make_state(family: str, file: str | None, params: dict) -> tuple[np.ndarray,
         if file is None:
             raise UsageError("--file is required when --state file is selected")
         rho = load_state(file)
+    if family != "file":
+        problems = validate_density(rho)
+        if problems:
+            raise ValueError("state is not a density matrix: " + "; ".join(problems))
     weight = 1.0 if params.get(name) is None else params[name]
     check_weight(weight)
     return rho, weight
@@ -223,17 +226,16 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     fixed = dict(spec.fixed)
     if spec.variable == "upsilon":
-        # the state at the first point fixes d and checks the fixed
-        # parameters before the family is built
-        probe, q = make_state(spec.state_family, spec.file, {**fixed, "upsilon": float(grid[0])})
-        d = infer_d(probe.shape[0])
-        t = family_for(d, fixed["t"]).t
-        step = chunk_points(d)
+        # only the Horodecki family, on C^3 x C^3, takes upsilon: one stack
+        # per chunk, made as it is evaluated; the first gives d, then t is checked
+        step = chunk_points(3)
         columns = {}
         for start in range(0, len(grid), step):
-            # one stack of states per chunk, built as the chunk is evaluated
             params = {**fixed, "upsilon": grid[start : start + step]}
-            stack, _ = make_state(spec.state_family, spec.file, params)
+            stack, q = make_state(spec.state_family, spec.file, params)
+            if start == 0:
+                d = infer_d(stack.shape[-1])
+                t = family_for(d, fixed["t"]).t
             for key, column in bound_columns(stack, t, weights=q).items():
                 columns.setdefault(key, []).extend(column)
     else:

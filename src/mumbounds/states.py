@@ -60,7 +60,7 @@ def validate_density(rho: np.ndarray) -> list[str]:
         if herm > TOL.density_hermiticity:
             problems.append(f"not Hermitian (max deviation {herm:.3e})")
         if abs(tr - 1.0) > TOL.density_trace:
-            problems.append(f"trace is {tr.real:.15g}, not 1")
+            problems.append(f"trace is {tr if tr.imag else tr.real:.15g}, not 1")
         if problems:
             return problems
     n = stack.shape[-1]

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from mumbounds import criteria
+from mumbounds import criteria, engine
 from mumbounds.basis import standard_basis
 from mumbounds.cli import main
 from mumbounds.config import TOL
@@ -200,14 +200,18 @@ def test_chunk_boundaries(monkeypatch, points_per_chunk, t_range_of):
     )
 
 
-def test_invalid_state_in_a_stack_is_reported(family):
+def test_invalid_state_in_a_stack_is_reported(family, monkeypatch):
+    # an upsilon sweep checks each stack as it builds it
     fam = family(3, 0.05)
     good = np.eye(9, dtype=complex) / 9.0
     bad = good.copy()
     bad[0, 0], bad[1, 1] = -1.0 / 9.0, 3.0 / 9.0  # unit trace, one negative eigenvalue
+    spec = SweepSpec("upsilon", 0.0, 1.0, 3, "horodecki", fixed={"t": fam.t})
     for state, match in ((np.eye(9) / 4.0, "trace"), (bad, "negative eigenvalue")):
+        monkeypatch.setattr(engine, "horodecki_state",
+                            lambda upsilon, state=state: np.stack([good, state, good]))
         with pytest.raises(ValueError, match=match):
-            bound_columns(np.stack([good, state, good]), fam.t)
+            run_sweep(spec)
     message = r"a state stack must be \(k, d\^2, d\^2\) with d >= 2, got "
     for stack, shape in ((np.eye(8)[None] / 8.0, r"\(1, 8, 8\)"), (good, r"\(9, 9\)")):
         with pytest.raises(ValueError, match=message + shape):

@@ -625,6 +625,24 @@ class TestStateFiles:
         assert "violation" in out
         assert "status=invalid" in out
 
+    def test_queries_reject_an_invalid_density_file(self, capsys, tmp_path):
+        # the check inside load_state is each query's one check: it names
+        # the path and exits 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 4, "re": np.diag([1.2, -0.2, 0.0, 0.0]).tolist(),
+                                    "im": np.zeros((4, 4)).tolist()}))
+        for argv in (
+            ("bound", "--state", "file", "--file", str(path), "--t", "0.05"),
+            ("sweep", "--state", "file", "--file", str(path), "--var", "p",
+             "--start", "0", "--stop", "1", "--steps", "3", "--t", "0.05",
+             "--out", str(tmp_path / "sweep.csv")),
+            ("threshold", "--state", "file", "--file", str(path), "--t", "0.05"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: {path}: invalid density matrix: negative eigenvalue -2.000e-01\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     # strict JSON: literals and commas that json.loads once accepted, and bytes
     # that are not UTF-8, are not valid JSON
     @pytest.mark.parametrize("text", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mumbounds import criteria
+from mumbounds import criteria, engine
 from mumbounds.basis import gellmann_generators, partition_basis
 from mumbounds.cli import main
 from mumbounds.config import TOL
@@ -21,7 +21,7 @@ from mumbounds.criteria import (
     pure_concurrence,
     pure_trace_norm_closed_form,
 )
-from mumbounds.engine import SweepSpec, run_sweep
+from mumbounds.engine import SweepSpec, ThresholdQuery, run_sweep, run_threshold
 from mumbounds.linalg import partial_trace, schmidt_decompose
 from mumbounds.mums import build_mums, kappa_gap, standard_family, standard_grid
 from mumbounds.states import (
@@ -30,6 +30,7 @@ from mumbounds.states import (
     mix_with_white_noise,
     random_density,
     random_pure,
+    save_state,
     tiles_state,
     validate_density,
 )
@@ -161,19 +162,40 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError, match="eigenvalue|Hermitian|trace"):
             build_correlation_matrix(bad, fam)
 
-    def test_imaginary_cutoff_is_a_named_tolerance(self, family, monkeypatch):
-        fam = family(3, 0.05)
-        rows = criteria._frame_rows(3)
-        # a phase of 1e-6 on I/9 gives the Tr(rho) entry of the frame an
-        # imaginary part of 1e-6
-        realigned = criteria._realigned(np.eye(9) / 9.0, 3) * (1.0 + 1e-6j)
-        with pytest.raises(ValueError, match="imaginary part"):
-            criteria._contract(realigned, rows, rows)
-        monkeypatch.setattr(criteria, "TOL", replace(TOL, correlation_imaginary=1e-5))
-        frame = criteria._contract(realigned, rows, rows)
-        m = criteria._frame_matrices(3, frame, fam.t)
-        _, norm_p = criteria._margins(3, m, kappa_gap(3, fam.t))
-        assert norm_p == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
+    def test_a_skewed_d16_file_is_evaluated_as_its_hermitian_part(self, tmp_path):
+        # an anti-Hermitian part of 0.45e-12 passes the density check, and
+        # the real frame is that of (rho + rho^dagger)/2: bound and threshold
+        # give its report, where a cutoff on the imaginary part of the frame
+        # entries, about 2.4e-10 here, would reject the file
+        d = 16
+        rho = random_density(d * d, rank=2, seed=16)
+        rng = np.random.default_rng(16)
+        b = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        skew = b - b.conj().T
+        np.fill_diagonal(skew, 0.0)
+        skewed = rho + 0.45e-12 * skew / np.abs(skew).max()
+        assert validate_density(skewed) == []
+        reports = []
+        for name, state in (("skewed", skewed), ("hermitian", (skewed + skewed.conj().T) / 2)):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+            save_state(state, path)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["bound", "--state", "file", "--file", str(path), "--t", "0.004",
+                             "--out", str(out)]) == 0, name
+                assert main(["threshold", "--state", "file", "--file", str(path),
+                             "--t", "0.004"]) == 0, name
+            result, _ = run_threshold(ThresholdQuery("file", 0.004, "p", file=str(path)))
+            reports.append((json.loads(out.read_text()), result))
+        (bound, result), (bound_h, result_h) = reports
+        for key, value in bound_h.items():
+            if isinstance(value, float):
+                assert abs(bound[key] - value) <= 1e-12 * max(1.0, abs(value)), key
+            else:
+                assert bound[key] == value, key
+        assert result.found and result.evaluations == result_h.evaluations
+        assert abs(result.threshold - result_h.threshold) <= 1e-12
+        for margin, margin_h in zip(result.margins, result_h.margins):
+            assert abs(margin - margin_h) <= 1e-12
 
 
 class TestClosedForm:
@@ -378,28 +400,33 @@ class TestConcurrenceBound:
 
 
 class TestFrontDoor:
-    """Every criterion checks its state with ``states.validate_density``."""
+    """Every state is checked with ``states.validate_density``: by the two
+    entries the package exports, and by a query as it makes its state."""
 
     @staticmethod
-    def _calls(rho, fam):
+    def _calls(rho, fam, monkeypatch):
+        # the queries' builders give rho, or a stack that holds it
+        monkeypatch.setattr(engine, "tiles_state", lambda: rho)
+        monkeypatch.setattr(engine, "horodecki_state",
+                            lambda upsilon: np.stack([np.eye(9) / 9.0, rho]))
         return (
             lambda: concurrence_lower_bound(rho, fam),
             lambda: build_correlation_matrix(rho, fam),
-            lambda: bound_columns(rho[None], [fam.t]),
-            lambda: bound_columns(rho[None], fam.t, weights=[0.0, 0.5]),
-            lambda: bound_columns(np.stack([np.eye(9) / 9.0, rho]), fam.t),
+            lambda: run_threshold(ThresholdQuery("tiles", fam.t, "p")),
+            lambda: run_sweep(SweepSpec("p", 0.0, 1.0, 2, "tiles", fixed={"t": fam.t})),
+            lambda: run_sweep(SweepSpec("upsilon", 0.0, 1.0, 2, "horodecki", fixed={"t": fam.t})),
         )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-    def test_non_finite_state_names_its_entries(self, family, value):
+    def test_non_finite_state_names_its_entries(self, family, value, monkeypatch):
         # an off-diagonal NaN used to pass the check and fail inside the SVD
         rho = np.eye(9, dtype=complex) / 9.0
         rho[0, 1] = rho[1, 0] = value
-        for call in self._calls(rho, family(3, 0.05)):
+        for call in self._calls(rho, family(3, 0.05), monkeypatch):
             with pytest.raises(ValueError, match=r"non-finite entries at \(0, 1\), \(1, 0\)$"):
                 call()
 
-    def test_density_tolerances_of_the_file_policy(self, family):
+    def test_density_tolerances_of_the_file_policy(self, family, monkeypatch, capsys):
         # each state passed the former 1e-9 cutoff and fails density_* of TOL
         white = np.eye(9, dtype=complex) / 9.0
         skew = white.copy()
@@ -410,9 +437,12 @@ class TestFrontDoor:
             problems = validate_density(rho)
             assert problems
             message = "state is not a density matrix: " + "; ".join(problems)
-            for call in self._calls(rho, family(3, 0.05)):
+            for call in self._calls(rho, family(3, 0.05), monkeypatch):
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     call()
+            # the CLI reports it as an error, exit 1
+            assert main(["bound", "--state", "tiles", "--t", "0.05"]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _reports(d, columns):
@@ -593,12 +623,33 @@ class TestSchmidtPath:
         at_cutoff = TOL.purity / (2.0 * (1.0 - 1.0 / d**2))
         for eps, pure in ((0.9 * at_cutoff, True), (1.1 * at_cutoff, False)):
             rho = mix_with_white_noise(_pure_density(psi), 1.0 - eps)
-            assert bool(abs(1.0 - np.vdot(rho, rho).real) <= TOL.purity) is pure
-            assert criteria._is_pure(rho) is pure
+            assert criteria._pure(rho[None])[0] == pure
             for w in (1.0, 0.9, 0.3):
                 got = _reports(d, bound_columns(rho[None], ts, weights=w))
                 for report, t in zip(got, ts):
                     _assert_same_report(report, _dense_report(rho, t, w), (eps, t, w))
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_a_stack_member_takes_the_path_of_the_state_alone(self, d, t_range_of):
+        # states within rounding of the purity cutoff, on both sides of it,
+        # are probed by one formula: each takes the same path and gives the
+        # same doubles alone as between a mixed and a pure neighbour
+        psi = random_pure(d, d, seed=d)
+        t = standard_grid(d, [0.5 * t_range_of(d).upper])[0]
+        at_cutoff = TOL.purity / (2.0 * (1.0 - 1.0 / d**2))
+        near = [mix_with_white_noise(_pure_density(psi), 1.0 - scale * at_cutoff)
+                for scale in np.linspace(0.9, 1.1, 9)]
+        stack = np.stack([random_density(d * d, seed=d), *near,
+                          _pure_density(random_pure(d, d, seed=d + 1))])
+        paths = criteria._pure(stack)[1:-1]
+        assert paths.any() and not paths.all()
+        together = bound_columns(stack, t)
+        for i, rho in enumerate(near):
+            assert criteria._pure(rho[None])[0] == paths[i]
+            alone = bound_columns(rho[None], t)
+            assert {key: column[i + 1] for key, column in together.items()} == {
+                key: column[0] for key, column in alone.items()
+            }, i
 
     def test_margin_of_a_pure_state_equals_the_dense_frame(self, t_range_of):
         # white_noise_margin frames a pure state the same way

@@ -185,8 +185,9 @@ def test_specs_reject_a_value_for_their_own_variable():
 class _Counts:
     """Counts calls of module attributes, and density factorisations of one size.
 
-    ``validate_density`` counts the file check inside ``load_state`` and
-    ``front_door`` the same validator called by the criteria.
+    ``validate_density`` counts the file check inside ``load_state``,
+    ``state_check`` the same validator called by ``engine.make_state`` on
+    a built state, and ``front_door`` by the criteria.
     ``density_cholesky`` counts positivity certificates and
     ``density_eigvalsh`` eigen-checks; one of a stack of states counts
     once, like one of a single state.
@@ -198,6 +199,7 @@ class _Counts:
         for module, name, label in (
             (engine, "load_state", "load_state"),
             (states, "validate_density", "validate_density"),
+            (engine, "validate_density", "state_check"),
             (criteria, "validate_density", "front_door"),
             (criteria, "build_correlation_matrix", "build_correlation_matrix"),
             (criteria, "_contract", "contract"),
@@ -239,33 +241,52 @@ def test_threshold_query_touches_its_state_once(monkeypatch, tmp_path):
         ThresholdQuery(state_family="file", t=0.1, search_variable="p", file=path)
     )
     assert result.found and result.evaluations == 6
-    # one load and its file check, one family (blocks and interval built on
-    # this first query at d = 3), one check at the correlation front door,
-    # one contraction of the frame; every evaluation reuses it,
-    # and the probability correlation matrix is never formed.  A valid
-    # state is certified by Cholesky and never reaches eigvalsh.
+    # one load and its file check, the only one; one family (blocks and
+    # interval built on this first query at d = 3) and one contraction of
+    # the frame; every evaluation reuses it, and the probability
+    # correlation matrix is never formed.  A valid state is certified by
+    # Cholesky and never reaches eigvalsh.
     assert counts.calls == {
         "load_state": 1,
         "validate_density": 1,
         "build_f_blocks": 1,
         "t_interval": 1,
-        "front_door": 1,
-        "density_cholesky": 2,
+        "density_cholesky": 1,
         "contract": 1,
     }
+
+
+def test_built_states_are_checked_once_per_query(monkeypatch, tmp_path):
+    # a tiles or Horodecki state is checked once, as make_state builds it,
+    # and a file state once, as load_state reads it; the criteria never
+    # check a query's state again
+    path = _state_file(tmp_path)
+    mums.standard_t_range(3)  # the d = 3 family memo, so that no query counts its build
+    counts = _Counts(monkeypatch, 9)
+    for argv, check in (
+        (["bound", "--state", "tiles", "--p", "0.9", "--t", "0.05"], "state_check"),
+        (["bound", "--state", "horodecki", "--upsilon", "0.3", "--t", "0.05"], "state_check"),
+        (["bound", "--state", "file", "--file", path, "--t", "0.05"], "validate_density"),
+        (["threshold", "--state", "tiles", "--t", "0.05"], "state_check"),
+        (["threshold", "--state", "horodecki", "--upsilon", "0.3", "--t", "0.05"], "state_check"),
+        (["threshold", "--state", "file", "--file", path, "--t", "0.05"], "validate_density"),
+    ):
+        counts.calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+        loaded = {"load_state": 1} if check == "validate_density" else {}
+        assert counts.calls == {**loaded, check: 1, "density_cholesky": 1, "contract": 1}, argv
 
 
 def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
     path = _state_file(tmp_path)
     counts = _Counts(monkeypatch, 9)
-    # at d = 3 the whole grid is one chunk: one density check and one
-    # contraction, and a stack of mixed states is checked and contracted
-    # once; valid states are certified by Cholesky alone
+    # at d = 3 the whole grid is one chunk: one density check, at the load,
+    # and one contraction; valid states are certified by Cholesky alone
     expected = {
         "load_state": 1,
         "validate_density": 1,
-        "front_door": 1,
-        "density_cholesky": 2,
+        "density_cholesky": 1,
         "contract": 1,
     }
     # blocks and t-interval on the first sweep only: later ones reuse the memo
@@ -301,6 +322,9 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
 
     count(engine, "horodecki_state")
     count(engine, "load_state")
+    # every density check, keyed as one: in load_state, make_state or the criteria
+    count(states, "validate_density")
+    count(engine, "validate_density")
     count(criteria, "validate_density")
     count(criteria, "_contract")
     count(criteria, "_margins")
@@ -324,12 +348,11 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
 
             monkeypatch.setattr(module, "mix_with_white_noise", recorded)
 
-    # the upsilon sweep: one state at upsilon = 0 fixes d, then one build,
-    # one contraction and one evaluation per chunk at its one family; no
-    # effect is ever formed
+    # the upsilon sweep: one build, one density check, one contraction and
+    # one evaluation per chunk at its one family; no effect is ever formed
     run_sweep(SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08}))
     chunks = math.ceil(101 / step)
-    assert calls == {"horodecki_state": 1 + chunks, "_family": 1, "validate_density": chunks,
+    assert calls == {"horodecki_state": chunks, "_family": 1, "validate_density": chunks,
                      "_contract": chunks, "_margins": chunks}
     # the t-sweep: no family object per t, one contraction of its one state,
     # and one evaluation per chunk of t
@@ -338,7 +361,7 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     run_sweep(SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 81, "tiles", fixed={"p": 0.99}))
     assert calls == {"validate_density": 1, "_contract": 1, "_margins": math.ceil(81 / step)}
     # the p and q sweeps: one state at weight 1, one load of a file, one
-    # front-door check and one contraction, whatever the chunk size; the
+    # density check and one contraction, whatever the chunk size; the
     # weights scale the frame, one evaluation per chunk of weights
     for spec, built in (
         (SweepSpec("p", 0.0, 1.0, 101, "file", fixed={"t": 0.05}, file=path),

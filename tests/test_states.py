@@ -232,6 +232,17 @@ class TestValidateDensity:
         assert any("Hermitian" in p for p in problems)
         assert any("trace" in p for p in problems)
 
+    def test_names_an_imaginary_trace(self):
+        # a real trace keeps its real text; an imaginary part is printed,
+        # where it used to read "trace is 1, not 1"
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 0] += 1e-9j
+        assert validate_density(rho) == [
+            "not Hermitian (max deviation 2.000e-09)",
+            "trace is 1+1e-09j, not 1",
+        ]
+        assert validate_density(np.eye(4, dtype=complex) / 2.0) == ["trace is 2, not 1"]
+
     def test_flags_negative_eigenvalue(self):
         bad = np.diag([1.2, -0.2])
         assert any("eigenvalue" in p for p in validate_density(bad))
