@@ -2,7 +2,8 @@
 
 Generalized Gell-Mann matrices, normalized so Tr(G^2) = 1, and their
 deterministic grouping into d+1 groups of d-1 operators, the shape the
-measurement construction consumes.
+measurement construction consumes.  Only generators that a caller supplies
+are checked: the Gell-Mann set is orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import numpy as np
 from .config import TOL
 
 
-def gellmann_generators(d: int) -> list[np.ndarray]:
-    """The d^2 - 1 generalized Gell-Mann matrices with Tr(G^2) = 1.
+def gellmann_generators(d: int) -> np.ndarray:
+    """The d^2 - 1 generalized Gell-Mann matrices with Tr(G^2) = 1, a new
+    (d^2 - 1, d, d) complex array.
 
     Fixed order: symmetric pair matrices for (i, j), i < j, in
     lexicographic order; then the antisymmetric pairs in the same order;
@@ -23,23 +25,14 @@ def gellmann_generators(d: int) -> list[np.ndarray]:
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    gens: list[np.ndarray] = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            g = np.zeros((d, d), dtype=complex)
-            g[i, j] = g[j, i] = 1.0 / np.sqrt(2.0)
-            gens.append(g)
-    for i in range(d):
-        for j in range(i + 1, d):
-            g = np.zeros((d, d), dtype=complex)
-            g[i, j] = -1j / np.sqrt(2.0)
-            g[j, i] = 1j / np.sqrt(2.0)
-            gens.append(g)
-    for level in range(1, d):
-        diag = np.zeros(d, dtype=complex)
-        diag[:level] = 1.0
-        diag[level] = -level
-        gens.append(np.diag(diag) / np.sqrt(level * (level + 1)))
+    i, j = np.triu_indices(d, 1)
+    sym, anti = np.split(np.arange(2 * len(i)), 2)
+    gens = np.zeros((d * d - 1, d, d), dtype=complex)
+    gens[sym, i, j] = gens[sym, j, i] = 1.0 / np.sqrt(2.0)
+    gens[anti, i, j], gens[anti, j, i] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    levels, k = np.arange(1, d), np.arange(d)
+    diag = np.tri(d - 1, d, dtype=complex) - levels[:, None] * np.eye(d - 1, d, 1)  # level l: l ones, -l
+    gens[2 * len(i) :, k, k] = diag / np.sqrt(levels * (levels + 1))[:, None]
     return gens
 
 
@@ -47,15 +40,18 @@ def gellmann_generators(d: int) -> list[np.ndarray]:
 class OperatorBasis:
     """d^2 - 1 orthonormal traceless Hermitian operators in d+1 groups of d-1.
 
-    ``groups`` has shape (d+1, d-1, d, d); the array is read-only.
+    ``groups`` has shape (d+1, d-1, d, d); the array is made read-only.
     """
 
     d: int
     groups: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.groups.setflags(write=False)
 
-def partition_basis(generators: list[np.ndarray], d: int) -> OperatorBasis:
-    """Fill d+1 groups with d-1 consecutive generators each.
+
+def partition_basis(generators: np.ndarray | list[np.ndarray], d: int) -> OperatorBasis:
+    """Fill d+1 groups with d-1 consecutive generators each, once checked.
 
     The generators must be an orthonormal set of d^2 - 1 traceless
     Hermitian matrices; any ordering is accepted, but the grouping (and
@@ -83,11 +79,9 @@ def partition_basis(generators: list[np.ndarray], d: int) -> OperatorBasis:
             f"(max deviation {worst:.3e})"
         )
 
-    groups = arr.reshape(d + 1, d - 1, d, d)
-    groups.setflags(write=False)
-    return OperatorBasis(d=d, groups=groups)
+    return OperatorBasis(d=d, groups=arr.reshape(d + 1, d - 1, d, d))
 
 
 def standard_basis(d: int) -> OperatorBasis:
-    """Gell-Mann generators in their fixed order, partitioned."""
-    return partition_basis(gellmann_generators(d), d)
+    """Gell-Mann generators in their fixed order, partitioned unchecked."""
+    return OperatorBasis(d=d, groups=gellmann_generators(d).reshape(d + 1, d - 1, d, d))

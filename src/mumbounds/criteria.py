@@ -142,7 +142,7 @@ def _frame_rows(d: int) -> np.ndarray:
     vec(I), then sqrt(gamma) times each Gell-Mann generator, gamma =
     d (1 + sqrt(d))^2, shape (d^2, d^2).  Four dimensions are kept (a
     d = 32 entry is 16 MB)."""
-    gens = np.stack(gellmann_generators(d)).reshape(-1, d * d)
+    gens = gellmann_generators(d).reshape(-1, d * d)
     rows = np.concatenate([np.eye(d).reshape(1, d * d), math.sqrt(d) * (1.0 + math.sqrt(d)) * gens])
     rows.setflags(write=False)
     return rows

@@ -14,9 +14,9 @@ no path forms the probability correlation matrix: a mixed state goes
 through its frame, which depends only on d, and a pure state, alone or
 in a stack, through closed forms in its Schmidt coefficients.  The
 Gell-Mann blocks and t-interval of a dimension are built on its first
-query and memoised (``mums.standard_family``).  A t of 0, where kappa =
-1/d at every d, is rejected before the state is built or loaded
-(``check_nonzero_t``).
+query, with no Gram check, and memoised (``mums.standard_family``).
+A t of 0, where kappa = 1/d at every d, is rejected before the state is
+built or loaded (``check_nonzero_t``).
 
 Every sweep and ``bound`` go through one column evaluator,
 ``criteria.bound_columns``, a chunk of points per SVD: a t-sweep or a

@@ -8,7 +8,8 @@ kappa(t) and the effects are derived from it, never stored.  The
 Gell-Mann blocks and interval are built once per dimension and
 memoised, so the families of a grid of t values share one block array
 and one interval, and a grid of t is checked as one array
-(``standard_grid``).  The criteria need only d and t
+(``standard_grid``), from the unchecked ``basis.standard_basis``.  The
+criteria need only d and t
 (``mumbounds.criteria``); the effects are formed for the defining trace
 relations and the 2-design property, which are verifiable numerically.
 """
@@ -167,7 +168,10 @@ def _standard_blocks(d: int) -> tuple[np.ndarray, TInterval]:
     The blocks are read-only and the interval is frozen, so every caller
     may share them.  Four dimensions are kept (a d = 16 entry is 1.1 MB).
     """
-    blocks = build_f_blocks(standard_basis(d))
+    # kept, so allocated before the build's transients: they cannot leave a heap hole under it
+    blocks = np.empty((d + 1, d, d, d), dtype=complex)
+    blocks[...] = build_f_blocks(standard_basis(d))
+    blocks.setflags(write=False)
     return blocks, t_interval(blocks, d)
 
 

@@ -5,12 +5,16 @@ PASS/FAIL line; run with `pytest tests/test_acceptance.py -v -s` to see
 the lines as they complete.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mumbounds.basis import standard_basis
+from mumbounds.config import TOL
 from mumbounds.engine import SweepSpec, ThresholdQuery, render_csv, run_sweep, run_threshold
 from mumbounds.criteria import (
     bound_columns,
@@ -23,7 +27,9 @@ from mumbounds.criteria import (
 from mumbounds.linalg import partial_trace, schmidt_decompose
 from mumbounds.mums import (
     build_f_blocks,
+    kappa_gap,
     standard_family,
+    swap_operator,
     t_interval,
     two_design_residual,
     verify_mum_relations,
@@ -365,3 +371,68 @@ def test_criterion_11_isotropic_schmidt_number(t_range_of):
         worst <= 1e-13,
         f"{cases} cases, max relative error {worst:.1e}",
     )
+
+
+def _werner(d, alpha):
+    """(I - alpha S)/(d^2 - d alpha), S the swap, a state for alpha in [-1, 1]."""
+    return (np.eye(d * d) - alpha * swap_operator(d)) / (d * d - d * alpha)
+
+
+def _werner_misses(d, alpha, ts):
+    """The fields of the Werner state's reports at ts that miss their closed
+    forms by more than 1e-12 relative plus 1e-15, and the largest deviation
+    (relative above 1, absolute below).  C_P = (J - alpha G)/(d^2 - d alpha)
+    for the effects' Gram matrix G, so with r = |alpha|(d+1)/(d-alpha) - 1,
+    ||C_P||_tr = (d+1)/d + |alpha|(kappa d - 1)(d+1)/(d(d - alpha)) and the
+    excess is (kappa d - 1) r/d at every t: the verdict is "entangled"
+    exactly when r/d > tol."""
+    ts = np.asarray(ts, dtype=float)
+    r = abs(alpha) * (d + 1) / (d - alpha) - 1.0
+    scale = d * kappa_gap(d, ts)  # kappa d - 1
+    columns = bound_columns(_werner(d, alpha)[None], ts)
+    expected = {
+        "traceNormP": (d + 1) / d + abs(alpha) * scale * (d + 1) / (d * (d - alpha)),
+        "bound_derived": math.sqrt(2 * (d - 1) / d) / d * max(0.0, r),
+        "schmidt_number_lb": max(1.0, 1.0 + (d - 1) * r / d),
+    }
+    misses, worst = [], 0.0
+    for name, value in expected.items():
+        value = np.broadcast_to(value, ts.shape)
+        dev = np.abs(np.asarray(columns[name]) - value)
+        worst = max(worst, float(np.max(dev / np.maximum(np.abs(value), 1.0))))
+        if np.any(dev > 1e-12 * np.abs(value) + 1e-15):
+            misses.append((d, alpha, name))
+    verdict = "entangled" if r / d > TOL.verdict else "undetected"  # r = 0 at d/(d + 2)
+    if columns["verdict"] != [verdict] * len(ts):
+        misses.append((d, alpha, "verdict"))
+    return misses, worst
+
+
+def test_criterion_12_werner_closed_form(t_range_of):
+    # rho_alpha is entangled exactly when alpha > 1/d (Werner, PRA 40, 4277,
+    # 1989), and the criterion detects it exactly when alpha > d/(d + 2), at
+    # every t: at alpha = d/(d + 2), r = 0 and the verdict is "undetected".
+    # One d = 32 state (1.5 s) takes the dense frame at the largest d.
+    missed, worst = [], 0.0
+    for d in (*range(2, 17), 32):
+        rng = t_range_of(d)
+        ts = (rng.lower, rng.upper, 1e-3 * rng.upper)
+        edge = d / (d + 2)
+        alphas = (-1.0, -0.3, 0.5 / d, 1.0 / d, 0.9 * edge, edge, edge + 0.01, 1.0)
+        for alpha in alphas if d <= 16 else (edge + 0.01,):
+            misses, dev = _werner_misses(d, alpha, ts)
+            missed += misses
+            worst = max(worst, dev)
+    _report(
+        "criterion 12: Werner reports equal their closed forms at d = 2..16 and 32",
+        not missed,
+        f"largest deviation {worst:.1e}, missed {missed}",
+    )
+
+
+@given(d=st.integers(2, 16), alpha=st.floats(-1.0, 1.0))
+@settings(max_examples=20, deadline=None)
+def test_werner_closed_form_at_a_drawn_alpha(t_range_of, d, alpha):
+    rng = t_range_of(d)
+    misses, _ = _werner_misses(d, alpha, (rng.lower, rng.upper, 1e-3 * rng.upper))
+    assert not misses

@@ -39,15 +39,55 @@ def test_count_and_structure(d):
             assert np.abs(g - np.diag(np.diag(g))).max() == 0.0
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def _loop_generators(d):
+    """The Gell-Mann generators built one matrix at a time, the reference
+    ``gellmann_generators`` must equal bit for bit."""
+    gens = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            g = np.zeros((d, d), dtype=complex)
+            g[i, j] = g[j, i] = 1.0 / np.sqrt(2.0)
+            gens.append(g)
+    for i in range(d):
+        for j in range(i + 1, d):
+            g = np.zeros((d, d), dtype=complex)
+            g[i, j] = -1j / np.sqrt(2.0)
+            g[j, i] = 1j / np.sqrt(2.0)
+            gens.append(g)
+    for level in range(1, d):
+        diag = np.zeros(d, dtype=complex)
+        diag[:level] = 1.0
+        diag[level] = -level
+        gens.append(np.diag(diag) / np.sqrt(level * (level + 1)))
+    return np.stack(gens)
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_generators_equal_the_loop_reference_bit_for_bit(d):
+    gens = gellmann_generators(d)
+    ref = _loop_generators(d)
+    assert gens.shape == ref.shape and gens.dtype == ref.dtype
+    assert gens.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 32])
 def test_gram_matrix_oracle(d):
+    # the only check of the standard generators: no query makes one
     gens = gellmann_generators(d)
     n = len(gens)
-    for i in range(n):
-        for j in range(n):
-            overlap = np.trace(gens[i] @ gens[j])
-            expect = 1.0 if i == j else 0.0
-            assert abs(overlap - expect) < 1e-12
+    assert np.abs(gens - gens.conj().transpose(0, 2, 1)).max() < 1e-15
+    assert np.abs(np.einsum("kii->k", gens)).max() < 1e-14
+    overlaps = gens.reshape(n, d * d) @ gens.transpose(0, 2, 1).reshape(n, d * d).T  # Tr(G_i G_j)
+    assert np.abs(overlaps - np.eye(n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_standard_basis_is_the_checked_partition(d):
+    groups = standard_basis(d).groups
+    assert not groups.flags.writeable
+    checked = partition_basis(gellmann_generators(d), d).groups
+    assert not checked.flags.writeable
+    assert groups.shape == checked.shape and groups.tobytes() == checked.tobytes()
 
 
 def test_partition_shapes():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mumbounds import criteria
+from mumbounds import basis, criteria, mums
 from mumbounds.cli import main
 from mumbounds.engine import (
     MAX_SWEEP_STEPS,
@@ -20,7 +20,7 @@ from mumbounds.engine import (
     run_threshold,
 )
 from mumbounds.mums import standard_family
-from mumbounds.states import StateFileError, load_state, save_state, tiles_state
+from mumbounds.states import StateFileError, load_state, random_density, save_state, tiles_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -592,6 +592,47 @@ class TestNegativeFloatValues:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[1].startswith(b"-0.04,")
+
+
+def _clear_family_memos():
+    mums._standard_blocks.cache_clear()
+    criteria._frame_rows.cache_clear()
+
+
+def test_cold_queries_make_no_gram_check(capsys, monkeypatch, tmp_path):
+    # the Gell-Mann generators are orthonormal by construction and held by
+    # tests/test_basis.py; only generators that a caller supplies pass
+    # through partition_basis and its Gram product
+    state = tmp_path / "mixed4.json"
+    save_state(random_density(16, seed=5), state)
+    sweep = tmp_path / "sweep.csv"
+    commands = [
+        ("bound", "--state", "tiles", "--t", "0.05"),
+        ("threshold", "--state", "file", "--file", str(state), "--t", "0.03"),
+        ("sweep", "--state", "file", "--file", str(state), "--var", "t",
+         "--start", "0.01", "--stop", "0.06", "--steps", "6", "--out", str(sweep)),
+        ("kappa", "--d", "5", "--t", "0.01"),
+        ("t-range", "--d", "5"),
+    ]
+
+    def outputs(argv):
+        _clear_family_memos()
+        sweep.unlink(missing_ok=True)
+        code, out, err = run(capsys, *argv)
+        return code, out, err, sweep.read_bytes() if sweep.exists() else None
+
+    usual = [outputs(argv) for argv in commands]
+    assert [code for code, *_ in usual] == [0] * len(commands)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query called partition_basis")
+
+    monkeypatch.setattr(basis, "partition_basis", refuse)
+    try:
+        for argv, expected in zip(commands, usual):
+            assert outputs(argv) == expected, argv
+    finally:
+        _clear_family_memos()
 
 
 class TestStateFiles:
