@@ -4,7 +4,7 @@ from a partitioned Gell-Mann basis, correlation matrices of bipartite
 states, concurrence lower bounds, and separability / Schmidt-number
 tests, with benchmark bound entangled states."""
 
-from .basis import OperatorBasis, gellmann_generators, partition_basis, standard_basis
+from .basis import gellmann_generators, partition_basis, standard_basis
 from .config import TOL, Tolerances
 from .criteria import (
     BoundReport,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TOL",
     "Tolerances",
-    "OperatorBasis",
     "gellmann_generators",
     "partition_basis",
     "standard_basis",

@@ -1,14 +1,13 @@
 """Orthonormal traceless Hermitian operator sets.
 
 Generalized Gell-Mann matrices, normalized so Tr(G^2) = 1, and their
-deterministic grouping into d+1 groups of d-1 operators, the shape the
-measurement construction consumes.  Only generators that a caller supplies
-are checked: the Gell-Mann set is orthonormal by construction.
+deterministic grouping into d+1 groups of d-1 operators: a basis is one
+read-only (d+1, d-1, d, d) complex array, the shape the measurement
+construction consumes.  Only generators that a caller supplies are
+checked: the Gell-Mann set is orthonormal by construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +35,16 @@ def gellmann_generators(d: int) -> np.ndarray:
     return gens
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    """d^2 - 1 orthonormal traceless Hermitian operators in d+1 groups of d-1.
-
-    ``groups`` has shape (d+1, d-1, d, d); the array is made read-only.
-    """
-
-    d: int
-    groups: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.groups.setflags(write=False)
+def _grouped(generators: np.ndarray, d: int) -> np.ndarray:
+    """The (d^2 - 1, d, d) generators as d+1 consecutive groups of d-1, read-only."""
+    groups = generators.reshape(d + 1, d - 1, d, d)
+    groups.setflags(write=False)
+    return groups
 
 
-def partition_basis(generators: np.ndarray | list[np.ndarray], d: int) -> OperatorBasis:
-    """Fill d+1 groups with d-1 consecutive generators each, once checked.
+def partition_basis(generators: np.ndarray | list[np.ndarray], d: int) -> np.ndarray:
+    """Fill d+1 groups with d-1 consecutive generators each, once checked:
+    the read-only (d+1, d-1, d, d) basis array.
 
     The generators must be an orthonormal set of d^2 - 1 traceless
     Hermitian matrices; any ordering is accepted, but the grouping (and
@@ -79,9 +72,10 @@ def partition_basis(generators: np.ndarray | list[np.ndarray], d: int) -> Operat
             f"(max deviation {worst:.3e})"
         )
 
-    return OperatorBasis(d=d, groups=arr.reshape(d + 1, d - 1, d, d))
+    return _grouped(arr, d)
 
 
-def standard_basis(d: int) -> OperatorBasis:
-    """Gell-Mann generators in their fixed order, partitioned unchecked."""
-    return OperatorBasis(d=d, groups=gellmann_generators(d).reshape(d + 1, d - 1, d, d))
+def standard_basis(d: int) -> np.ndarray:
+    """Gell-Mann generators in their fixed order, partitioned unchecked: the
+    read-only (d+1, d-1, d, d) basis array."""
+    return _grouped(gellmann_generators(d), d)

@@ -12,17 +12,16 @@ One rule of ``mumbounds.criteria`` evaluates every point, so a point
 gives the same double in ``bound``, a sweep or a threshold search, and
 no path forms the probability correlation matrix: a mixed state goes
 through its frame, which depends only on d, and a pure state, alone or
-in a stack, through closed forms in its Schmidt coefficients.  The
-Gell-Mann blocks and t-interval of a dimension are built on its first
-query, with no Gram check, and memoised (``mums.standard_family``).
-A t of 0, where kappa = 1/d at every d, is rejected before the state is
-built or loaded (``check_nonzero_t``).
+in a stack, through closed forms in its Schmidt coefficients.  A t of
+0, where kappa = 1/d at every d, is rejected before the state is built
+or loaded (``check_nonzero_t``); at the state's d, a t or a grid of t
+is checked by the rule of ``mums.standard_grid`` (``checked_t``), and
+only a threshold query, whose result carries kappa, builds a family.
 
 Every sweep and ``bound`` go through one column evaluator,
 ``criteria.bound_columns``, a chunk of points per SVD: a t-sweep or a
 sweep of the family's one weight (``weight_name``) frames its one state
-once, a t-sweep checking its grid as one array (``mums.standard_grid``)
-and a weight sweep passing its grid as the weights.  An upsilon sweep
+once, passing its grid as the t values or the weights.  An upsilon sweep
 builds and checks one stack of Horodecki states per chunk, so its
 memory stays bounded.  A threshold query frames the state once, and
 each weight of the search is one SVD, or a closed form for a pure state
@@ -79,28 +78,35 @@ def infer_d(dim: int) -> int:
     return d
 
 
+def checked_t(d: int, t, context: str = ""):
+    """t, a float or a grid of t, as a float array once admissible at d
+    (``mums.standard_grid``); an inadmissible t is a UsageError, its text
+    ``context`` followed by the rule's."""
+    try:
+        return standard_grid(d, t)
+    except ValueError as exc:
+        raise UsageError(context + str(exc)) from exc
+
+
 def family_for(d: int, t: float) -> MumFamily:
     """The Gell-Mann family at (d, t); an inadmissible t is a UsageError."""
-    try:
-        return standard_family(d, t)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return standard_family(d, checked_t(d, t))
 
 
 def check_nonzero_t(t: float) -> None:
     """A UsageError for t = 0 before any state is built or loaded: kappa =
-    1/d there at every d, so the family at the smallest d gives the error
-    that ``family_for`` gives at the state's d."""
+    1/d there at every d, so the rule at the smallest d gives the error
+    that ``checked_t`` gives at the state's d."""
     if t == 0.0:
-        family_for(2, t)
+        checked_t(2, t)
 
 
 # every value a family may take, in the order a UsageError names them
-_FAMILY_PARAMS = ("p", "q", "upsilon", "d", "seed")
+_FAMILY_PARAMS = ("p", "q", "upsilon", "d", "seed", "file")
 
 
 def check_params(family: str, params: dict, takes: tuple[str, ...]) -> None:
-    """Raise UsageError naming each of p, q, upsilon, d and seed that
+    """Raise UsageError naming each of p, q, upsilon, d, seed and file that
     ``params`` gives (not None) but that is not in ``takes``, the
     family's parameters."""
     ignored = [k for k in _FAMILY_PARAMS if params.get(k) is not None and k not in takes]
@@ -123,15 +129,18 @@ def make_state(family: str, file: str | None, params: dict) -> tuple[np.ndarray,
     (``weight_name``), or 1 when it is not given.
 
     A parameter that is given (not None) but that the family does not
-    take is a UsageError, as is an unknown family; the weight must lie
-    in [0, 1] (``states.check_weight``).  An array of upsilon values
-    gives the stack of their states (``horodecki_state``).  The state is
-    never mixed: the weight scales its frame (``criteria.bound_columns``).
-    It is the query's one density check: ``load_state`` checks a file, and
-    a built state or stack is checked here; a failure raises ValueError.
+    take is a UsageError, ``file`` included, as is an unknown family; the
+    weight must lie in [0, 1] (``states.check_weight``).  An array of
+    upsilon values gives the stack of their states (``horodecki_state``).
+    The state is never mixed: the weight scales its frame
+    (``criteria.bound_columns``).  It is the query's one density check:
+    ``load_state`` checks a file, and a built state or stack is checked
+    here; a failure raises ValueError.
     """
     name = weight_name(family)
-    check_params(family, params, _STATE_PARAMS[family])
+    # not in _STATE_PARAMS, from which the sweepable variables come, file is added here
+    takes = (*_STATE_PARAMS[family], "file") if family == "file" else _STATE_PARAMS[family]
+    check_params(family, {**params, "file": file}, takes)
     if family == "tiles":
         rho = tiles_state()
     elif family == "horodecki":
@@ -235,7 +244,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             stack, q = make_state(spec.state_family, spec.file, params)
             if start == 0:
                 d = infer_d(stack.shape[-1])
-                t = family_for(d, fixed["t"]).t
+                t = checked_t(d, fixed["t"])
             for key, column in bound_columns(stack, t, weights=q).items():
                 columns.setdefault(key, []).extend(column)
     else:
@@ -244,12 +253,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         rho, w = make_state(spec.state_family, spec.file, fixed)
         d = infer_d(rho.shape[0])
         if spec.variable == "t":
-            try:
-                ts = standard_grid(d, grid)
-            except ValueError as exc:
-                raise UsageError(f"sweep grid point is inadmissible: {exc}") from exc
+            ts = checked_t(d, grid, "sweep grid point is inadmissible: ")
         else:
-            ts, w = family_for(d, fixed["t"]).t, grid
+            ts, w = checked_t(d, fixed["t"]), grid
         columns = bound_columns(rho[None], ts, weights=w)
 
     names = ("var", "d", *columns)

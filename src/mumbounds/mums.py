@@ -1,17 +1,15 @@
 """Complete families of mutually unbiased measurements (MUMs).
 
-From a partitioned operator basis, build the d(d+1) traceless building
-blocks, the admissible sharpness interval for the parameter t, and the
-d+1 POVMs with effects I/d + t*F.  A family is the pair (t, blocks),
-with t checked against the blocks' interval when it is built: d,
-kappa(t) and the effects are derived from it, never stored.  The
-Gell-Mann blocks and interval are built once per dimension and
-memoised, so the families of a grid of t values share one block array
-and one interval, and a grid of t is checked as one array
-(``standard_grid``), from the unchecked ``basis.standard_basis``.  The
-criteria need only d and t
-(``mumbounds.criteria``); the effects are formed for the defining trace
-relations and the 2-design property, which are verifiable numerically.
+From a basis, the read-only (d+1, d-1, d, d) array of ``mumbounds.basis``,
+build the d(d+1) traceless building blocks, their admissible interval
+for the sharpness t, and the d+1 POVMs with effects I/d + t*F.  A family
+is the pair (t, blocks); d, kappa(t) and the effects are derived from
+it.  One rule admits t, or an array of t, for every family and grid
+(``_admitted``).  The Gell-Mann blocks and interval are memoised per d,
+so the families of one d share them; ``standard_grid`` checks t without
+a family.  The criteria read only d and t (``mumbounds.criteria``); the
+effects serve ``verify_mum_relations``, which checks the defining trace
+relations and the 2-design property and decides on them.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorBasis, standard_basis
+from .basis import standard_basis
 from .config import TOL
 
 
@@ -46,17 +44,18 @@ def optimal_kappa(d: int) -> float:
     return 1.0 / d + 2.0 / d**2
 
 
-def build_f_blocks(basis: OperatorBasis) -> np.ndarray:
-    """Traceless Hermitian building blocks, shape (d+1, d, d, d).
+def build_f_blocks(groups: np.ndarray) -> np.ndarray:
+    """Traceless Hermitian building blocks of a basis array ``groups``
+    (d+1, d-1, d, d), shape (d+1, d, d, d).
 
     In each group the first d-1 blocks are the group sum minus
     (d + sqrt(d)) times one member, and the last block is (1 + sqrt(d))
     times the group sum; the d blocks of a group sum to zero.
     """
-    d = basis.d
-    group_sum = basis.groups.sum(axis=1)
+    d = groups.shape[-1]
+    group_sum = groups.sum(axis=1)
     blocks = np.empty((d + 1, d, d, d), dtype=complex)
-    blocks[:, : d - 1] = group_sum[:, None, :, :] - (d + np.sqrt(d)) * basis.groups
+    blocks[:, : d - 1] = group_sum[:, None, :, :] - (d + np.sqrt(d)) * groups
     blocks[:, d - 1] = (1.0 + np.sqrt(d)) * group_sum
     blocks.setflags(write=False)
     return blocks
@@ -134,31 +133,34 @@ class InadmissibleTError(ValueError):
 _GAP_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _family(t: float, blocks: np.ndarray, rng: TInterval) -> MumFamily:
-    """The family of blocks at t; InadmissibleTError unless t is in rng and
-    kappa d - 1 exceeds ``_GAP_FLOOR``."""
-    d = blocks.shape[-1]
-    if d * kappa_gap(d, t) <= _GAP_FLOOR:  # t = 0 or below the floor
+def _admitted(d: int, t, rng: TInterval):
+    """t, a float or an array of floats, once each value is admissible at d:
+    kappa d - 1 = d kappa_gap above ``_GAP_FLOOR`` and t in ``rng``.  The
+    first t that is not raises its InadmissibleTError."""
+    above = d * kappa_gap(d, t) > _GAP_FLOOR  # else t = 0 or below the floor
+    admissible = above & rng.contains(t)
+    if not admissible.all():
+        first = np.argmin(admissible)
+        t = float(np.ravel(t)[first])
+        interval = f"[{rng.lower:.6f}, {rng.upper:.6f}]"
         raise InadmissibleTError(
-            f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement"
+            f"t = {t} is outside the admissible interval {interval} for this basis"
+            if np.ravel(above)[first]
+            else f"t = {t} gives kappa = 1/d, which is not a mutually unbiased measurement"
         )
-    if not rng.contains(t):
-        raise InadmissibleTError(
-            f"t = {t} is outside the admissible interval "
-            f"[{rng.lower:.6f}, {rng.upper:.6f}] for this basis"
-        )
-    return MumFamily(t=t, f_blocks=blocks)
+    return t
 
 
-def build_mums(basis: OperatorBasis, t: float) -> MumFamily:
-    """Construct the d+1 MUMs of a basis at sharpness parameter t.
+def build_mums(groups: np.ndarray, t: float) -> MumFamily:
+    """Construct the d+1 MUMs of a basis array ``groups`` at sharpness t.
 
     Builds the blocks and their admissible interval.  Raises
     InadmissibleTError, a ValueError, when t is zero (kappa would equal
     1/d) or outside the interval.
     """
-    blocks = build_f_blocks(basis)
-    return _family(float(t), blocks, t_interval(blocks, basis.d))
+    blocks = build_f_blocks(groups)
+    d = blocks.shape[-1]
+    return MumFamily(t=_admitted(d, float(t), t_interval(blocks, d)), f_blocks=blocks)
 
 
 @functools.lru_cache(maxsize=4)
@@ -187,43 +189,43 @@ def standard_family(d: int, t: float) -> MumFamily:
     so ``[standard_family(d, t) for t in ts]`` is a grid of families.
     Raises InadmissibleTError like ``build_mums``.
     """
-    return _family(float(t), *_standard_blocks(d))
+    blocks, rng = _standard_blocks(d)
+    return MumFamily(t=_admitted(d, float(t), rng), f_blocks=blocks)
 
 
 def standard_grid(d: int, ts) -> np.ndarray:
-    """``ts`` as a float array, checked as one array without a family per
-    t: the first t that fails raises the InadmissibleTError that
+    """``ts``, a t or a grid of t, as a float array once checked, without a
+    family: the first t that fails raises the InadmissibleTError that
     ``standard_family(d, t)`` gives for it."""
-    blocks, rng = _standard_blocks(d)
-    ts = np.asarray(ts, dtype=float)
-    admissible = (d * kappa_gap(d, ts) > _GAP_FLOOR) & rng.contains(ts)
-    if not admissible.all():
-        _family(float(ts[np.argmin(admissible)]), blocks, rng)  # raises for that t
-    return ts
+    return _admitted(d, np.asarray(ts, dtype=float), standard_t_range(d))
 
 
 @dataclass(frozen=True)
 class MumRelationReport:
-    """Maximum absolute deviations from the MUM defining relations.
+    """Maximum absolute deviations from the MUM defining relations and the
+    2-design identity (``two_design_residual``).
 
-    ``passed`` tests the trace and Gram relations against
-    ``TOL.mum_relations``: those force each measurement to sum to I, so
-    ``completeness`` is a diagnostic.
+    ``passed``, the verdict of ``verify``, tests the trace and Gram
+    relations and the 2-design residual against ``TOL.mum_relations``:
+    the relations force each measurement to sum to I, so ``completeness``
+    is a diagnostic.
     """
 
     trace_one: float
     cross_basis: float
     within_basis: float
     completeness: float
-    min_effect_eigenvalue: float
+    two_design_residual: float
 
     @property
     def passed(self) -> bool:
-        return max(self.trace_one, self.cross_basis, self.within_basis) < TOL.mum_relations
+        checked = (self.trace_one, self.cross_basis, self.within_basis, self.two_design_residual)
+        return all(dev < TOL.mum_relations for dev in checked)
 
 
 def verify_mum_relations(fam: MumFamily) -> MumRelationReport:
-    """Check unit traces, 1/d cross overlaps and the kappa overlap pattern.
+    """Check unit traces, 1/d cross overlaps, the kappa overlap pattern
+    and the 2-design identity.
 
     Diagnostic only: always returns a report, never raises.
     """
@@ -244,13 +246,12 @@ def verify_mum_relations(fam: MumFamily) -> MumRelationReport:
     within_basis = float(dev[same].max())
 
     completeness = float(np.abs(stack.reshape(d + 1, d, d, d).sum(axis=1) - np.eye(d)).max())
-    min_eig = float(np.linalg.eigvalsh(stack).min())
     return MumRelationReport(
         trace_one=trace_one,
         cross_basis=cross_basis,
         within_basis=within_basis,
         completeness=completeness,
-        min_effect_eigenvalue=min_eig,
+        two_design_residual=two_design_residual(fam),
     )
 
 

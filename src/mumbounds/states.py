@@ -190,10 +190,11 @@ def save_state(rho: np.ndarray, path: str | Path) -> None:
     """Write a density matrix as JSON with dim, re and im fields.
 
     Entries are emitted with 17 significant digits, enough to round-trip
-    IEEE doubles exactly.
+    IEEE doubles exactly.  Anything but one valid square matrix is a
+    StateFileError, raised before the file is opened.
     """
     rho = np.asarray(rho, dtype=complex)
-    problems = validate_density(rho)
+    problems = [f"not one matrix (shape {rho.shape})"] if rho.ndim == 3 else validate_density(rho)
     if problems:
         raise StateFileError(
             "refusing to save an invalid density matrix: " + "; ".join(problems)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mumbounds import basis, criteria, mums
+from mumbounds import basis, criteria, engine, mums
 from mumbounds.cli import main
 from mumbounds.engine import (
     MAX_SWEEP_STEPS,
@@ -17,6 +17,7 @@ from mumbounds.engine import (
     ThresholdQuery,
     UsageError,
     format_value,
+    run_sweep,
     run_threshold,
 )
 from mumbounds.mums import standard_family
@@ -512,12 +513,21 @@ class TestIgnoredParameters:
             (("sweep", "--state", "tiles", "--p", "0.9", "--var", "t", "--t", "0.05",
               "--start", "0.01", "--stop", "0.1", "--steps", "3", "--out", "{tmp}/out"),
              ("--t is the swept variable",)),
+            (("bound", "--state", "tiles", "--file", "{tmp}/missing.json", "--t", "0.05"),
+             ("usage error: the tiles family does not take --file\n",)),
+            (("sweep", "--state", "tiles", "--file", "{tmp}/mixed.json", "--var", "p",
+              "--start", "0", "--stop", "1", "--steps", "3", "--t", "0.05",
+              "--out", "{tmp}/out"), ("usage error: the tiles family does not take --file\n",)),
+            (("threshold", "--state", "horodecki", "--upsilon", "0.2", "--p", "0.5",
+              "--file", "{tmp}/missing.json", "--t", "0.05"),
+             ("usage error: the horodecki family does not take --p, --file\n",)),
         ],
         ids=["bound", "bound-file", "sweep", "threshold", "bound-file-q", "sweep-file-q",
              "threshold-file-q", "gen-state", "gen-state-random",
              "gen-state-max-entangled", "gen-state-tiles-d", "gen-state-horodecki-d-seed",
              "gen-state-max-entangled-seed", "threshold-searched-p", "threshold-searched-q",
-             "sweep-swept-p", "sweep-swept-t"],
+             "sweep-swept-p", "sweep-swept-t", "bound-tiles-file", "sweep-tiles-file",
+             "threshold-horodecki-p-file"],
     )
     def test_rejected_and_named(self, capsys, tmp_path, argv, named):
         save_state(np.eye(9) / 9.0, tmp_path / "mixed.json")
@@ -526,6 +536,18 @@ class TestIgnoredParameters:
         assert out == ""
         assert all(name in err for name in named)
         assert not (tmp_path / "out").exists()
+
+    def test_a_file_for_a_built_in_state_is_rejected_in_code(self, tmp_path):
+        # the specs reach the same check as the CLI, before the file is read
+        missing = str(tmp_path / "missing.json")
+        for query in (
+            lambda: run_sweep(SweepSpec("t", 0.01, 0.05, 3, "tiles", file=missing)),
+            lambda: run_sweep(SweepSpec("q", 0.0, 1.0, 3, "horodecki",
+                                        fixed={"t": 0.05, "upsilon": 0.2}, file=missing)),
+            lambda: run_threshold(ThresholdQuery("tiles", 0.05, "p", file=missing)),
+        ):
+            with pytest.raises(UsageError, match=r"family does not take --file$"):
+                query()
 
 
 class TestNonFiniteParameters:
@@ -628,6 +650,45 @@ def test_cold_queries_make_no_gram_check(capsys, monkeypatch, tmp_path):
         raise AssertionError("a query called partition_basis")
 
     monkeypatch.setattr(basis, "partition_basis", refuse)
+    try:
+        for argv, expected in zip(commands, usual):
+            assert outputs(argv) == expected, argv
+    finally:
+        _clear_family_memos()
+
+
+def test_bound_and_sweeps_build_no_family(capsys, monkeypatch, tmp_path):
+    # bound and every sweep read only a checked t: their output and CSV
+    # bytes are unchanged when no family can be built
+    sweep = tmp_path / "sweep.csv"
+    tail = ("--out", str(sweep))
+    commands = [
+        ("bound", "--state", "tiles", "--t", "0.05"),
+        ("bound", "--state", "horodecki", "--upsilon", "0.3", "--q", "0.99", "--t", "-0.05"),
+        ("sweep", "--state", "tiles", "--p", "0.99", "--var", "t", "--start", "-0.09",
+         "--stop", "0.1", "--steps", "21", *tail),
+        ("sweep", "--state", "tiles", "--var", "p", "--start", "0.8", "--stop", "1",
+         "--steps", "11", "--t", "0.05", *tail),
+        ("sweep", "--state", "horodecki", "--upsilon", "0.2", "--var", "q", "--start", "0",
+         "--stop", "1", "--steps", "11", "--t", "0.01", *tail),
+        ("sweep", "--state", "horodecki", "--q", "0.995", "--t", "0.08", "--var", "upsilon",
+         "--start", "0", "--stop", "1", "--steps", "11", *tail),
+    ]
+
+    def outputs(argv):
+        _clear_family_memos()
+        sweep.unlink(missing_ok=True)
+        code, out, err = run(capsys, *argv)
+        return code, out, err, sweep.read_bytes() if sweep.exists() else None
+
+    usual = [outputs(argv) for argv in commands]
+    assert [code for code, *_ in usual] == [0] * len(commands)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound or sweep built a family")
+
+    monkeypatch.setattr(engine, "standard_family", refuse)
+    monkeypatch.setattr(mums, "MumFamily", refuse)
     try:
         for argv, expected in zip(commands, usual):
             assert outputs(argv) == expected, argv

@@ -329,7 +329,7 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     count(criteria, "_contract")
     count(criteria, "_margins")
     count(criteria, "build_correlation_matrix")
-    count(mums, "_family")
+    count(mums, "_admitted")
     getter = mums.MumFamily.effects.fget
 
     def effects(fam):
@@ -349,17 +349,18 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
             monkeypatch.setattr(module, "mix_with_white_noise", recorded)
 
     # the upsilon sweep: one build, one density check, one contraction and
-    # one evaluation per chunk at its one family; no effect is ever formed
+    # one evaluation per chunk at its one checked t; no effect is ever formed
     run_sweep(SweepSpec("upsilon", 0.0, 1.0, 101, "horodecki", fixed={"q": 0.995, "t": 0.08}))
     chunks = math.ceil(101 / step)
-    assert calls == {"horodecki_state": chunks, "_family": 1, "validate_density": chunks,
+    assert calls == {"horodecki_state": chunks, "_admitted": 1, "validate_density": chunks,
                      "_contract": chunks, "_margins": chunks}
-    # the t-sweep: no family object per t, one contraction of its one state,
-    # and one evaluation per chunk of t
+    # the t-sweep: its grid checked as one array, one contraction of its one
+    # state, and one evaluation per chunk of t
     calls.clear()
     rng = mums.standard_t_range(3)
     run_sweep(SweepSpec("t", 0.9 * rng.lower, 0.9 * rng.upper, 81, "tiles", fixed={"p": 0.99}))
-    assert calls == {"validate_density": 1, "_contract": 1, "_margins": math.ceil(81 / step)}
+    assert calls == {"_admitted": 1, "validate_density": 1, "_contract": 1,
+                     "_margins": math.ceil(81 / step)}
     # the p and q sweeps: one state at weight 1, one load of a file, one
     # density check and one contraction, whatever the chunk size; the
     # weights scale the frame, one evaluation per chunk of weights
@@ -371,7 +372,7 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
     ):
         calls.clear()
         run_sweep(spec)
-        assert calls == {**built, "_family": 1, "validate_density": 1, "_contract": 1,
+        assert calls == {**built, "_admitted": 1, "validate_density": 1, "_contract": 1,
                          "_margins": math.ceil(101 / step)}, spec
     # nor does a bound or a threshold search: no query forms a white-noise
     # mixture, and only gen-state, which writes one, mixes

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mumbounds.basis import standard_basis
+from mumbounds.basis import gellmann_generators, partition_basis, standard_basis
 from mumbounds.mums import (
     InadmissibleTError,
     build_f_blocks,
@@ -46,7 +46,7 @@ def test_d2_blocks_match_direct_formula():
     # with one generator per group, the first block is -(1 + sqrt(2)) times
     # the scaled Pauli and the second is +(1 + sqrt(2)) times it
     blocks = build_f_blocks(standard_basis(2))
-    gens = standard_basis(2).groups[:, 0]
+    gens = standard_basis(2)[:, 0]
     for b in range(3):
         assert np.allclose(blocks[b, 0], -(1 + np.sqrt(2)) * gens[b], atol=1e-14)
         assert np.allclose(blocks[b, 1], (1 + np.sqrt(2)) * gens[b], atol=1e-14)
@@ -183,6 +183,70 @@ class TestStandardFamilyGrid:
         assert np.array_equal(fam.effects, shared.effects)
 
 
+def _rule_grid(d, rng):
+    """Admissible t, 0, +-0.99 of the smallest admissible |t|, 1e-300, and
+    t just outside both ends of ``rng``, each with its expected verdict."""
+    smallest = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps / (d * kappa_gap(d, 1.0)))
+    floor = "gives kappa = 1/d"
+    return [
+        (0.5 * rng.upper, None), (0.0, floor), (rng.upper, None), (0.99 * smallest, floor),
+        (-0.99 * smallest, floor), (0.3 * rng.lower, None), (1e-300, floor),
+        (rng.upper * (1 + 1e-9), "is outside"), (1.01 * smallest, None),
+        (rng.lower * (1 + 1e-9), "is outside"), (rng.lower, None),
+    ]
+
+
+def _verdict(make, t):
+    """The t of a family, or the text of its InadmissibleTError."""
+    try:
+        return make(t).t
+    except InadmissibleTError as exc:
+        return str(exc)
+
+
+class TestOneAdmissibilityRule:
+    """Every family and grid admits t by one rule: kappa d - 1 above the floor
+    and t in the blocks' interval, with one text for the first t that fails."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_families_and_grids_agree(self, d, t_range_of):
+        cases = _rule_grid(d, t_range_of(d))
+        groups = standard_basis(d)
+        verdicts = []
+        for t, expected in cases:
+            verdict = _verdict(lambda t: standard_family(d, t), t)
+            if expected is None:
+                assert verdict == t and standard_grid(d, t) == t
+            else:
+                assert verdict.startswith(f"t = {t!r} {expected}")
+            assert _verdict(lambda t: build_mums(groups, t), t) == verdict
+            verdicts.append(verdict)
+        ts = [t for t, _ in cases]
+        for k in range(len(ts)):
+            # every rotation of the grid raises the text of its first bad t
+            first = next(v for v in verdicts[k:] + verdicts[:k] if isinstance(v, str))
+            with pytest.raises(InadmissibleTError) as info:
+                standard_grid(d, ts[k:] + ts[:k])
+            assert str(info.value) == first
+        good = [t for t, expected in cases if expected is None]
+        assert standard_grid(d, good).tolist() == good
+
+    def test_a_partner_family_takes_the_rule_with_its_own_interval(self, t_range_of):
+        gens = gellmann_generators(3)
+        order = np.random.default_rng(5).permutation(len(gens))
+        groups = partition_basis([gens[k] for k in order], 3)
+        own = t_interval(build_f_blocks(groups), 3)
+        assert own != t_range_of(3)
+        for t, expected in _rule_grid(3, own):
+            verdict = _verdict(lambda t: build_mums(groups, t), t)
+            if expected is None:
+                assert verdict == t
+            else:
+                assert verdict.startswith(f"t = {t!r} {expected}")
+                if expected == "is outside":
+                    assert f"[{own.lower:.6f}, {own.upper:.6f}]" in verdict
+
+
 class TestMumFamily:
     def test_two_fields_and_derived_properties(self, family):
         fam = family(3, 0.05)
@@ -213,7 +277,7 @@ class TestBuildMums:
         assert report.cross_basis < 1e-12
         assert report.within_basis < 1e-12
         assert report.completeness < 1e-12
-        assert report.min_effect_eigenvalue > -1e-12
+        assert report.two_design_residual < 1e-12
 
     def test_kappa_is_stored(self, family):
         fam = family(3, 0.05)
@@ -242,6 +306,12 @@ class TestBuildMums:
             eigs = np.linalg.eigvalsh(family(d, t).effect_stack())
             assert eigs.min() > -1e-10
             assert eigs.max() < 1.0 + 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 32])
+    def test_effects_are_positive_at_both_interval_ends(self, d, family, t_range_of):
+        rng = t_range_of(d)
+        for t in (rng.lower, rng.upper):
+            assert np.linalg.eigvalsh(family(d, t).effect_stack()).min() >= -1e-12
 
     def test_corrupted_effect_is_reported(self, family):
         fam = family(3, 0.01)

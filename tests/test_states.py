@@ -186,6 +186,21 @@ class TestStateFiles:
         with pytest.raises(StateFileError, match="invalid"):
             save_state(np.eye(4), tmp_path / "bad.json")
 
+    @pytest.mark.parametrize("upsilon", [[0.2, 0.4], [0.2]])
+    def test_save_rejects_a_stack_before_opening(self, tmp_path, upsilon):
+        # validate_density accepts a stack, which has no file form
+        path = tmp_path / "stack.json"
+        message = rf"not one matrix \(shape \({len(upsilon)}, 9, 9\)\)"
+        with pytest.raises(StateFileError, match=message):
+            save_state(horodecki_state(upsilon), path)
+        assert not path.exists()
+
+    def test_one_matrix_round_trip_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_state(horodecki_state(0.2), first)
+        save_state(load_state(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_load_reports_missing_field(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dim": 2, "re": [[1, 0], [0, 0]]}')
