@@ -33,7 +33,7 @@ def main() -> None:
         )
         # make_state checks the state, which white_noise_margin takes as checked
         rho, _ = make_state("horodecki", None, {"upsilon": upsilon})
-        margin = white_noise_margin(rho, fam)(1.0)
+        margin = white_noise_margin(rho, fam.d, fam.t)(1.0)
         q_star = result.threshold if result.found else np.nan
         print(f"{upsilon:>8.1f}  {q_star:>14.6f}  {margin:>14.3e}")
     if fam is not None:

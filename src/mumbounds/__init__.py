@@ -11,15 +11,9 @@ from .criteria import (
     CorrelationMatrix,
     build_correlation_matrix,
     concurrence_lower_bound,
-    pure_concurrence,
     pure_trace_norm_closed_form,
 )
-from .linalg import (
-    SchmidtData,
-    partial_trace,
-    partial_transpose,
-    schmidt_decompose,
-)
+from .linalg import SchmidtData, schmidt_decompose
 from .mums import (
     InadmissibleTError,
     MumFamily,
@@ -76,11 +70,8 @@ __all__ = [
     "CorrelationMatrix",
     "build_correlation_matrix",
     "concurrence_lower_bound",
-    "pure_concurrence",
     "pure_trace_norm_closed_form",
     "SchmidtData",
-    "partial_trace",
-    "partial_transpose",
     "schmidt_decompose",
     "StateFileError",
     "horodecki_state",

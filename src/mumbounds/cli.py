@@ -27,6 +27,7 @@ from .engine import (
     check_nonzero_t,
     check_params,
     checked_t,
+    family_for,
     format_value,
     infer_d,
     make_state,
@@ -39,7 +40,6 @@ from .mums import (
     InadmissibleTError,
     kappa_of_t,
     optimal_kappa,
-    standard_family,
     standard_grid,
     standard_t_range,
     verify_mum_relations,
@@ -89,18 +89,7 @@ def _finite(text: str) -> float:
 
 
 def cmd_verify(args) -> int:
-    try:
-        fam = standard_family(args.d, args.t)
-    except InadmissibleTError:
-        rng = standard_t_range(args.d)
-        if args.t != 0.0 and rng.contains(args.t):
-            raise  # a nonzero t below the floor of kappa d - 1 (mums._admitted)
-        print(
-            f"t = {format_value(args.t)} is not admissible; the valid interval is "
-            f"[{rng.lower:.6f}, {rng.upper:.6f}] with t nonzero",
-            file=sys.stderr,
-        )
-        return 1
+    fam = family_for(args.d, args.t)
     report = verify_mum_relations(fam)
     print(f"d={fam.d}")
     print(f"t={format_value(fam.t)}")
@@ -339,7 +328,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,10 +42,12 @@ times the frame of rho, apart from the corner Tr rho = 1; so are its
 matrix M off the corner and ||Phi'||_tr.  A white-noise weight is a
 coordinate of the evaluation, applied this way alone: no mixed state is
 formed, and weight 1 multiplies by 1.0, which is exact.  Every state is
-checked once (``states.validate_density``): by the query that makes it
-(``engine.make_state``), or by the exported ``concurrence_lower_bound``
-and ``build_correlation_matrix``.  For Hermitian rows Re Tr(rho (X x Y))
-is the entry of rho's Hermitian part, so the real frame is its frame.
+checked once, by ``states``: a query's state as ``engine.make_state``
+makes it, and a state given to the exported ``concurrence_lower_bound``
+or ``build_correlation_matrix`` by ``states.checked_density``;
+``bound_columns`` and ``white_noise_margin`` take a checked state.  For
+Hermitian rows Re Tr(rho (X x Y)) is the entry of rho's Hermitian part,
+so the real frame is its frame.
 
 A pure state takes closed forms and no frame.  Local unitaries U x V
 act on M and Phi' by orthogonal maps that fix vec(I), so its report
@@ -69,11 +71,12 @@ same double whichever query reaches it: the closed forms of a pure
 state, or ``_margins`` of a mixed state's M scaled by w
 (``_weighted_margins``) and w ||Phi'||_tr.  ``bound_columns``, the one
 evaluator of a report, applies it to each chunk of ``chunk_points(d)``
-points, and ``white_noise_margin`` to each weight of a threshold search.
-``concurrence_lower_bound`` is one point of ``bound_columns``.
+points, and ``white_noise_margin(rho, d, t)`` to each weight of a
+threshold search.  ``concurrence_lower_bound`` is one point of
+``bound_columns``; it reads its family only through d and t.
 ``build_correlation_matrix`` forms C_P of two families that share kappa
 by the plain definition, as the reference the tests hold the frame
-against; every other evaluator reads a family only through d and t.
+against.
 """
 
 from __future__ import annotations
@@ -87,9 +90,9 @@ import numpy as np
 
 from .basis import gellmann_generators
 from .config import TOL
-from .linalg import SchmidtData, partial_trace, pure_amplitudes, schmidt_decompose
+from .linalg import SchmidtData, schmidt_decompose
 from .mums import MumFamily, kappa_gap
-from .states import check_weight, validate_density
+from .states import check_weight, checked_density
 
 
 # Largest working set of one stacked evaluation: a chunk holds 462 points
@@ -108,15 +111,6 @@ def _as_state(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"state must be {dim}x{dim}, got {rho.shape}")
-    return rho
-
-
-def _checked(rho: np.ndarray) -> np.ndarray:
-    """``rho``, once ``states.validate_density`` passes it; a failure
-    raises ValueError."""
-    problems = validate_density(rho)
-    if problems:
-        raise ValueError("state is not a density matrix: " + "; ".join(problems))
     return rho
 
 
@@ -228,22 +222,23 @@ def _weighted_margins(d: int, frames: np.ndarray, t, w, gap) -> tuple:
     return _margins(d, _frame_matrices(d, frames, t) * w[..., None, None], gap)
 
 
-def white_noise_margin(rho: np.ndarray, fam: MumFamily) -> Callable[[float], float]:
+def white_noise_margin(rho: np.ndarray, d: int, t: float) -> Callable[[float], float]:
     """The margin of w*rho + (1 - w)*I/d^2 as a function of the weight w:
-    the excess of its probability correlation trace norm over 1 + kappa.
+    the excess of its probability correlation trace norm over 1 + kappa,
+    for the family of sharpness t at d; t must be admissible at d, as
+    ``mums.standard_grid`` checks.
 
     The state, which the caller has validated, is probed and framed once,
     and each weight gives the double of its ``bound_columns`` point: the
     closed form of a pure state (``_pure_columns``), else one ``_margins``
     of its matrix M, none at w = 0, where the margin is -gap.
     """
-    d = fam.d
     rho = _as_state(rho, d * d)
-    gap = kappa_gap(d, fam.t)
+    gap = kappa_gap(d, t)
     if _pure(rho[None])[0]:
         pairs = _pair_sum(rho, d)
-        return lambda w: float(_pure_columns(d, pairs, fam.t, w, gap)[0])
-    m = _frame_matrices(d, _frames(rho, d), fam.t)
+        return lambda w: float(_pure_columns(d, pairs, t, w, gap)[0])
+    m = _frame_matrices(d, _frames(rho, d), t)
     return lambda w: float(-gap if w == 0.0 else _margins(d, m * w, gap)[0])
 
 
@@ -281,7 +276,7 @@ def build_correlation_matrix(
     if abs(fam_a.kappa - fam_b.kappa) > TOL.kappa_match:
         raise ValueError(f"families must share kappa: {fam_a.kappa!r} vs {fam_b.kappa!r}")
     rows_a, rows_b = (fam.effect_stack().reshape(-1, d * d) for fam in (fam_a, fam_b))
-    realigned = _realigned(_checked(_as_state(rho, d * d)), d)
+    realigned = _realigned(checked_density(_as_state(rho, d * d)), d)
     matrix = np.ascontiguousarray(_contract(realigned, rows_a, rows_b))
     singular_values = np.linalg.svd(matrix, compute_uv=False)
     return CorrelationMatrix(
@@ -300,14 +295,6 @@ def pure_trace_norm_closed_form(schmidt: SchmidtData, d: int, kappa: float) -> f
     c = schmidt.coefficients
     cross = 0.5 * (float(c.sum()) ** 2 - float((c * c).sum()))
     return 2.0 * (kappa * d - 1.0) / (d - 1.0) * cross + 1.0 + kappa
-
-
-def pure_concurrence(psi: np.ndarray, dim_a: int, dim_b: int) -> float:
-    """Concurrence sqrt(2 (1 - Tr(rho_A^2))) of a normalized pure state."""
-    psi = pure_amplitudes(psi, dim_a, dim_b)
-    rho_a = partial_trace(np.outer(psi, psi.conj()), dim_a, dim_b, keep="A")
-    purity = float((np.abs(rho_a) ** 2).sum())
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
 
 
 @dataclass(frozen=True)
@@ -440,9 +427,11 @@ def concurrence_lower_bound(
 
     Every separable state stays below 1 + kappa, so "entangled" is
     conclusive while "undetected" is not.  ``tol`` must be finite and
-    non-negative, and ``rho`` must pass ``states.validate_density``.  The
+    non-negative, and ``rho`` must pass ``states.checked_density``.  The
     report is the one point of ``bound_columns`` for ``rho`` at the
-    family's t and weight 1.
+    family's t and weight 1.  The family is read only through d and t; it
+    stays the argument because the benchmark (``bench/workloads.py``)
+    passes one.
     """
-    columns = bound_columns(_checked(_as_state(rho, fam.d**2))[None], fam.t, tol)
+    columns = bound_columns(checked_density(_as_state(rho, fam.d**2))[None], fam.t, tol)
     return BoundReport(fam.d, *(column[0] for column in columns.values()))

@@ -15,8 +15,9 @@ through its frame, which depends only on d, and a pure state, alone or
 in a stack, through closed forms in its Schmidt coefficients.  A t of
 0, where kappa = 1/d at every d, is rejected before the state is built
 or loaded (``check_nonzero_t``); at the state's d, a t or a grid of t
-is checked by the rule of ``mums.standard_grid`` (``checked_t``), and
-only a threshold query, whose result carries kappa, builds a family.
+is checked by the rule of ``mums.standard_grid`` (``checked_t``), whose
+text is every inadmissible t's message.  Only a threshold query, whose
+result carries kappa, and ``verify`` build a family (``family_for``).
 
 Every sweep and ``bound`` go through one column evaluator,
 ``criteria.bound_columns``, a chunk of points per SVD: a t-sweep or a
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import bound_columns, chunk_points, white_noise_margin
-from .mums import MumFamily, standard_family, standard_grid
-from .states import check_weight, horodecki_state, load_state, tiles_state, validate_density
+from .mums import InadmissibleTError, MumFamily, standard_family, standard_grid
+from .states import check_weight, checked_density, horodecki_state, load_state, tiles_state
 from .threshold import ThresholdResult, find_threshold
 
 CSV_HEADER = "var,traceNormP,traceNormF,kappa,threshold,bound_literal,bound_derived,verdict"
@@ -81,10 +82,11 @@ def infer_d(dim: int) -> int:
 def checked_t(d: int, t, context: str = ""):
     """t, a float or a grid of t, as a float array once admissible at d
     (``mums.standard_grid``); an inadmissible t is a UsageError, its text
-    ``context`` followed by the rule's."""
+    ``context`` followed by the rule's.  Any other ValueError, such as a
+    d below 2, passes through."""
     try:
         return standard_grid(d, t)
-    except ValueError as exc:
+    except InadmissibleTError as exc:
         raise UsageError(context + str(exc)) from exc
 
 
@@ -134,27 +136,23 @@ def make_state(family: str, file: str | None, params: dict) -> tuple[np.ndarray,
     upsilon values gives the stack of their states (``horodecki_state``).
     The state is never mixed: the weight scales its frame
     (``criteria.bound_columns``).  It is the query's one density check:
-    ``load_state`` checks a file, and a built state or stack is checked
-    here; a failure raises ValueError.
+    ``load_state`` checks a file, and ``states.checked_density`` a built
+    state or stack, raising ValueError.
     """
     name = weight_name(family)
     # not in _STATE_PARAMS, from which the sweepable variables come, file is added here
     takes = (*_STATE_PARAMS[family], "file") if family == "file" else _STATE_PARAMS[family]
     check_params(family, {**params, "file": file}, takes)
     if family == "tiles":
-        rho = tiles_state()
+        rho = checked_density(tiles_state())
     elif family == "horodecki":
         if params.get("upsilon") is None:
             raise UsageError("--upsilon is required for the horodecki family")
-        rho = horodecki_state(params["upsilon"])
+        rho = checked_density(horodecki_state(params["upsilon"]))
     else:
         if file is None:
             raise UsageError("--file is required when --state file is selected")
         rho = load_state(file)
-    if family != "file":
-        problems = validate_density(rho)
-        if problems:
-            raise ValueError("state is not a density matrix: " + "; ".join(problems))
     weight = 1.0 if params.get(name) is None else params[name]
     check_weight(weight)
     return rho, weight
@@ -287,4 +285,4 @@ def run_threshold(query: ThresholdQuery) -> tuple[ThresholdResult, MumFamily]:
     query.validate()
     rho, _ = make_state(query.state_family, query.file, query.fixed)
     fam = family_for(infer_d(rho.shape[0]), query.t)
-    return find_threshold(white_noise_margin(rho, fam), tol=query.tolerance), fam
+    return find_threshold(white_noise_margin(rho, fam.d, fam.t), tol=query.tolerance), fam

@@ -1,8 +1,8 @@
-"""Dense complex linear algebra primitives.
+"""The Schmidt coefficients of bipartite pure states.
 
-Partial traces and transposes, and the Schmidt coefficients of
-bipartite pure states.  All functions are pure and operate on plain
-numpy arrays.
+A pure state's report depends on its Schmidt coefficients alone
+(``criteria``), and this module gives them from a flat amplitude
+vector.  All functions are pure and operate on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -12,42 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-
-
-def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
-    """Reduce a (dim_a*dim_b)-dimensional operator to one factor.
-
-    ``keep`` selects the surviving subsystem, "A" or "B"; the trace of
-    the result equals the trace of the input.
-    """
-    m = np.asarray(m)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match a {dim_a}x{dim_b} bipartition"
-        )
-    m4 = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("ikjk->ij", m4)
-    if keep == "B":
-        return np.einsum("kikj->ij", m4)
-    raise ValueError("keep must be 'A' or 'B'")
-
-
-def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int, sub: str = "B") -> np.ndarray:
-    """Transpose one tensor factor of a bipartite operator."""
-    m = np.asarray(m)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match a {dim_a}x{dim_b} bipartition"
-        )
-    m4 = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if sub == "B":
-        return m4.transpose(0, 3, 2, 1).reshape(n, n)
-    if sub == "A":
-        return m4.transpose(2, 1, 0, 3).reshape(n, n)
-    raise ValueError("sub must be 'A' or 'B'")
 
 
 @dataclass(frozen=True)

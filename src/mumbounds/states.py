@@ -76,6 +76,15 @@ def validate_density(rho: np.ndarray) -> list[str]:
     return [f"negative eigenvalue {negative[0]:.3e}"] if negative.size else []
 
 
+def checked_density(rho: np.ndarray) -> np.ndarray:
+    """``rho``, once ``validate_density`` passes it; a failure raises
+    ValueError naming each problem."""
+    problems = validate_density(rho)
+    if problems:
+        raise ValueError("state is not a density matrix: " + "; ".join(problems))
+    return rho
+
+
 def tiles_state() -> np.ndarray:
     """The 3x3 bound entangled state (I - sum of the five tile projectors)/4.
 

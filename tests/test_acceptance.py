@@ -20,11 +20,10 @@ from mumbounds.criteria import (
     bound_columns,
     build_correlation_matrix,
     concurrence_lower_bound,
-    pure_concurrence,
     pure_trace_norm_closed_form,
     white_noise_margin,
 )
-from mumbounds.linalg import partial_trace, schmidt_decompose
+from mumbounds.linalg import schmidt_decompose
 from mumbounds.mums import (
     build_f_blocks,
     kappa_gap,
@@ -36,6 +35,8 @@ from mumbounds.mums import (
 )
 from mumbounds.states import horodecki_state, max_entangled, random_pure
 from mumbounds.threshold import find_threshold
+
+from references import partial_trace, pure_concurrence
 
 TABLE_THRESHOLDS = {
     0.2: 0.994054,
@@ -331,7 +332,8 @@ def test_criterion_10_pure_threshold_oracle(t_range_of):
             cross = 0.5 * (s.sum() ** 2 - (s * s).sum())
             w_star = 1.0 / (d + 1) if k == 0 else (d - 1) / (d - 1 + 2 * d * cross)
             for t in (rng.lower, rng.upper, 1e-3 * rng.upper):
-                result = find_threshold(white_noise_margin(rho, standard_family(d, t)), tol=1e-9)
+                fam = standard_family(d, t)
+                result = find_threshold(white_noise_margin(rho, fam.d, fam.t), tol=1e-9)
                 lo, hi = result.bracket
                 worst = max(worst, hi - lo)
                 miss = max(miss, lo - w_star, w_star - hi)

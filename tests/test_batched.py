@@ -266,7 +266,7 @@ def _scalar_fields(row, rho, fam, w):
     """The bound columns of one sweep row by the scalar formulas, from its
     d and t and the excess of its state at weight w on its own."""
     d, t = row["d"], row["t"]
-    excess = criteria.white_noise_margin(rho, fam)(w)
+    excess = criteria.white_noise_margin(rho, fam.d, fam.t)(w)
     kappa = kappa_of_t(d, t)
     scale = d * kappa_gap(d, t)  # kappa d - 1
     return {

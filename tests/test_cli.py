@@ -63,6 +63,29 @@ class TestVerify:
         assert float(values["kappa"]) == pytest.approx(1.0, abs=1e-9)
         assert values["status"] == "pass"
 
+    @pytest.mark.parametrize("t", ["0", "1e-300", "-1e-154", "0.2", "-0.2"])
+    def test_every_query_prints_the_rule_text_of_an_inadmissible_t(self, capsys, tmp_path, t):
+        # verify, bound, threshold and a sweep admit t by one rule
+        # (engine.checked_t) and print its own text, whichever way t fails
+        with pytest.raises(mums.InadmissibleTError) as rule:
+            mums.standard_grid(3, float(t))
+        csv = tmp_path / "p.csv"
+        for argv in (
+            ["verify", "--d", "3"],
+            ["bound", "--state", "tiles"],
+            ["threshold", "--state", "tiles"],
+            ["sweep", "--state", "tiles", "--var", "p", "--start", "0", "--stop", "1",
+             "--steps", "3", "--out", str(csv)],
+        ):
+            assert run(capsys, *argv, f"--t={t}") == (1, "", f"usage error: {rule.value}\n"), argv
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("t", ["0.1", "0"])
+    def test_a_dimension_below_two_is_not_a_t_error(self, capsys, t):
+        assert run(capsys, "verify", "--d", "1", "--t", t) == (
+            1, "", "error: dimension must be at least 2\n"
+        )
+
 
 class TestKappaAndRange:
     def test_kappa_output(self, capsys):
@@ -830,6 +853,25 @@ class TestStateFiles:
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert run(capsys, *[])[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("t-range", "--d", "20000"),
+            ("kappa", "--d", "20000", "--t", "0.001"),
+            ("verify", "--d", "20000", "--t", "0.001"),
+            ("gen-state", "--state", "random", "--d", "20000", "--out", "{tmp}/x.json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_dimension_too_large_to_allocate_is_an_error(self, capsys, tmp_path, argv):
+        # d = 20000 asks for at least 1 EiB, more than any address space, so
+        # the first allocation is refused at once; no smaller d is safe here
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "EiB" in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -18,11 +18,10 @@ from mumbounds.criteria import (
     bound_columns,
     build_correlation_matrix,
     concurrence_lower_bound,
-    pure_concurrence,
     pure_trace_norm_closed_form,
 )
 from mumbounds.engine import SweepSpec, ThresholdQuery, run_sweep, run_threshold
-from mumbounds.linalg import partial_trace, schmidt_decompose
+from mumbounds.linalg import schmidt_decompose
 from mumbounds.mums import build_mums, kappa_gap, standard_family, standard_grid
 from mumbounds.states import (
     horodecki_state,
@@ -34,6 +33,8 @@ from mumbounds.states import (
     tiles_state,
     validate_density,
 )
+
+from references import partial_trace, pure_concurrence
 
 # recorded at the first verified run of the oracle suite (d=3, t=0.01)
 TILES_P1_T001_NORM = 1.335041578240853
@@ -657,7 +658,7 @@ class TestSchmidtPath:
             rho = _pure_density(random_pure(d, d, seed=d))
             for t in (t_range_of(d).lower, 0.5 * t_range_of(d).upper):
                 fam = standard_family(d, t)
-                margin = criteria.white_noise_margin(rho, fam)
+                margin = criteria.white_noise_margin(rho, fam.d, fam.t)
                 scale = fam.kappa * d - 1.0
                 for w in (0.0, 0.3, 0.9, 1.0):
                     dense = _dense_report(rho, t, w)

@@ -63,7 +63,7 @@ def test_affine_margin_matches_mixed_state_definition(d, family, t_range_of, tmp
     fam = family(d, t)
     psi = random_pure(d, d, seed=d)
     rho = np.outer(psi, psi.conj())
-    margin = white_noise_margin(rho, fam)
+    margin = white_noise_margin(rho, fam.d, fam.t)
     for w in np.linspace(0.0, 1.0, 11):
         assert margin(w) == pytest.approx(_margin(rho, fam, w), abs=1e-12)
 
@@ -163,7 +163,7 @@ def test_margin_at_zero_weight_is_the_closed_form(d, t_range_of):
             rho = random_density(d * d, rank=rank, seed=10 * d + rank)
             m = criteria._frame_matrices(d, criteria._frames(rho, d), t)
             by_svd = float(criteria._margins(d, 0.0 * m, mums.kappa_gap(d, t))[0])
-            closed = white_noise_margin(rho, fam)(0.0)
+            closed = white_noise_margin(rho, fam.d, fam.t)(0.0)
             assert type(closed) is float
             assert closed == by_svd == -mums.kappa_gap(d, t)
 
@@ -185,9 +185,10 @@ def test_specs_reject_a_value_for_their_own_variable():
 class _Counts:
     """Counts calls of module attributes, and density factorisations of one size.
 
-    ``validate_density`` counts the file check inside ``load_state``,
-    ``state_check`` the same validator called by ``engine.make_state`` on
-    a built state, and ``front_door`` by the criteria.
+    ``validate_density`` counts every call of the validator: the file
+    check inside ``load_state``, or the one inside ``states.checked_density``,
+    which ``state_check`` counts when ``engine.make_state`` calls it on a
+    built state and ``front_door`` when the criteria do.
     ``density_cholesky`` counts positivity certificates and
     ``density_eigvalsh`` eigen-checks; one of a stack of states counts
     once, like one of a single state.
@@ -199,8 +200,8 @@ class _Counts:
         for module, name, label in (
             (engine, "load_state", "load_state"),
             (states, "validate_density", "validate_density"),
-            (engine, "validate_density", "state_check"),
-            (criteria, "validate_density", "front_door"),
+            (engine, "checked_density", "state_check"),
+            (criteria, "checked_density", "front_door"),
             (criteria, "build_correlation_matrix", "build_correlation_matrix"),
             (criteria, "_contract", "contract"),
             (mums, "build_f_blocks", "build_f_blocks"),
@@ -275,7 +276,9 @@ def test_built_states_are_checked_once_per_query(monkeypatch, tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
         loaded = {"load_state": 1} if check == "validate_density" else {}
-        assert counts.calls == {**loaded, check: 1, "density_cholesky": 1, "contract": 1}, argv
+        assert counts.calls == {
+            **loaded, "validate_density": 1, check: 1, "density_cholesky": 1, "contract": 1
+        }, argv
 
 
 def test_sweeps_load_and_validate_their_state_once(monkeypatch, tmp_path):
@@ -322,10 +325,8 @@ def test_sweeps_contract_each_chunk_once(monkeypatch, points_per_chunk, tmp_path
 
     count(engine, "horodecki_state")
     count(engine, "load_state")
-    # every density check, keyed as one: in load_state, make_state or the criteria
+    # every density check: in load_state, or in checked_density for make_state or the criteria
     count(states, "validate_density")
-    count(engine, "validate_density")
-    count(criteria, "validate_density")
     count(criteria, "_contract")
     count(criteria, "_margins")
     count(criteria, "build_correlation_matrix")

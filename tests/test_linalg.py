@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mumbounds.linalg import partial_trace, partial_transpose, schmidt_decompose
+import mumbounds
+from mumbounds import criteria, linalg
+from mumbounds.linalg import schmidt_decompose
+
+from references import partial_trace, partial_transpose
 
 
 def _complex_normal(rng, shape):
@@ -115,3 +119,15 @@ class TestSchmidt:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="match"):
             schmidt_decompose(np.array([1.0, 0.0, 0.0]), 2, 2)
+
+
+def test_the_package_exports_no_test_only_reference():
+    # partial traces, partial transposes and the pure-state concurrence live
+    # in tests/references.py; no report needs them
+    for module, name in (
+        (mumbounds, "pure_concurrence"), (mumbounds, "partial_trace"),
+        (mumbounds, "partial_transpose"), (criteria, "pure_concurrence"),
+        (linalg, "partial_trace"), (linalg, "partial_transpose"),
+    ):
+        assert not hasattr(module, name), (module.__name__, name)
+        assert name not in mumbounds.__all__

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mumbounds.config import TOL
-from mumbounds.linalg import partial_transpose, schmidt_decompose
+from mumbounds.linalg import schmidt_decompose
 from mumbounds.states import (
     StateFileError,
     horodecki_state,
@@ -20,6 +20,8 @@ from mumbounds.states import (
     tiles_state,
     validate_density,
 )
+
+from references import partial_transpose
 
 
 def _assert_valid_density(rho):
